@@ -450,8 +450,9 @@ def _load_candidates(path: str):
     (labels, placements) lists.
     """
     import json
+    from pathlib import Path
 
-    text = open(path).read()
+    text = Path(path).read_text()
     if text.lstrip().startswith("["):
         entries = json.loads(text)
     else:

@@ -43,11 +43,7 @@ from repro.pipeline.online import (
     run_online_pipeline,
     static_placement,
 )
-from repro.pipeline.whatif import (
-    evaluate_placements,
-    rank_placements,
-    whatif_batch_size,
-)
+from repro.pipeline.whatif import evaluate_placements, rank_placements
 
 __all__ = [
     "ArtifactStore",
@@ -70,5 +66,4 @@ __all__ = [
     "static_placement",
     "evaluate_placements",
     "rank_placements",
-    "whatif_batch_size",
 ]

@@ -13,14 +13,13 @@ independent ``run`` calls.  The returned numbers are **bit-equal** to
 the sequential path — the fixed point is per-row, so fusing rows cannot
 change any row's trajectory (see docs/PERFORMANCE.md §9).
 
-Batches are chunked at :func:`whatif_batch_size` candidates
-(``REPRO_WHATIF_BATCH``, default 64) so a thousand-candidate ranking
-sweep keeps its peak memory proportional to the chunk, not to K.
+Batches are chunked at :data:`BATCH_SIZE` candidates so a
+thousand-candidate ranking sweep keeps its peak memory proportional to
+the chunk, not to K.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.apps.workload import Workload
@@ -32,25 +31,11 @@ from repro.runtime.stats import RunResult
 #: model the engine accepts (PlacementTraffic, TieringTraffic, ...)
 Candidate = Union[Dict[str, str], object]
 
-_DEFAULT_BATCH = 64
-
-
-def whatif_batch_size() -> int:
-    """Candidates per fused engine pass (``REPRO_WHATIF_BATCH``).
-
-    The fused fixed point materializes a ``(K * segments, subsystems)``
-    tensor, so the chunk size bounds peak memory; the default of 64 keeps
-    a LULESH-sized trace's working set in cache while amortizing the
-    shared segmentation/packing cost across the chunk.
-    """
-    raw = os.environ.get("REPRO_WHATIF_BATCH")
-    if not raw:
-        return _DEFAULT_BATCH
-    try:
-        value = int(raw)
-    except ValueError:
-        return _DEFAULT_BATCH
-    return value if value > 0 else _DEFAULT_BATCH
+#: candidates per fused engine pass.  The fused fixed point materializes
+#: a ``(K * segments, subsystems)`` tensor, so the chunk bounds peak
+#: memory; 64 keeps a LULESH-sized trace's working set in cache while
+#: amortizing the shared segmentation/packing cost across the chunk.
+BATCH_SIZE = 64
 
 
 def evaluate_placements(
@@ -62,7 +47,6 @@ def evaluate_placements(
     interposer_overheads_s: Optional[Sequence[float]] = None,
     engine: Optional[ExecutionEngine] = None,
     engine_params: Optional[EngineParams] = None,
-    batch_size: Optional[int] = None,
     full: bool = False,
 ) -> "List[float] | List[RunResult]":
     """Score candidate placements of one workload on one memory system.
@@ -72,19 +56,18 @@ def evaluate_placements(
     ``full=True`` returns complete :class:`RunResult`\\ s instead.  Both
     are bit-identical to evaluating each candidate through a sequential
     ``engine.run`` call.  Candidates are chunked into fused passes of
-    ``batch_size`` (default :func:`whatif_batch_size`); pass an existing
-    ``engine`` to reuse its segmentation and packing caches across calls.
+    :data:`BATCH_SIZE`; pass an existing ``engine`` to reuse its
+    segmentation and packing caches across calls.
     """
     if engine is None:
         engine = ExecutionEngine(workload, system, engine_params or EngineParams())
     K = len(placements)
-    chunk = batch_size or whatif_batch_size()
     labels = list(labels) if labels is not None else None
     overheads = (list(interposer_overheads_s)
                  if interposer_overheads_s is not None else None)
     out: list = []
-    for lo in range(0, K, chunk):
-        hi = min(lo + chunk, K)
+    for lo in range(0, K, BATCH_SIZE):
+        hi = min(lo + BATCH_SIZE, K)
         part = list(placements[lo:hi])
         part_over = overheads[lo:hi] if overheads is not None else None
         if full:

@@ -10,7 +10,10 @@ row ``< s`` (segmentation, traffic rows, and convergence masks are all
 per-segment), and among rows ``>= s`` only the rows whose traffic
 actually differs need to be re-solved.
 
-This module holds the pieces the engine composes:
+Every pack path emits the same canonical first-touch positions
+(``order_pos[s, k] = s*K + rank``), so rows packed by different paths
+compose without any rewriting.  This module holds the pieces the engine
+composes:
 
 - :class:`PatchedPlacementTraffic` — the *scalar* traffic model of a
   patched run (base placement before ``switch_time``, new placement
@@ -20,10 +23,6 @@ This module holds the pieces the engine composes:
   baseline for the perf floor and a genuine differential oracle for
   :meth:`ExecutionEngine.run_incremental` (a different code path from
   the composed fast path).
-- :func:`normalize_order_pos` — rewrite a batch's first-touch order
-  matrix into the canonical ``s*K + rank`` scheme shared by every pack
-  path, so prefix rows from one pack and suffix rows from another can
-  be composed into a batch that is bit-equal to a from-scratch pack.
 - :func:`compose_batches` / :func:`changed_suffix_rows` — splice
   prefix and suffix batches at a segment boundary and find the suffix
   rows whose fixed point must actually re-run.
@@ -34,7 +33,7 @@ This module holds the pieces the engine composes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -45,11 +44,8 @@ from repro.runtime.traffic import PlacementTraffic, SegmentTraffic, TrafficBatch
 __all__ = [
     "PatchedPlacementTraffic",
     "DeltaState",
-    "normalize_order_pos",
-    "normalize_batch_order",
     "compose_batches",
     "changed_suffix_rows",
-    "subbatch_rows",
 ]
 
 
@@ -88,50 +84,6 @@ class PatchedPlacementTraffic:
         return src.segment_traffic(lo, hi, phase, live)
 
 
-def normalize_order_pos(order_pos: np.ndarray) -> np.ndarray:
-    """Rewrite first-touch positions into the canonical ``s*K + rank`` scheme.
-
-    The scalar pack emits ``order_pos[s, j] = s*K + j`` (``j`` = dict
-    insertion rank); ``PlacementTraffic.traffic_batch`` emits globally
-    monotonic kept-pair positions.  Both are lexicographic in
-    ``(segment, within-segment touch order)``, so ranking each row's
-    finite entries and re-basing at ``s*K`` maps either scheme onto the
-    scalar pack's exact values — idempotent on already-normalized input,
-    and order-preserving within every row (all the fixed point and the
-    phase aggregation ever compare).
-    """
-    S, K = order_pos.shape
-    cols = np.argsort(order_pos, axis=1, kind="stable")
-    ranks = np.empty_like(order_pos)
-    np.put_along_axis(
-        ranks, cols,
-        np.broadcast_to(np.arange(K, dtype=float), (S, K)).copy(),
-        axis=1,
-    )
-    base = np.arange(S, dtype=float)[:, None] * K
-    return np.where(np.isfinite(order_pos), base + ranks, np.inf)
-
-
-def normalize_batch_order(batch: TrafficBatch) -> TrafficBatch:
-    """A copy of ``batch`` whose ``order_pos`` uses the canonical scheme."""
-    return TrafficBatch(
-        subsystems=batch.subsystems,
-        loads=batch.loads,
-        stores=batch.stores,
-        serial_loads=batch.serial_loads,
-        extra_latency_ns=batch.extra_latency_ns,
-        present=batch.present,
-        order_pos=normalize_order_pos(batch.order_pos),
-        site_names=batch.site_names,
-        obj_sub_names=batch.obj_sub_names,
-        obj_seg=batch.obj_seg,
-        obj_site=batch.obj_site,
-        obj_sub=batch.obj_sub,
-        obj_loads=batch.obj_loads,
-        obj_stores=batch.obj_stores,
-    )
-
-
 def _merge_names(a: List[str], b: List[str]) -> Tuple[List[str], Optional[np.ndarray]]:
     """Merge two name tables; returns (merged, remap-for-b or None)."""
     if a == b:
@@ -160,12 +112,10 @@ def _split_obj(batch: TrafficBatch, s0: int, *, suffix: bool) -> slice:
 def compose_batches(prefix: TrafficBatch, suffix: TrafficBatch, s0: int) -> TrafficBatch:
     """Splice ``prefix`` rows ``< s0`` with ``suffix`` rows ``>= s0``.
 
-    Both batches must already carry canonical (``normalize_order_pos``)
-    order positions and must describe the same segmentation and
-    subsystem columns.  The result is bit-equal to a from-scratch scalar
-    pack of the patched model: row values come verbatim from packs of
-    the respective placements, and the canonical order scheme makes the
-    two packs agree on every cross-row comparison downstream.
+    Both batches must describe the same segmentation and subsystem
+    columns.  The result is bit-equal to a from-scratch scalar pack of
+    the patched model: row values, canonical order positions included,
+    come verbatim from packs of the respective placements.
     """
     if prefix.subsystems != suffix.subsystems:
         raise SimulationError(
@@ -232,41 +182,11 @@ def changed_suffix_rows(prefix: TrafficBatch, suffix: TrafficBatch, s0: int) -> 
     return np.nonzero(~same)[0] + s0
 
 
-_EMPTY_I = np.empty(0, dtype=np.int64)
-_EMPTY_F = np.empty(0, dtype=float)
-
-
-def subbatch_rows(batch: TrafficBatch, rows: np.ndarray) -> TrafficBatch:
-    """A minimal batch holding only ``rows`` (for the fixed point).
-
-    The fixed point never touches object rows, so they are left empty;
-    per-row arithmetic is identical whether a row sits in a full batch
-    or a gathered one.
-    """
-    return TrafficBatch(
-        subsystems=batch.subsystems,
-        loads=batch.loads[rows],
-        stores=batch.stores[rows],
-        serial_loads=batch.serial_loads[rows],
-        extra_latency_ns=batch.extra_latency_ns[rows],
-        present=batch.present[rows],
-        order_pos=batch.order_pos[rows],
-        site_names=batch.site_names,
-        obj_sub_names=batch.obj_sub_names,
-        obj_seg=_EMPTY_I,
-        obj_site=_EMPTY_I,
-        obj_sub=_EMPTY_I,
-        obj_loads=_EMPTY_F,
-        obj_stores=_EMPTY_F,
-    )
-
-
 @dataclass
 class DeltaState:
     """The frozen solution of a converged run, ready for suffix patches.
 
-    ``batch`` carries canonical order positions; ``durations`` and
-    ``lat_final`` are the fixed point's converged per-segment outputs.
+    ``durations`` and ``lat_final`` are the fixed point's converged per-segment outputs.
     ``result`` is the assembled :class:`~repro.runtime.stats.RunResult`
     of this state's placement, so an online loop can read the current
     predicted total without re-assembling.

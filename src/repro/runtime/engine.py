@@ -5,15 +5,23 @@ evaluation hinges on *where* off-chip traffic goes and *what latency it
 sees there under load*, which the segment/fixed-point model captures, while
 keeping full-application simulations fast enough for parameter sweeps.
 
-:meth:`ExecutionEngine.run` executes the whole workload as array
-operations: one ``TrafficBatch`` holds every segment's per-subsystem
-traffic as (segments x subsystems) matrices, the damped fixed point runs
-over all segments simultaneously with a boolean active mask for
-per-segment convergence, and the per-object/per-phase/timeline
-accumulators are ``np.add.at`` scatter-adds that replay the scalar
-accumulation order exactly.  :meth:`ExecutionEngine.run_scalar` keeps the
-original per-segment Python loop as the reference oracle; the two are
-bit-identical (see ``tests/runtime/test_engine_vectorized.py``).
+Every entry point — :meth:`~ExecutionEngine.run`, ``run_batch``,
+``predict_times``, ``run_delta``, ``run_incremental`` and
+``predict_times_incremental`` — is a thin wrapper over three steps:
+
+- ``_pack`` resolves plain ``{site: subsystem}`` mappings and packs each
+  model into a ``TrafficBatch`` (every segment's per-subsystem traffic
+  as (segments x subsystems) matrices);
+- ``_solve`` fuses the batches' rows — all of them, or a gathered subset
+  — and runs the damped fixed point over every row at once, with a
+  boolean active mask for per-row convergence;
+- ``_assemble`` turns one lane's converged rows into a ``RunResult``;
+  its per-object/per-phase/timeline accumulators are scatter-adds that
+  replay the scalar accumulation order exactly.
+
+:meth:`ExecutionEngine.run_scalar` keeps the original per-segment Python
+loop as the reference oracle; the two are bit-identical (see
+``tests/runtime/test_engine_vectorized.py``).
 """
 
 from __future__ import annotations
@@ -34,8 +42,6 @@ from repro.runtime.delta import (
     PatchedPlacementTraffic,
     changed_suffix_rows,
     compose_batches,
-    normalize_batch_order,
-    subbatch_rows,
 )
 from repro.runtime.segments import SegmentArrays, build_segment_arrays
 from repro.runtime.stats import ObjectRunStats, PhaseResult, RunResult
@@ -44,7 +50,6 @@ from repro.runtime.traffic import (
     SegmentTraffic,
     TrafficBatch,
     TrafficModel,
-    pack_traffic_batch,
     pack_traffic_multi,
 )
 
@@ -127,6 +132,52 @@ def _majority_subsystem(byte_totals: "Dict[str, float]") -> str:
         if nbytes > best_bytes:
             best, best_bytes = sub, nbytes
     return best
+
+
+_EMPTY_I = np.empty(0, dtype=np.int64)
+_EMPTY_F = np.empty(0, dtype=float)
+
+
+def _fuse(
+    batches: Sequence[TrafficBatch], rows: Sequence["np.ndarray | slice"]
+) -> TrafficBatch:
+    """Stack rows ``rows[i]`` of each batch ``i`` into one fixed-point batch.
+
+    Only the per-row matrices the fixed point reads are stacked; object
+    rows are left empty (the fixed point never touches them).
+    """
+    def stack(field: str) -> np.ndarray:
+        return np.concatenate(
+            [getattr(b, field)[r] for b, r in zip(batches, rows)]
+        )
+
+    return TrafficBatch(
+        subsystems=list(batches[0].subsystems),
+        loads=stack("loads"),
+        stores=stack("stores"),
+        serial_loads=stack("serial_loads"),
+        extra_latency_ns=stack("extra_latency_ns"),
+        present=stack("present"),
+        order_pos=stack("order_pos"),
+        site_names=[], obj_sub_names=[],
+        obj_seg=_EMPTY_I, obj_site=_EMPTY_I, obj_sub=_EMPTY_I,
+        obj_loads=_EMPTY_F, obj_stores=_EMPTY_F,
+    )
+
+
+def _total_time(durations: np.ndarray, overhead: float) -> float:
+    """A lane's total runtime: summed segment durations plus overhead."""
+    return float(np.cumsum(durations)[-1]) + overhead
+
+
+def _per_model(seq, default, K: int, caller: str, what: str) -> list:
+    """One per-run argument per model (``default`` when ``seq`` is None)."""
+    if seq is None:
+        return [default] * K
+    out = list(seq)
+    if len(out) != K:
+        raise SimulationError(f"{caller} got {len(out)} {what} for {K} models")
+    return out
 
 
 class ExecutionEngine:
@@ -243,32 +294,32 @@ class ExecutionEngine:
         return duration, stall_time, lat_by_sub
 
     def _fixed_point_batch(
-        self, batch: TrafficBatch, compute: Optional[np.ndarray] = None
+        self, batch: TrafficBatch, compute: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Run the damped fixed point over all segments simultaneously.
+        """Run the damped fixed point over all rows of ``batch`` at once.
 
-        Returns (durations, frozen per-subsystem latencies).  Per-segment
-        early convergence becomes a shrinking active-index array; a
-        segment's latency row is frozen at its breaking iteration, exactly
-        as the scalar loop leaves ``lat_by_sub``.  Within a segment the
-        stall terms are folded in the scalar dict's insertion order
-        (``order_pos``); absent subsystems contribute an exact ``+0.0``,
-        which cannot perturb the running sum.
+        Returns (durations, frozen per-subsystem latencies).  ``compute``
+        holds each row's nominal duration.  Per-row early convergence is a
+        boolean ``active`` mask over one full-width loop: a converged row
+        keeps its duration and its latency row frozen at the breaking
+        iteration, exactly as the scalar loop leaves ``lat_by_sub``.  (Most
+        row-iterations run on still-active rows, so gathering the active
+        rows each iteration would mostly copy full arrays; see
+        docs/PERFORMANCE.md §9.)  Within a row the stall terms
+        are folded in the scalar dict's insertion order (``order_pos``);
+        absent subsystems contribute an exact ``+0.0``, which cannot
+        perturb the running sum.
 
-        ``compute`` defaults to the segmentation's nominal durations; the
-        what-if path passes the K-times-tiled copy so K placements'
-        (placement, segment) rows iterate as one fused system.  Every
-        operation in the loop is per-row (elementwise, or a reduction
-        along the subsystem axis), so a row's trajectory — including its
-        convergence iteration and frozen latency row — is independent of
-        which other rows share the arrays.
+        Every operation is per-row (elementwise, or a reduction along the
+        subsystem axis), so a row's trajectory — its convergence iteration
+        and frozen latency row — is independent of which other rows share
+        the arrays: K placements' rows, or a gathered subset of rows, solve
+        exactly as they would alone.
         """
         wl = self.workload
         S, K = batch.loads.shape
         subs = [self.system.get(name) for name in batch.subsystems]
         ssf = np.array([sub.store_stall_factor for sub in subs])
-        if compute is None:
-            compute = self._segment_arrays.durations_nominal
         total_bytes = batch.total_bytes
         wf = batch.write_fraction
         extra = batch.extra_latency_ns
@@ -290,65 +341,99 @@ class ExecutionEngine:
         damp = self.params.damping
         duration = compute.copy()
         lat_final = np.zeros((S, K))
-        # While no row has converged yet (tight tolerances keep every row
-        # iterating for most of the schedule), `active` covers all rows and
-        # the per-iteration fancy-index gathers would only copy full
-        # arrays; the full-width branch skips them.  The arithmetic on
-        # each row is identical in both branches, so convergence
-        # trajectories are unchanged.
-        active = np.arange(S)
-        full = True
+        active = np.ones(S, dtype=bool)
         for _ in range(self.params.fixed_point_iters):
-            if active.size == 0:
+            if not active.any():
                 break
-            if full:
-                dur = duration
-                bw = total_bytes / dur[:, None]
-                lat = np.empty_like(bw)
-                for k, sub in enumerate(subs):
-                    lat[:, k] = sub.read_latency_ns_batch(
-                        bw[:, k], wf[:, k], util_cap=cap
-                    )
-                lat = lat + extra
-                lat_final = lat
-                contrib = (
-                    overlapped * lat + stores_rank * (ssf * lat)
-                ) * _NS
-                ordered = np.take_along_axis(contrib, order_cols, axis=1)
-                stall = np.zeros(S)
-                for k in range(K):
-                    stall = stall + ordered[:, k]
-                new = np.maximum(compute + stall, floor)
-                converged = np.abs(new - dur) <= tol * dur
-                duration = np.where(
-                    converged, new, damp * new + (1.0 - damp) * dur
-                )
-                active = active[~converged]
-                full = active.size == S
-                continue
-            dur = duration[active]
-            bw = total_bytes[active] / dur[:, None]
+            bw = total_bytes / duration[:, None]
             lat = np.empty_like(bw)
             for k, sub in enumerate(subs):
                 lat[:, k] = sub.read_latency_ns_batch(
-                    bw[:, k], wf[active, k], util_cap=cap
+                    bw[:, k], wf[:, k], util_cap=cap
                 )
-            lat = lat + extra[active]
-            lat_final[active] = lat
-            contrib = (
-                overlapped[active] * lat + stores_rank[active] * (ssf * lat)
-            ) * _NS
-            ordered = np.take_along_axis(contrib, order_cols[active], axis=1)
-            stall = np.zeros(active.size)
+            lat = lat + extra
+            lat_final = np.where(active[:, None], lat, lat_final)
+            contrib = (overlapped * lat + stores_rank * (ssf * lat)) * _NS
+            ordered = np.take_along_axis(contrib, order_cols, axis=1)
+            stall = np.zeros(S)
             for k in range(K):
                 stall = stall + ordered[:, k]
-            new = np.maximum(compute[active] + stall, floor[active])
-            converged = np.abs(new - dur) <= tol * dur
-            duration[active] = np.where(converged, new, damp * new + (1.0 - damp) * dur)
-            active = active[~converged]
+            new = np.maximum(compute + stall, floor)
+            converged = np.abs(new - duration) <= tol * duration
+            step = np.where(converged, new, damp * new + (1.0 - damp) * duration)
+            duration = np.where(active, step, duration)
+            active &= ~converged
         return duration, lat_final
 
-    # -- the batched run ----------------------------------------------------------
+    # -- the three steps: pack, solve, assemble -----------------------------------
+
+    def _pack(
+        self, models: Sequence[TrafficModel]
+    ) -> Tuple[List[TrafficModel], List[TrafficBatch]]:
+        """Resolve plain ``{site: subsystem}`` mappings and pack every model.
+
+        A mapping becomes a :class:`PlacementTraffic`; every model is then
+        packed over the shared segmentation (``pack_traffic_multi``, in
+        call order, so stateful models see a sequential call sequence).
+        """
+        resolved = [
+            m if hasattr(m, "segment_traffic") or hasattr(m, "traffic_batch")
+            else PlacementTraffic(self.workload, m)
+            for m in models
+        ]
+        batches = pack_traffic_multi(
+            resolved, self.workload, self._segment_arrays, self.system.names
+        )
+        return resolved, batches
+
+    def _solve(
+        self,
+        batches: Sequence[TrafficBatch],
+        rows: Optional[Sequence[np.ndarray]] = None,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """One fused fixed point over ``batches``' rows, stacked in order.
+
+        All rows of every batch by default; with ``rows``, only the rows
+        ``rows[i]`` of batch ``i`` (the delta engine's changed suffix).
+        """
+        if rows is None:
+            rows = [slice(None)] * len(batches)
+        nominal = self._segment_arrays.durations_nominal
+        return self._fixed_point_batch(
+            _fuse(batches, rows), np.concatenate([nominal[r] for r in rows])
+        )
+
+    def _lanes(
+        self, models: Sequence[TrafficModel], runs: Sequence[dict]
+    ) -> List[DeltaState]:
+        """Pack, solve and assemble K models; ``runs[k]`` is lane k's run
+        arguments (label, interposer overhead, hit ratio, stats)."""
+        resolved, batches = self._pack(models)
+        durations, lat_final = self._solve(batches)
+        S = self._segment_arrays.num_segments
+        return [
+            self._settle(model, batch, durations[k * S:(k + 1) * S],
+                         lat_final[k * S:(k + 1) * S], **runs[k])
+            for k, (model, batch) in enumerate(zip(resolved, batches))
+        ]
+
+    def _settle(
+        self,
+        model: TrafficModel,
+        batch: TrafficBatch,
+        durations: np.ndarray,
+        lat_final: np.ndarray,
+        **run,
+    ) -> DeltaState:
+        """Assemble one solved lane and keep it as a patchable state."""
+        return DeltaState(
+            model=model, batch=batch,
+            durations=durations, lat_final=lat_final,
+            result=self._assemble(model, batch, durations, lat_final, **run),
+            **run,
+        )
+
+    # -- public entry points ----------------------------------------------------------
 
     def run(
         self,
@@ -363,22 +448,12 @@ class ExecutionEngine:
 
         Vectorized over segments; bit-identical to :meth:`run_scalar`.
         """
-        wl = self.workload
-        sa = self._segment_arrays
-        names = self.system.names
-        if hasattr(model, "traffic_batch"):
-            batch = model.traffic_batch(sa, names)
-        else:
-            batch = pack_traffic_batch(model, wl, sa, names)
-
-        durations, lat_final = self._fixed_point_batch(batch)
-        return self._assemble(
-            model, batch, durations, lat_final,
+        return self._lanes([model], [dict(
             label=label,
             interposer_overhead_s=interposer_overhead_s,
             dram_cache_hit_ratio=dram_cache_hit_ratio,
             interposer_stats=interposer_stats,
-        )
+        )])[0].result
 
     def run_batch(
         self,
@@ -394,10 +469,10 @@ class ExecutionEngine:
         Each element of ``models`` is a traffic model or a plain
         ``{site_name: subsystem}`` mapping (wrapped in
         :class:`PlacementTraffic`).  The K per-placement traffic splits
-        are packed over one shared segmentation (``pack_traffic_multi``),
-        stacked into a ``(K * segments, subsystems)`` tensor, and iterated
-        through one masked damped fixed point; the lanes then unpack into
-        K :class:`RunResult`\\ s **bit-identical** to K sequential
+        are packed over one shared segmentation, stacked into a
+        ``(K * segments, subsystems)`` tensor, and iterated through one
+        masked damped fixed point; the lanes then unpack into K
+        :class:`RunResult`\\ s **bit-identical** to K sequential
         :meth:`run` calls — every fixed-point operation is per-row, so
         fusing rows cannot change any row's trajectory, and the assembly
         replays the exact scalar accumulation orders per lane.
@@ -405,44 +480,23 @@ class ExecutionEngine:
         The optional keyword sequences carry :meth:`run`'s per-run scalar
         arguments, one entry per model.
         """
-        resolved: List[TrafficModel] = []
-        for m in models:
-            if hasattr(m, "segment_traffic") or hasattr(m, "traffic_batch"):
-                resolved.append(m)
-            else:
-                resolved.append(PlacementTraffic(self.workload, m))
-        K = len(resolved)
-
-        def _per_model(seq, default, what):
-            if seq is None:
-                return [default] * K
-            out = list(seq)
-            if len(out) != K:
-                raise SimulationError(
-                    f"run_batch got {len(out)} {what} for {K} models"
-                )
-            return out
-
-        labels = _per_model(labels, None, "labels")
-        overheads = _per_model(interposer_overheads_s, 0.0, "overheads")
-        hit_ratios = _per_model(dram_cache_hit_ratios, None, "hit ratios")
-        istats = _per_model(interposer_stats, None, "interposer stats")
+        K = len(models)
+        runs = [
+            dict(label=lb, interposer_overhead_s=ov,
+                 dram_cache_hit_ratio=hr, interposer_stats=st)
+            for lb, ov, hr, st in zip(
+                _per_model(labels, None, K, "run_batch", "labels"),
+                _per_model(interposer_overheads_s, 0.0, K, "run_batch",
+                           "overheads"),
+                _per_model(dram_cache_hit_ratios, None, K, "run_batch",
+                           "hit ratios"),
+                _per_model(interposer_stats, None, K, "run_batch",
+                           "interposer stats"),
+            )
+        ]
         if K == 0:
             return []
-
-        batches, durations, lat_final, S = self._solve_fused(resolved)
-        return [
-            self._assemble(
-                model, batch,
-                durations[k * S:(k + 1) * S],
-                lat_final[k * S:(k + 1) * S],
-                label=labels[k],
-                interposer_overhead_s=overheads[k],
-                dram_cache_hit_ratio=hit_ratios[k],
-                interposer_stats=istats[k],
-            )
-            for k, (model, batch) in enumerate(zip(resolved, batches))
-        ]
+        return [state.result for state in self._lanes(models, runs)]
 
     def predict_times(
         self,
@@ -454,66 +508,25 @@ class ExecutionEngine:
 
         The what-if query path: same shared packing and fused fixed point
         as :meth:`run_batch`, but each lane only reduces its converged
-        durations to a total time — ``float(np.cumsum(d)[-1])`` plus the
-        interposer overhead, the exact expression :meth:`_assemble` uses —
-        so every returned float is bit-equal to the ``total_time`` of the
-        corresponding sequential :meth:`run` (asserted by the differential
-        suite and ``tools/perf_bench.py``).  Skipping per-object and
-        per-phase assembly is what makes ranking K candidates cheap: only
-        the chosen candidate needs a full :meth:`run`.
+        durations to a total time (:func:`_total_time`, the expression
+        :meth:`_assemble` uses), so every returned float is bit-equal to
+        the ``total_time`` of the corresponding sequential :meth:`run`
+        (asserted by the differential suite and ``tools/perf_bench.py``).
+        Skipping per-object and per-phase assembly is what makes ranking K
+        candidates cheap: only the chosen candidate needs a full
+        :meth:`run`.
         """
-        resolved: List[TrafficModel] = []
-        for m in models:
-            if hasattr(m, "segment_traffic") or hasattr(m, "traffic_batch"):
-                resolved.append(m)
-            else:
-                resolved.append(PlacementTraffic(self.workload, m))
-        K = len(resolved)
-        if interposer_overheads_s is None:
-            overheads: List[float] = [0.0] * K
-        else:
-            overheads = list(interposer_overheads_s)
-            if len(overheads) != K:
-                raise SimulationError(
-                    f"predict_times got {len(overheads)} overheads"
-                    f" for {K} models"
-                )
+        K = len(models)
+        overheads = _per_model(interposer_overheads_s, 0.0, K,
+                               "predict_times", "overheads")
         if K == 0:
             return []
-        _, durations, _, S = self._solve_fused(resolved)
+        _, batches = self._pack(models)
+        durations, _ = self._solve(batches)
         return [
-            float(np.cumsum(durations[k * S:(k + 1) * S])[-1]) + overheads[k]
-            for k in range(K)
+            _total_time(d, ov)
+            for d, ov in zip(durations.reshape(K, -1), overheads)
         ]
-
-    def _solve_fused(
-        self, resolved: Sequence[TrafficModel]
-    ) -> Tuple[List[TrafficBatch], np.ndarray, np.ndarray, int]:
-        """Pack K models and run their fused (K*S, subsystems) fixed point."""
-        sa = self._segment_arrays
-        names = self.system.names
-        batches = pack_traffic_multi(resolved, self.workload, sa, names)
-        S = sa.num_segments
-        K = len(batches)
-        fused = TrafficBatch(
-            subsystems=list(names),
-            loads=np.concatenate([b.loads for b in batches]),
-            stores=np.concatenate([b.stores for b in batches]),
-            serial_loads=np.concatenate([b.serial_loads for b in batches]),
-            extra_latency_ns=np.concatenate(
-                [b.extra_latency_ns for b in batches]),
-            present=np.concatenate([b.present for b in batches]),
-            order_pos=np.concatenate([b.order_pos for b in batches]),
-            site_names=[], obj_sub_names=[],
-            obj_seg=np.zeros(0, dtype=np.int64),
-            obj_site=np.zeros(0, dtype=np.int64),
-            obj_sub=np.zeros(0, dtype=np.int64),
-            obj_loads=np.zeros(0), obj_stores=np.zeros(0),
-        )
-        durations, lat_final = self._fixed_point_batch(
-            fused, compute=np.tile(sa.durations_nominal, K)
-        )
-        return batches, durations, lat_final, S
 
     # -- incremental re-advisory (the delta engine) --------------------------------
 
@@ -528,52 +541,55 @@ class ExecutionEngine:
     ) -> DeltaState:
         """:meth:`run`, but return a :class:`DeltaState` for suffix patching.
 
-        The returned state's ``result`` is bit-identical to a plain
-        :meth:`run` of ``model``: the only difference from :meth:`run` is
-        that the batch's first-touch positions are rewritten into the
-        canonical ``s*K + rank`` scheme (:func:`normalize_order_pos`),
-        which preserves every ordering comparison downstream while making
-        the cached rows composable with rows packed by any other path.
+        The returned state's ``result`` is the :meth:`run` result; every
+        pack path emits canonical ``s*K + rank`` first-touch positions, so
+        the cached rows compose with rows packed by any other path.
         """
-        wl = self.workload
-        sa = self._segment_arrays
-        names = self.system.names
-        if hasattr(model, "traffic_batch"):
-            batch = model.traffic_batch(sa, names)
-        else:
-            batch = pack_traffic_batch(model, wl, sa, names)
-        batch = normalize_batch_order(batch)
-        durations, lat_final = self._fixed_point_batch(batch)
-        result = self._assemble(
-            model, batch, durations, lat_final,
+        return self._lanes([model], [dict(
             label=label,
             interposer_overhead_s=interposer_overhead_s,
             dram_cache_hit_ratio=dram_cache_hit_ratio,
             interposer_stats=interposer_stats,
-        )
-        return DeltaState(
-            model=model, batch=batch,
-            durations=durations, lat_final=lat_final,
-            result=result, label=label,
-            interposer_overhead_s=interposer_overhead_s,
-            dram_cache_hit_ratio=dram_cache_hit_ratio,
-            interposer_stats=interposer_stats,
-        )
+        )])[0]
 
-    def _suffix_batch(self, placement_of: Dict[str, str]) -> TrafficBatch:
-        """Canonical-order pack of ``placement_of`` over the shared grid."""
-        suffix = PlacementTraffic(self.workload, placement_of)
-        batch = suffix.traffic_batch(self._segment_arrays, self.system.names)
-        return normalize_batch_order(batch)
-
-    def _check_boundary(self, boundary_seg: int) -> float:
+    def _check_boundary(self, boundary_seg: int, caller: str) -> float:
         S = self._segment_arrays.num_segments
         if not 0 <= boundary_seg < S:
             raise SimulationError(
-                f"run_incremental: boundary segment {boundary_seg} outside "
-                f"[0, {S})"
+                f"{caller}: boundary segment {boundary_seg} outside [0, {S})"
             )
         return float(self._segment_arrays.seg_lo[boundary_seg])
+
+    def _patch_suffixes(
+        self,
+        state: DeltaState,
+        placements: Sequence[TrafficModel],
+        boundary_seg: int,
+    ) -> List[Tuple[TrafficBatch, np.ndarray, np.ndarray]]:
+        """Solve K suffix re-placements of ``state`` in one fused pass.
+
+        Each placement is packed over the shared grid; only its suffix
+        rows whose fixed-point inputs differ from ``state.batch`` are
+        gathered and re-solved.  Returns, per placement, its pack and the
+        patched full-length (durations, latencies): ``state``'s frozen rows
+        with the changed rows replaced.
+        """
+        _, suffixes = self._pack(placements)
+        changed = [
+            changed_suffix_rows(state.batch, suf, boundary_seg)
+            for suf in suffixes
+        ]
+        solved, lat_solved = self._solve(suffixes, rows=changed)
+        lanes = []
+        at = 0
+        for suf, ch in zip(suffixes, changed):
+            durations = state.durations.copy()
+            lat_final = state.lat_final.copy()
+            durations[ch] = solved[at:at + ch.size]
+            lat_final[ch] = lat_solved[at:at + ch.size]
+            at += ch.size
+            lanes.append((suf, durations, lat_final))
+        return lanes
 
     def run_incremental(
         self,
@@ -601,34 +617,14 @@ class ExecutionEngine:
         stats) carry over from ``state`` so totals stay comparable across
         a chain of patches.
         """
-        sa = self._segment_arrays
-        switch_time = self._check_boundary(boundary_seg)
+        switch_time = self._check_boundary(boundary_seg, "run_incremental")
         patched = PatchedPlacementTraffic(state.model, placement_of, switch_time)
-        suffix = self._suffix_batch(patched.placement_of)
-        composed = compose_batches(state.batch, suffix, boundary_seg)
-        changed = changed_suffix_rows(state.batch, suffix, boundary_seg)
-
-        durations = state.durations.copy()
-        lat_final = state.lat_final.copy()
-        if changed.size:
-            sub = subbatch_rows(composed, changed)
-            d, lat = self._fixed_point_batch(
-                sub, compute=sa.durations_nominal[changed]
-            )
-            durations[changed] = d
-            lat_final[changed] = lat
-
-        result = self._assemble(
-            patched, composed, durations, lat_final,
-            label=label if label is not None else state.label,
-            interposer_overhead_s=state.interposer_overhead_s,
-            dram_cache_hit_ratio=state.dram_cache_hit_ratio,
-            interposer_stats=state.interposer_stats,
+        [(suffix, durations, lat_final)] = self._patch_suffixes(
+            state, [patched.suffix], boundary_seg
         )
-        return DeltaState(
-            model=patched, batch=composed,
-            durations=durations, lat_final=lat_final,
-            result=result,
+        return self._settle(
+            patched, compose_batches(state.batch, suffix, boundary_seg),
+            durations, lat_final,
             label=label if label is not None else state.label,
             interposer_overhead_s=state.interposer_overhead_s,
             dram_cache_hit_ratio=state.dram_cache_hit_ratio,
@@ -646,63 +642,20 @@ class ExecutionEngine:
         The online what-if path: all K candidates share ``state``'s
         frozen prefix rows, their changed suffix rows are gathered into
         **one** fused fixed-point tensor, and each lane reduces to
-        ``float(np.cumsum(d)[-1])`` plus ``state``'s interposer overhead
-        — the exact total-time expression of :meth:`run_incremental` (and
-        hence of a from-scratch :meth:`run` of the patched model).  No
-        scalar packing, no assembly: cost scales with the number of
-        *changed suffix rows*, not with ``K * segments``.
+        :func:`_total_time` with ``state``'s interposer overhead — the
+        exact total-time expression of :meth:`run_incremental` (and hence
+        of a from-scratch :meth:`run` of the patched model).  No scalar
+        packing, no assembly: cost scales with the number of *changed
+        suffix rows*, not with ``K * segments``.
         """
-        sa = self._segment_arrays
-        self._check_boundary(boundary_seg)
-        K = len(placements)
-        if K == 0:
+        self._check_boundary(boundary_seg, "predict_times_incremental")
+        if not placements:
             return []
-        suffixes = [self._suffix_batch(p) for p in placements]
-        changed = [
-            changed_suffix_rows(state.batch, suf, boundary_seg)
-            for suf in suffixes
+        return [
+            _total_time(durations, state.interposer_overhead_s)
+            for _, durations, _ in self._patch_suffixes(
+                state, placements, boundary_seg)
         ]
-        rows = [
-            subbatch_rows(suf, ch)
-            for suf, ch in zip(suffixes, changed)
-            if ch.size
-        ]
-        if rows:
-            fused = TrafficBatch(
-                subsystems=list(self.system.names),
-                loads=np.concatenate([b.loads for b in rows]),
-                stores=np.concatenate([b.stores for b in rows]),
-                serial_loads=np.concatenate([b.serial_loads for b in rows]),
-                extra_latency_ns=np.concatenate(
-                    [b.extra_latency_ns for b in rows]),
-                present=np.concatenate([b.present for b in rows]),
-                order_pos=np.concatenate([b.order_pos for b in rows]),
-                site_names=[], obj_sub_names=[],
-                obj_seg=np.zeros(0, dtype=np.int64),
-                obj_site=np.zeros(0, dtype=np.int64),
-                obj_sub=np.zeros(0, dtype=np.int64),
-                obj_loads=np.zeros(0), obj_stores=np.zeros(0),
-            )
-            solved, _ = self._fixed_point_batch(
-                fused,
-                compute=np.concatenate(
-                    [sa.durations_nominal[ch] for ch in changed if ch.size]
-                ),
-            )
-        else:
-            solved = np.zeros(0)
-
-        times: List[float] = []
-        at = 0
-        for ch in changed:
-            durations = state.durations.copy()
-            if ch.size:
-                durations[ch] = solved[at:at + ch.size]
-                at += ch.size
-            times.append(
-                float(np.cumsum(durations)[-1]) + state.interposer_overhead_s
-            )
-        return times
 
     # -- result assembly -----------------------------------------------------------
 
@@ -810,9 +763,7 @@ class ExecutionEngine:
         n_live = plan.n_live
 
         stalls = durations - sa.durations_nominal
-        cum = np.cumsum(durations)
-        starts = np.concatenate(([0.0], cum[:-1]))
-        actual_t = float(cum[-1])
+        starts = np.concatenate(([0.0], np.cumsum(durations)[:-1]))
 
         pmem_bw_seg = np.zeros(sa.num_segments)
         if "pmem" in self.system.names and "pmem" in batch.subsystems:
@@ -996,7 +947,7 @@ class ExecutionEngine:
                     st.site_name, ""
                 )
 
-        total_time = actual_t + interposer_overhead_s
+        total_time = _total_time(durations, interposer_overhead_s)
         phases = self._phase_results_batch(batch, durations, stalls, lat_final, starts)
         timeline = self._timeline_batch(batch, durations, starts, total_time)
 

@@ -91,9 +91,12 @@ class TrafficBatch:
     Matrices are (num_segments, num_subsystems) with the column order of
     ``subsystems``.  ``present`` marks cells whose ``SubsystemTraffic``
     bucket exists in the scalar representation (a bucket can exist with
-    zero traffic), and ``order_pos`` carries a globally monotonic
-    first-touch position so the scalar dicts' insertion order — which
+    zero traffic), and ``order_pos`` carries the canonical first-touch
+    position ``s*K + rank`` (``rank`` = the bucket's insertion rank in
+    segment ``s``'s dict) so the scalar dicts' insertion order — which
     fixes the floating-point accumulation order — can be reconstructed.
+    Every pack path emits exactly these values, so rows from different
+    packs compose (see :mod:`repro.runtime.delta`).
 
     ``obj_*`` arrays flatten the per-segment ``by_object`` dicts: one row
     per (segment, site, subsystem) key with the segment-summed loads and
@@ -336,8 +339,13 @@ class PlacementTraffic:
         # scatter store (fancy assignment keeps the last write).
         flat_op = np.full(S * K, np.inf)
         flat_op[flat[::-1]] = base.kpos_f[::-1]
-        order_pos = flat_op.reshape(S, K)
-        present = np.isfinite(order_pos)
+        first = flat_op.reshape(S, K)
+        present = np.isfinite(first)
+        # the scalar pack's canonical position s*K + rank, where rank
+        # counts the row's columns touched earlier (inf + 1 stays inf)
+        order_pos = np.where(present, np.arange(0.0, S * K, K)[:, None], np.inf)
+        for j in range(K):
+            order_pos += first[:, j:j + 1] < first
 
         # Per-(segment, site, subsystem) sums in first-touch order.  The
         # (segment, site) grouping is placement-independent and precomputed

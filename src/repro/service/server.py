@@ -29,6 +29,7 @@ import queue
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.advisor import HMemAdvisor, Placement, density_batch
@@ -84,13 +85,18 @@ def _env_float(name: str, default: float) -> float:
         return default
 
 
+#: the report class answering each request type
+_REPORT_OF = {
+    AdvisoryRequest: AdvisoryReport,
+    WhatIfRequest: WhatIfReport,
+    OnlineRequest: OnlineReport,
+}
+
+
 def _error_report(request, message: str):
     """The error report of the right kind for ``request``."""
-    if isinstance(request, WhatIfRequest):
-        return WhatIfReport(request=request, status="error", error=message)
-    if isinstance(request, OnlineRequest):
-        return OnlineReport(request=request, status="error", error=message)
-    return AdvisoryReport(request=request, status="error", error=message)
+    report_cls = _REPORT_OF.get(type(request), AdvisoryReport)
+    return report_cls(request=request, status="error", error=message)
 
 
 @dataclass
@@ -206,6 +212,12 @@ class PlacementServer:
         self._gkey_memo: Dict[tuple, str] = {}
         self._session_reports: Dict[str, List[AdvisoryReport]] = {}
         self._session_lock = threading.Lock()
+        #: request type -> (group key, group handler)
+        self._routes = {
+            AdvisoryRequest: (self._profile_key, self._run_group),
+            WhatIfRequest: (self._engine_key, self._run_whatif_group),
+            OnlineRequest: (self._engine_key, self._run_online_group),
+        }
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -283,48 +295,42 @@ class PlacementServer:
                     break
                 if nxt is None:
                     if self._stopping.is_set():
-                        self._fail_batch(batch, "server stopped")
+                        self._fail(batch, "server stopped")
                         return
                     continue
                 batch.append(nxt)
             self.stats.bump("batches")
 
-            groups: Dict[str, List[Tuple[AdvisoryRequest, Future]]] = {}
+            groups: Dict[tuple, List[Tuple[AdvisoryRequest, Future]]] = {}
             for request, future in batch:
                 try:
                     request.validate()
-                    gkey = self._group_key(request)
+                    group_key, handler = self._routes[type(request)]
+                    gkey = group_key(request)
                 except Exception as exc:
-                    self._resolve(
-                        future, _error_report(request, str(exc)), request
-                    )
+                    self._fail([(request, future)], str(exc))
                     continue
-                groups.setdefault(gkey, []).append((request, future))
+                groups.setdefault((handler, gkey), []).append((request, future))
             assert self._executor is not None
-            for gkey, items in groups.items():
+            for (handler, gkey), items in groups.items():
                 self.stats.observe_group(len(items))
-                if gkey.startswith("whatif:"):
-                    self._executor.submit(self._run_whatif_group, gkey, items)
-                elif gkey.startswith("online:"):
-                    self._executor.submit(self._run_online_group, gkey, items)
-                else:
-                    self._executor.submit(self._run_group, gkey, items)
+                self._executor.submit(handler, gkey, items)
 
-    def _fail_batch(self, batch, message: str) -> None:
-        for request, future in batch:
+    def _fail(self, items, message: str) -> None:
+        """Answer every ``(request, future)`` in ``items`` with an error."""
+        for request, future in items:
             self._resolve(future, _error_report(request, message), request)
 
     # -- profile loading -------------------------------------------------------
 
-    def _group_key(self, request) -> str:
-        if isinstance(request, WhatIfRequest):
-            # one engine per (workload, system): every candidate in the
-            # group rides the same fused fixed point
-            return f"whatif:{request.workload}:{request.system}"
-        if isinstance(request, OnlineRequest):
-            # same engine memo as what-if: the online loop reuses the
-            # (workload, system) engine and its cached pack base
-            return f"online:{request.workload}:{request.system}"
+    @staticmethod
+    def _engine_key(request) -> str:
+        # one engine per (workload, system): every what-if candidate in
+        # the group rides the same fused fixed point, and the online loop
+        # reuses the engine and its cached pack base
+        return f"{request.workload}:{request.system}"
+
+    def _profile_key(self, request: AdvisoryRequest) -> str:
         if request.trace is not None:
             return f"trace:{request.trace}"
         # the spec key hashes the workload fingerprint — too slow to
@@ -385,7 +391,7 @@ class PlacementServer:
         import hashlib
 
         digest = hashlib.sha256(
-            open(request.trace, "rb").read()).hexdigest()[:32]
+            Path(request.trace).read_bytes()).hexdigest()[:32]
         store = self.artifact_store
         key = None
         if store is not None:
@@ -426,13 +432,7 @@ class PlacementServer:
         try:
             loaded = self._load_profiles(gkey, items[0][0])
         except Exception as exc:
-            for request, future in items:
-                self._resolve(
-                    future,
-                    AdvisoryReport(request=request, status="error",
-                                   error=str(exc)),
-                    request,
-                )
+            self._fail(items, str(exc))
             return
 
         density: List[Tuple[AdvisoryRequest, Future, object, object]] = []
@@ -445,12 +445,7 @@ class PlacementServer:
                 config = self._config_for(request, loaded)
                 HMemAdvisor(system, config).validate_feasible(loaded.objects)
             except Exception as exc:
-                self._resolve(
-                    future,
-                    AdvisoryReport(request=request, status="error",
-                                   error=str(exc)),
-                    request,
-                )
+                self._fail([(request, future)], str(exc))
                 continue
             density.append((request, future, system, config))
 
@@ -461,13 +456,7 @@ class PlacementServer:
         try:
             placements = density_batch(loaded.objects, queries)
         except Exception as exc:
-            for request, future, _, _ in density:
-                self._resolve(
-                    future,
-                    AdvisoryReport(request=request, status="error",
-                                   error=str(exc)),
-                    request,
-                )
+            self._fail([(r, f) for r, f, _, _ in density], str(exc))
             return
         for (request, future, system, config), placement in zip(
                 density, placements):
@@ -514,8 +503,7 @@ class PlacementServer:
             with lock:
                 times = engine.predict_times(models)
         except Exception as exc:
-            for request, future in items:
-                self._resolve(future, _error_report(request, str(exc)), request)
+            self._fail(items, str(exc))
             return
         lo = 0
         for (request, future), n in zip(items, counts):
@@ -545,8 +533,7 @@ class PlacementServer:
         try:
             engine, lock = self._whatif_engine(items[0][0])
         except Exception as exc:
-            for request, future in items:
-                self._resolve(future, _error_report(request, str(exc)), request)
+            self._fail(items, str(exc))
             return
         for request, future in items:
             try:

@@ -24,7 +24,7 @@ from repro.memsim.subsystem import (
     pmem2_system,
     pmem6_system,
 )
-from repro.runtime.engine import ExecutionEngine
+from repro.runtime.engine import EngineParams, ExecutionEngine
 from repro.runtime.segments import build_segment_arrays
 from repro.runtime.stats import run_results_identical
 from repro.runtime.traffic import PlacementTraffic, SegmentTraffic
@@ -103,6 +103,31 @@ class TestAppDirectDifferential:
         assert_runs_identical(
             wl, system, lambda: PlacementTraffic(wl, placement, overrides)
         )
+
+    @pytest.mark.parametrize("workload_name,system_factory", [
+        ("cloverleaf3d", pmem6_system),
+        ("lammps", pmem2_system),
+        ("minimd", pmem2_system),
+    ], ids=["cloverleaf3d-pmem6", "lammps-pmem2", "minimd-pmem2"])
+    def test_rows_unconverged_at_iteration_cap(self, workload_name,
+                                               system_factory):
+        """Cells where some rows are still moving when the fixed point
+        hits ``fixed_point_iters``: converged rows must stay frozen while
+        the capped rows keep their last damped step, as in the scalar
+        loop."""
+        wl = get_workload(workload_name)
+        system = system_factory()
+        placement, overrides = checkerboard_placement(wl, system.names)
+
+        def model():
+            return PlacementTraffic(wl, placement, overrides)
+
+        assert_runs_identical(wl, system, model)
+        capped = ExecutionEngine(wl, system).run(model()).total_time
+        one_more = EngineParams(
+            fixed_point_iters=EngineParams().fixed_point_iters + 1)
+        assert ExecutionEngine(wl, system, one_more).run(
+            model()).total_time != capped
 
 
 class TestBaselineDifferential:

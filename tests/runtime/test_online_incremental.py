@@ -22,7 +22,7 @@ from repro.memsim.subsystem import (
     pmem2_system,
     pmem6_system,
 )
-from repro.runtime.delta import PatchedPlacementTraffic, normalize_order_pos
+from repro.runtime.delta import PatchedPlacementTraffic
 from repro.runtime.engine import ExecutionEngine
 from repro.runtime.online import (
     OnlineParams,
@@ -35,7 +35,7 @@ from repro.runtime.online import (
 )
 from repro.runtime.segments import build_segment_arrays
 from repro.runtime.stats import run_results_identical
-from repro.runtime.traffic import PlacementTraffic
+from repro.runtime.traffic import PlacementTraffic, pack_traffic_batch
 from repro.profiling.metrics import LINE_BYTES
 
 from tests.conftest import make_toy_workload
@@ -202,13 +202,27 @@ def test_boundary_validation():
             engine.predict_times_incremental(state, [after], bad)
 
 
-def test_normalize_order_pos_idempotent_and_order_preserving():
-    raw = np.array([[7.0, np.inf, 2.0], [11.0, 10.0, np.inf]])
-    norm = normalize_order_pos(raw)
-    # canonical scheme: row s spans [s*K, (s+1)*K), ranked by raw order
-    assert norm[0, 2] == 0.0 and norm[0, 0] == 1.0 and norm[0, 1] == np.inf
-    assert norm[1, 1] == 3.0 and norm[1, 0] == 4.0 and norm[1, 2] == np.inf
-    assert np.array_equal(normalize_order_pos(norm), norm)
+@pytest.mark.parametrize("system_name", sorted(SYSTEMS))
+@pytest.mark.parametrize(
+    "wl_name", WORKLOADS + ("cloverleaf3d", "lammps", "minimd", "hpcg"))
+def test_traffic_batch_order_pos_is_canonical(wl_name, system_name):
+    """The vectorized pack emits the scalar pack's ``s*K + rank`` positions,
+    so prefix and suffix rows from either path compose as they are."""
+    wl = load_workload(wl_name)
+    names = SYSTEMS[system_name]().names
+    sa = build_segment_arrays(wl)
+    placement, _ = placement_pair(wl, names)
+    overrides = {}
+    for obj in wl.objects:
+        if obj.alloc_count > 1:
+            overrides[(obj.site.name, 1)] = next(
+                n for n in names if n != placement[obj.site.name])
+            break
+    model = PlacementTraffic(wl, placement, overrides)
+    fast = model.traffic_batch(sa, names)
+    scalar = pack_traffic_batch(model, wl, sa, names)
+    assert np.array_equal(fast.order_pos, scalar.order_pos)
+    assert np.array_equal(fast.present, scalar.present)
 
 
 # -- phase detection -----------------------------------------------------------

@@ -23,6 +23,7 @@ from repro.memsim.subsystem import (
     pmem2_system,
     pmem6_system,
 )
+from repro.pipeline import whatif
 from repro.pipeline.whatif import evaluate_placements, rank_placements
 from repro.runtime.engine import ExecutionEngine
 from repro.runtime.stats import run_results_identical
@@ -99,8 +100,11 @@ class TestPlacementGrid:
 
     @pytest.mark.parametrize("K", [1, 2, 16])
     @pytest.mark.parametrize("system_name", sorted(SYSTEMS))
+    # cloverleaf3d, lammps and minimd lanes mix rows that converge with
+    # rows still moving at the fixed point's iteration cap
     @pytest.mark.parametrize("workload_name",
-                             ["toy", "minife", "lulesh", "openfoam"])
+                             ["toy", "minife", "lulesh", "openfoam",
+                              "cloverleaf3d", "lammps", "minimd"])
     def test_grid(self, workload_name, system_name, K):
         wl = load_workload(workload_name)
         system = SYSTEMS[system_name]()
@@ -180,10 +184,9 @@ class TestEvaluatePlacements:
         system = pmem6_system()
         cands = [p for p, _ in candidate_placements(wl, system.names, 7)]
         whole = evaluate_placements(wl, system, cands)
-        chunked = evaluate_placements(wl, system, cands, batch_size=3)
-        assert chunked == whole
-        monkeypatch.setenv("REPRO_WHATIF_BATCH", "2")
-        assert evaluate_placements(wl, system, cands) == whole
+        for size in (3, 2):
+            monkeypatch.setattr(whatif, "BATCH_SIZE", size)
+            assert evaluate_placements(wl, system, cands) == whole
 
     def test_full_results_match_predictions(self):
         wl = make_toy_workload()

@@ -267,6 +267,21 @@ class TestWhatIf:
         with pytest.raises(SystemExit):
             main(["whatif", "minife", "--candidates", path])
 
+    def test_candidate_loader_closes_its_file(self, tmp_path):
+        import gc
+        import warnings
+
+        from repro.cli import _load_candidates
+
+        path = self._candidates(tmp_path, [{"a": "dram"}])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            _, placements = _load_candidates(path)
+            gc.collect()
+        assert placements == [{"a": "dram"}]
+        leaked = [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert leaked == []
+
 
 class TestOnlineCommand:
     def test_parser_defaults(self):
