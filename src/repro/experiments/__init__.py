@@ -22,7 +22,6 @@ from repro.experiments.harness import (
 from repro.experiments.parallel import (
     add_jobs_argument,
     resolve_jobs,
-    run_sweep,
 )
 from repro.experiments.sweep import (
     ResultDB,
@@ -30,7 +29,6 @@ from repro.experiments.sweep import (
     resolve_manifest,
     resolve_result_db,
     run_scheduled,
-    run_sweep_cells,
 )
 
 __all__ = [
@@ -45,7 +43,5 @@ __all__ = [
     "run_ecohmem",
     "run_profdp_best",
     "run_scheduled",
-    "run_sweep",
-    "run_sweep_cells",
     "speedup_table",
 ]

@@ -31,7 +31,7 @@ from repro.experiments.sweep import (
     ResultDB,
     SweepManifest,
     resolve_result_db,
-    run_sweep_cells,
+    run_scheduled,
 )
 from repro.memsim.subsystem import pmem6_system
 from repro.units import GiB
@@ -59,8 +59,8 @@ def _ablation_sweep(
     what-if path batches a sweep's placements into one fused engine
     pass); either way the ledger records the flat point list.
     """
-    raw = run_sweep_cells(task, specs, jobs=jobs,
-                          experiment=f"ablation-{kind}", manifest=manifest)
+    raw = run_scheduled(task, specs, jobs=jobs,
+                        experiment=f"ablation-{kind}", manifest=manifest)
     points = [p for r in raw for p in (r if isinstance(r, list) else [r])]
     db = resolve_result_db(results)
     if db is not None:

@@ -6,11 +6,10 @@ configuration — plus the kernel-tiering and best-of-four ProfDP rows.
 
 Every cell is an independent deterministic pipeline run, so the sweep is
 dispatched through the sweep engine
-(:func:`repro.experiments.sweep.run_sweep_cells`): work-stealing worker
+(:func:`repro.experiments.sweep.run_scheduled`): work-stealing worker
 processes under ``jobs``/``REPRO_JOBS``, an optional JSONL manifest for
 kill/restart resume, and results reassembled in cell order so every
-dispatch mode is bit-identical to the retained serial oracle
-(:func:`repro.experiments.parallel.run_sweep`).
+dispatch mode is bit-identical to a serial loop over the cells.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from repro.experiments.sweep import (
     ResultDB,
     SweepManifest,
     resolve_result_db,
-    run_sweep_cells,
+    run_scheduled,
 )
 from repro.memsim.subsystem import MemorySystem, pmem2_system, pmem6_system
 from repro.units import GiB
@@ -187,7 +186,7 @@ def compute_fig6(
     dimms_list = [d for d in (6, 2) if d in pmem_configs]
 
     pairs = [(app, dimms) for app in apps for dimms in dimms_list]
-    base_time = dict(zip(pairs, run_sweep_cells(
+    base_time = dict(zip(pairs, run_scheduled(
         _baseline_task, pairs, jobs=jobs,
         experiment="fig6/baseline", manifest=manifest,
     )))
@@ -201,7 +200,7 @@ def compute_fig6(
         for app in apps
         for dimms in dimms_list
     ]
-    groups = run_sweep_cells(
+    groups = run_scheduled(
         _cell_group_task, group_specs, jobs=jobs,
         experiment="fig6/cell-groups", manifest=manifest,
     )
@@ -209,7 +208,7 @@ def compute_fig6(
 
     if include_baseline_rows and 6 in dimms_list:
         row_specs = [(app, seed, base_time[(app, 6)]) for app in apps]
-        rows = run_sweep_cells(
+        rows = run_scheduled(
             _baseline_rows_task, row_specs, jobs=jobs,
             experiment="fig6/baseline-rows", manifest=manifest,
         )

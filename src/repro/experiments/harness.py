@@ -17,9 +17,11 @@
 The stages themselves live in :mod:`repro.pipeline.stages` — this module
 wires them into the paper's workflow and keeps the public entry points
 (:func:`run_ecohmem`, :func:`run_profdp_best`, :func:`profile_workload`)
-where they have always been.  With ``REPRO_ARTIFACT_DIR`` set (or an
-explicit ``artifact_store``), stage outputs are content-addressed and
-reused across processes; results are bit-identical either way.
+where they have always been.  Profiles are memoized in process by the
+``ProfileStore``; with ``REPRO_ARTIFACT_DIR`` set (or an explicit
+``artifact_store``), stage outputs are also content-addressed and reused
+across processes — the only on-disk cache.  Results are bit-identical
+either way.
 """
 
 from __future__ import annotations
@@ -227,8 +229,10 @@ def run_ecohmem_batch(
     exactly as ``engine.run(model, label=label)`` would time them; when
     given, the return value becomes ``(results, extra_runs)``.
 
-    The artifact store is not consulted — batched groups are built for
-    sweeps that already share everything in process.
+    Profiles go through :func:`profile_stage`, so with
+    ``REPRO_ARTIFACT_DIR`` set the worker processes of a parallel sweep
+    share them as profile artifacts; placements and runs are not
+    artifact-cached here.
     """
     engine_params = engine_params or EngineParams()
     registry = SiteRegistry(workload)
@@ -238,7 +242,7 @@ def run_ecohmem_batch(
     def profiles_for(hz: float) -> dict:
         cached = profiles_by_hz.get(hz)
         if cached is None:
-            cached = profile_workload(
+            cached, _ = profile_stage(
                 workload, seed=seed, stack_format=stack_format,
                 pebs_hz=hz, profile_store=profile_store,
             )

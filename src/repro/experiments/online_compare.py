@@ -39,7 +39,7 @@ from repro.experiments.sweep import (
     ResultDB,
     SweepManifest,
     resolve_result_db,
-    run_sweep_cells,
+    run_scheduled,
 )
 from repro.pipeline.online import static_placement
 from repro.runtime.engine import EngineParams, ExecutionEngine
@@ -202,7 +202,7 @@ def run_online_compare(
 ) -> OnlineCompareReport:
     """Sweep the three-way comparison over the workload/corpus grid.
 
-    Dispatches through :func:`run_sweep_cells`: ``jobs`` workers steal
+    Dispatches through :func:`run_scheduled`: ``jobs`` workers steal
     cells, ``manifest`` journals completed ones for kill/restart resume,
     and ``results`` appends the finished report to the cross-run ledger.
     Corpus cells regenerate deterministically inside the task from
@@ -219,7 +219,7 @@ def run_online_compare(
             specs.append(("corpus", "", corpus_seed, corpus_start + i,
                           dimms, frac, epochs, shift_threshold))
 
-    report = OnlineCompareReport(cells=run_sweep_cells(
+    report = OnlineCompareReport(cells=run_scheduled(
         _online_cell_task, specs, jobs=jobs,
         experiment="online/cells", manifest=manifest,
     ))

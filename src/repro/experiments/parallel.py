@@ -1,12 +1,10 @@
-"""Process-parallel sweep execution.
+"""Worker-count resolution for process-parallel sweeps.
 
 The paper's experiment grids (Figure 6, Table VIII, the ablations) are
 embarrassingly parallel: every cell is an independent, deterministic
-pipeline run.  :func:`run_sweep` dispatches cells as picklable task specs
-over a :class:`~concurrent.futures.ProcessPoolExecutor` and reassembles
-results in task order, so a parallel sweep is **bit-identical** to the
-serial one — the same functions run on the same inputs, only on more
-cores.
+pipeline run.  The sweep scheduler
+(:func:`repro.experiments.sweep.run_scheduled`) dispatches them; this
+module decides how many worker processes it gets.
 
 Worker count resolution (first match wins):
 
@@ -17,22 +15,18 @@ Worker count resolution (first match wins):
 ``jobs=1`` bypasses the pool entirely — no fork, no pickling — which is
 both the safe fallback and the baseline the benchmarks compare against.
 ``jobs=0`` (or any value < 1) means "all cores".  Worker processes
-inherit the environment, so a shared ``REPRO_PROFILE_CACHE_DIR`` lets
-concurrent cells reuse each other's profiling work across processes (see
-:mod:`repro.profiling.cache`).
+inherit the environment, so a shared ``REPRO_ARTIFACT_DIR`` lets
+concurrent cells reuse each other's profiles across processes (see
+:mod:`repro.pipeline.artifacts`).
 """
 
 from __future__ import annotations
 
 import argparse
 import os
-from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Iterable, List, Optional, Sequence, TypeVar
+from typing import Optional
 
 JOBS_ENV = "REPRO_JOBS"
-
-S = TypeVar("S")
-R = TypeVar("R")
 
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
@@ -69,23 +63,3 @@ def add_jobs_argument(parser: argparse.ArgumentParser) -> None:
              f"0 = all cores)",
     )
 
-
-def run_sweep(
-    fn: Callable[[S], R],
-    specs: Iterable[S],
-    *,
-    jobs: Optional[int] = None,
-    chunksize: int = 1,
-) -> List[R]:
-    """Map ``fn`` over ``specs``, results in spec order.
-
-    ``fn`` must be a module-level function and every spec picklable; with
-    ``jobs=1`` (the default absent ``REPRO_JOBS``) this is a plain list
-    comprehension.  Worker exceptions propagate to the caller.
-    """
-    specs = list(specs)
-    jobs = resolve_jobs(jobs)
-    if jobs == 1 or len(specs) <= 1:
-        return [fn(spec) for spec in specs]
-    with ProcessPoolExecutor(max_workers=min(jobs, len(specs))) as pool:
-        return list(pool.map(fn, specs, chunksize=chunksize))

@@ -45,7 +45,7 @@ from repro.experiments.sweep import (
     ResultDB,
     SweepManifest,
     resolve_result_db,
-    run_sweep_cells,
+    run_scheduled,
 )
 from repro.memsim.subsystem import MemorySystem, dram_ddr4, pmem_optane
 from repro.units import GiB
@@ -241,7 +241,7 @@ def run_quality(
 ) -> QualityReport:
     """Sweep advisor-vs-tiering over corpus cells ``start..start+cells-1``.
 
-    Dispatches through :func:`run_sweep_cells`, so ``jobs`` workers
+    Dispatches through :func:`run_scheduled`, so ``jobs`` workers
     steal cells, a ``manifest`` journals completed ones for kill/restart
     resume, and ``results`` appends the finished report to the cross-run
     ledger.  Cell generation happens *inside* the task from the
@@ -256,7 +256,7 @@ def run_quality(
          dimms, dram_frac, seed)
         for i in range(cells)
     ]
-    report = QualityReport(cells=run_sweep_cells(
+    report = QualityReport(cells=run_scheduled(
         _quality_cell_task, specs, jobs=jobs,
         experiment="quality/cells", manifest=manifest,
     ))

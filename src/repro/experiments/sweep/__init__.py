@@ -3,15 +3,14 @@
 Three layers, composable and individually optional:
 
 - :mod:`repro.experiments.sweep.scheduler` — work-stealing dispatch of
-  sweep cells over worker processes, bit-identical to the retained
-  :func:`repro.experiments.parallel.run_sweep` oracle;
+  sweep cells over worker processes, bit-identical to a serial loop;
 - :mod:`repro.experiments.sweep.manifest` — a JSONL journal of completed
   cells so a killed sweep resumes from where it died;
 - :mod:`repro.experiments.sweep.results` — an append-only cross-run
   ledger of finished experiment tables, read back by ``reporting.py``.
 
-The shared-memory trace store that feeds the workers lives with the
-profiling layer (:mod:`repro.profiling.tracestore`).
+Workers share profiles through the pipeline's artifact store
+(:mod:`repro.pipeline.artifacts`, ``REPRO_ARTIFACT_DIR``).
 """
 
 from repro.experiments.sweep.manifest import (
@@ -30,7 +29,6 @@ from repro.experiments.sweep.scheduler import (
     CellProgress,
     SweepWorkerDied,
     run_scheduled,
-    run_sweep_cells,
 )
 
 __all__ = [
@@ -44,6 +42,5 @@ __all__ = [
     "resolve_manifest",
     "resolve_result_db",
     "run_scheduled",
-    "run_sweep_cells",
     "task_name",
 ]

@@ -1,10 +1,9 @@
 """The sweep scheduler: a dynamic task queue over worker processes.
 
-:func:`run_scheduled` is the fleet-grade replacement for the static
-``pool.map`` dispatch in :func:`repro.experiments.parallel.run_sweep`
-(which is **retained as the bit-identity oracle** — the scheduler runs
-the same module-level functions on the same specs and reassembles
-results in spec order, so its output is provably identical):
+:func:`run_scheduled` is the one sweep runner every experiment driver
+dispatches through.  It runs module-level functions on picklable specs
+and reassembles results in spec order, so any dispatch mode is
+bit-identical to the serial loop ``[fn(s) for s in specs]``:
 
 - **Work stealing**: every cell is submitted as its own future and
   workers pull the next cell the moment they free up, so one big Table
@@ -19,7 +18,7 @@ results in spec order, so its output is provably identical):
   segfault — :class:`BrokenProcessPool`) is retried once in a fresh pool
   before the sweep fails; deterministic task exceptions are *not*
   retried (they would simply recur) — they are journaled as failed and
-  propagated, matching ``run_sweep``'s semantics.
+  propagated, as the serial loop would raise them.
 - **Per-cell timing + progress**: each cell's wall time is measured in
   the worker and journaled; an optional ``progress`` callback sees every
   completion (including cells served from the manifest) as it happens.
@@ -36,9 +35,7 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
-from typing import (
-    Any, Callable, Dict, Iterable, List, Optional, Sequence, TypeVar, Union,
-)
+from typing import Any, Callable, Dict, Iterable, List, Optional, TypeVar, Union
 
 from repro.errors import SimulationError
 from repro.experiments.parallel import resolve_jobs
@@ -117,13 +114,13 @@ def run_scheduled(
     progress: Optional[Callable[[CellProgress], None]] = None,
     retries: int = 1,
 ) -> List[R]:
-    """Run ``fn`` over ``specs``; results in spec order, = ``run_sweep``.
+    """Run ``fn`` over ``specs``; results in spec order.
 
-    ``fn`` must be a module-level function and every spec picklable (the
-    ``run_sweep`` contract).  Results additionally must be codec-encodable
-    when a manifest is in play, so completed cells can be journaled and
-    decoded on resume.  Worker exceptions propagate to the caller after
-    being journaled as failed.
+    ``fn`` must be a module-level function and every spec picklable.
+    Results additionally must be codec-encodable when a manifest is in
+    play, so completed cells can be journaled and decoded on resume.
+    Worker exceptions propagate to the caller after being journaled as
+    failed.
     """
     specs = list(specs)
     jobs = resolve_jobs(jobs)
@@ -233,21 +230,3 @@ def run_scheduled(
             pending = survivors
     return results
 
-
-def run_sweep_cells(
-    fn: Callable[[S], R],
-    specs: Sequence[S],
-    *,
-    jobs: Optional[int] = None,
-    experiment: Optional[str] = None,
-    manifest: Union[None, str, Path, SweepManifest] = None,
-    progress: Optional[Callable[[CellProgress], None]] = None,
-) -> List[R]:
-    """The dispatch the experiment drivers use.
-
-    Identical to :func:`run_scheduled`; the alias exists so driver code
-    reads as "dispatch these cells through the sweep engine" while tests
-    compare it against the ``run_sweep`` oracle.
-    """
-    return run_scheduled(fn, specs, jobs=jobs, experiment=experiment,
-                         manifest=manifest, progress=progress)

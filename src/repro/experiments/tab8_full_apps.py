@@ -22,7 +22,7 @@ from repro.experiments.sweep import (
     ResultDB,
     SweepManifest,
     resolve_result_db,
-    run_sweep_cells,
+    run_scheduled,
 )
 from repro.memsim.subsystem import pmem6_system
 from repro.units import GiB
@@ -106,7 +106,7 @@ def compute_tab8(
     """
     t0 = time.perf_counter()
     apps = list(DRAM_LIMITS)
-    base_time = dict(zip(apps, run_sweep_cells(
+    base_time = dict(zip(apps, run_scheduled(
         _tab8_baseline_task, apps, jobs=jobs,
         experiment="tab8/baseline", manifest=manifest,
     )))
@@ -117,8 +117,8 @@ def compute_tab8(
          seed, base_time[app])
         for app, (limit_main, limit_bw) in DRAM_LIMITS.items()
     ]
-    groups = run_sweep_cells(_tab8_group_task, specs, jobs=jobs,
-                             experiment="tab8/cell-groups", manifest=manifest)
+    groups = run_scheduled(_tab8_group_task, specs, jobs=jobs,
+                           experiment="tab8/cell-groups", manifest=manifest)
     rows = [row for group in groups for row in group]
     db = resolve_result_db(results)
     if db is not None:

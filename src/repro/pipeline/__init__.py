@@ -9,12 +9,11 @@ way everywhere, so the CLI, the experiment harness
 placement service (:mod:`repro.service`) all share one engine and one
 cache.
 
-The :class:`~repro.pipeline.artifacts.ArtifactStore` is the on-disk
-layer: sharded directories, atomic tmpdir-rename publish (the same
-crash-safety contract as ``tracestore.put`` — a SIGKILL mid-publish can
-never leave a torn artifact visible to readers).  It layers *over* the
-existing ``ProfileStore``/``TraceStore``: profile artifacts shortcut the
-tracer + analyzer, placement artifacts shortcut the advisor, and run
+The :class:`~repro.pipeline.artifacts.ArtifactStore` is the pipeline's
+only on-disk cache: sharded directories, atomic tmpdir-rename publish (a
+SIGKILL mid-publish can never leave a torn artifact visible to readers).
+Profile artifacts shortcut the tracer + analyzer (behind the in-memory
+``ProfileStore`` LRU), placement artifacts shortcut the advisor, and run
 artifacts record provenance (run results embed timelines that are not
 codec-serializable, so they are summaries, never read back).
 """
@@ -29,7 +28,6 @@ from repro.pipeline.stages import (
     PlacementOutcome,
     PlacementSpec,
     PreparedRun,
-    ProfileSpec,
     RunSpec,
     bandwidth_observer,
     placement_stage,
@@ -53,7 +51,6 @@ __all__ = [
     "PlacementOutcome",
     "PlacementSpec",
     "PreparedRun",
-    "ProfileSpec",
     "RunSpec",
     "bandwidth_observer",
     "placement_stage",

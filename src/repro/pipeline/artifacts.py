@@ -8,16 +8,17 @@ on the same key; anything that could change the output changes the key.
 
 Layout: ``root/<key[:2]>/<key>/payload.json`` — sharded two levels deep
 so a million artifacts never pile into one directory.  Publish is a
-tmpdir + ``os.rename``, the same contract as ``TraceStore.put``:
-``payload.json`` is written *inside* the temp directory first and the
-whole directory renamed into place, so readers (which key existence off
-``payload.json``) can never observe a torn artifact, no matter where a
-crash or SIGKILL lands.  Losing a publish race is fine — the winner
-wrote the same bytes.
+tmpdir + ``os.rename``: ``payload.json`` is written *inside* the temp
+directory first and the whole directory renamed into place, so readers
+(which key existence off ``payload.json``) can never observe a torn
+artifact, no matter where a crash or SIGKILL lands.  Losing a publish
+race is fine — the winner wrote the same bytes.  An entry that does not
+read back (torn by a foreign writer, or from an older
+``_ARTIFACT_VERSION``) is moved aside and replaced by the next publish.
 
 ``REPRO_ARTIFACT_DIR`` selects the process-wide default store; unset
 means the artifact layer is off and every stage computes from scratch
-(through the Profile/Trace stores as before).
+(the profile stage still memoizes in memory).
 """
 
 from __future__ import annotations
@@ -68,23 +69,30 @@ class ArtifactStore:
     def contains(self, key: str) -> bool:
         return (self._dir(key) / "payload.json").exists()
 
-    def get(self, key: str) -> Optional[Any]:
-        """The decoded payload under ``key``, or ``None`` (a miss).
+    def _read(self, key: str) -> "tuple[bool, Any]":
+        """``(True, payload)`` for an entry that reads back, else ``(False, None)``.
 
-        A foreign-version, corrupt, or unreadable entry behaves as a
-        miss — the store is a cache, the stage recomputes.
+        A foreign-version, corrupt, or unreadable entry does not read back.
         """
         try:
             data = json.loads((self._dir(key) / "payload.json").read_text())
         except (OSError, ValueError):
-            self.misses += 1
-            return None
+            return False, None
         if not isinstance(data, dict) or data.get("version") != _ARTIFACT_VERSION:
-            self.misses += 1
-            return None
+            return False, None
         try:
-            payload = decode(data["payload"])
-        except Exception:
+            return True, decode(data["payload"])
+        except Exception:  # a payload naming classes this code no longer has
+            return False, None
+
+    def get(self, key: str) -> Optional[Any]:
+        """The decoded payload under ``key``, or ``None`` (a miss).
+
+        An entry that does not read back behaves as a miss — the store
+        is a cache, the stage recomputes.
+        """
+        ok, payload = self._read(key)
+        if not ok:
             self.misses += 1
             return None
         self.hits += 1
@@ -93,32 +101,42 @@ class ArtifactStore:
     def put(self, key: str, payload: Any) -> None:
         """Publish ``payload`` under ``key`` (atomic; losing a race is fine).
 
-        The payload must be codec-encodable; encoding failures raise (a
-        stage whose output cannot be addressed is a bug, not a cache
-        miss).  Filesystem failures are swallowed — the store is
+        An entry that already reads back is kept; one that does not is
+        replaced.  The payload must be codec-encodable; encoding failures
+        raise (a stage whose output cannot be addressed is a bug, not a
+        cache miss).  Filesystem failures are swallowed — the store is
         best-effort, the caller keeps the value it just computed.
         """
         body = json.dumps({"version": _ARTIFACT_VERSION,
                            "payload": encode(payload)})
-        final = self._dir(key)
-        if (final / "payload.json").exists():
+        if self._read(key)[0]:
             return
+        final = self._dir(key)
         shard = final.parent
         try:
             shard.mkdir(parents=True, exist_ok=True)
             tmp = Path(tempfile.mkdtemp(dir=shard, prefix=".tmp-put-"))
         except OSError:
             return
+        stale = None
         try:
             # payload.json lands complete inside tmp, then the directory
             # is renamed into place — existence is keyed off payload.json,
             # so a half-written entry is never visible under `final`
             (tmp / "payload.json").write_text(body)
+            if final.exists():
+                # move the entry that does not read back out of the way;
+                # readers see a miss until the rename below lands
+                stale = Path(tempfile.mkdtemp(dir=shard, prefix=".tmp-stale-"))
+                os.rename(final, stale / key)
             os.rename(tmp, final)
             self.puts += 1
         except OSError:
             # lost the publish race or the store is read-only/full
             shutil.rmtree(tmp, ignore_errors=True)
+        finally:
+            if stale is not None:
+                shutil.rmtree(stale, ignore_errors=True)
 
 
 _default_artifact_store: Optional[ArtifactStore] = None

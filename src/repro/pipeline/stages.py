@@ -2,12 +2,14 @@
 
 Each stage function mirrors exactly what the monolithic harness used to
 do inline — the refactor moved the code, not the computation, so staged
-results are byte-identical to the pre-refactor pipeline.  On top of the
-existing ``ProfileStore``/``TraceStore`` caches, every stage can consult
-an :class:`~repro.pipeline.artifacts.ArtifactStore`:
+results are byte-identical to the pre-refactor pipeline.  Every stage
+can consult an :class:`~repro.pipeline.artifacts.ArtifactStore`, the
+pipeline's only on-disk cache:
 
-- **profile** artifacts persist the per-site profiles (the same encoding
-  the profile cache uses), shortcutting tracer + analyzer;
+- **profile** artifacts persist the per-site profiles
+  (:func:`~repro.profiling.cache.encode_profiles`), shortcutting tracer
+  + analyzer; the in-memory :class:`~repro.profiling.cache.ProfileStore`
+  sits in front, so a profile is looked up memory → artifact → compute;
 - **placement** artifacts persist density placements (assignment order
   included — report row order depends on it), shortcutting the advisor;
 - **run** artifacts are provenance summaries only (run results embed
@@ -45,21 +47,16 @@ from repro.pipeline.artifacts import (
 from repro.profiling.cache import (
     ProfileKey,
     ProfileStore,
-    _decode_profile,
     _decode_site_key,
-    _encode_profile,
     _encode_site_key,
+    decode_profiles,
+    encode_profiles,
     resolve_store,
     workload_fingerprint,
 )
 from repro.profiling.paramedir import Paramedir, SiteProfile
 from repro.profiling.pebs import PEBSConfig
 from repro.profiling.tracer import ExtraeTracer, TracerConfig
-from repro.profiling.tracestore import (
-    TraceStore,
-    resolve_trace_store,
-    trace_digest,
-)
 from repro.runtime.engine import EngineParams, ExecutionEngine
 from repro.runtime.replay import ReplayResult, replay_allocations
 from repro.runtime.stats import RunResult
@@ -69,43 +66,6 @@ Profiles = Dict[Tuple, SiteProfile]
 
 
 # -- stage specs ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ProfileSpec:
-    """Everything the profiling stage's output depends on."""
-
-    workload: str
-    fingerprint: str
-    seed: int
-    stack_format: str
-    pebs_hz: float
-    profile_ranks: int
-    rank_jitter: float
-
-    @classmethod
-    def for_workload(
-        cls,
-        workload: Workload,
-        *,
-        seed: int,
-        stack_format: StackFormat,
-        pebs_hz: float,
-        profile_ranks: int,
-        rank_jitter: float,
-    ) -> "ProfileSpec":
-        return cls(
-            workload=workload.name,
-            fingerprint=workload_fingerprint(workload),
-            seed=seed,
-            stack_format=stack_format.value,
-            pebs_hz=float(pebs_hz),
-            profile_ranks=int(profile_ranks),
-            rank_jitter=float(rank_jitter),
-        )
-
-    def key(self) -> str:
-        return artifact_key("profile", self)
 
 
 @dataclass(frozen=True)
@@ -157,25 +117,17 @@ def profile_workload(
     rank_jitter: float = 0.0,
     registry: Optional[SiteRegistry] = None,
     profile_store: Optional[ProfileStore] = None,
-    trace_store: Optional[TraceStore] = None,
 ) -> Profiles:
     """The profiling stage: Extrae trace + Paramedir analysis, memoized.
 
     The result is a deterministic function of (workload content, seed,
     stack format, PEBS rate, profiled ranks, rank jitter), so it is
-    cached through a :class:`~repro.profiling.cache.ProfileStore` and
-    shared by every pipeline run with the same configuration — one trace
-    per configuration instead of one per sweep cell.  A custom
+    cached in memory through a :class:`~repro.profiling.cache.ProfileStore`
+    and shared by every pipeline run with the same configuration — one
+    trace per configuration instead of one per sweep cell.  A custom
     ``registry`` changes the address spaces behind the site keys, so it
-    bypasses both caches.
-
-    Below the profile cache sits the memory-mapped trace store
-    (:mod:`repro.profiling.tracestore`, ``trace_store`` or the
-    ``REPRO_TRACE_STORE_DIR`` default): on a profile-cache miss the
-    tracer run is skipped entirely when another process already
-    published the same trace — the columns arrive as a zero-copy
-    read-only mapping shared through the page cache, and the analysis
-    over them is bit-identical to a fresh tracer run.
+    bypasses the cache.  Cross-process reuse is :func:`profile_stage`'s
+    artifact layer.
 
     Determinism is per rank, not per profiling session: the tracer
     derives each run's generators from ``(seed, rank)``, so profiling
@@ -184,44 +136,19 @@ def profile_workload(
     scalar oracles) — cached profiles stay valid however the ranks were
     produced.
     """
-    key = ProfileKey(
-        workload=workload.name,
-        fingerprint=workload_fingerprint(workload),
-        seed=seed,
-        stack_format=stack_format.value,
-        pebs_hz=float(pebs_hz),
-        profile_ranks=int(profile_ranks),
-        rank_jitter=float(rank_jitter),
-    )
 
     def compute() -> Profiles:
-        reg = registry or SiteRegistry(workload)
         tracer = ExtraeTracer(
             workload,
             TracerConfig(stack_format=stack_format, seed=seed,
                          pebs=PEBSConfig(frequency_hz=pebs_hz, seed=seed * 7 + 1),
                          rank_jitter=rank_jitter),
-            reg,
+            registry or SiteRegistry(workload),
         )
-        # a custom registry changes the traces, so only keyed (default
-        # registry) runs may read or publish the shared trace store
-        tstore = resolve_trace_store(trace_store) if registry is None else None
-
-        def run_rank(rank: int, aslr_seed: int) -> "Trace":
-            if tstore is None:
-                return tracer.run(rank=rank, aslr_seed=aslr_seed)
-            digest = trace_digest(key.digest(), rank=rank, aslr_seed=aslr_seed)
-            attached = tstore.attach(digest)
-            if attached is not None:
-                return attached
-            trace = tracer.run(rank=rank, aslr_seed=aslr_seed)
-            tstore.put(digest, trace)
-            return trace
-
         paramedir = Paramedir()
         if profile_ranks > 1:
             # rank r of run_all_ranks(aslr_base_seed=b) is run(r, b + r)
-            traces = [run_rank(r, 1000 + seed + r)
+            traces = [tracer.run(rank=r, aslr_seed=1000 + seed + r)
                       for r in range(profile_ranks)]
             per_rank = [paramedir.analyze(t) for t in traces]
             profiles = paramedir.merge(per_rank, mode="sum")
@@ -230,15 +157,18 @@ def profile_workload(
             for prof in profiles.values():
                 prof.load_misses /= profile_ranks
                 prof.store_misses /= profile_ranks
-        else:
-            profiles = paramedir.analyze(run_rank(0, 1000 + seed))
-        return profiles
+            return profiles
+        return paramedir.analyze(tracer.run(rank=0, aslr_seed=1000 + seed))
 
     if registry is not None:
         return compute()
     store = resolve_store(profile_store)
     if store is None:
         return compute()
+    key = ProfileKey.for_workload(
+        workload, seed=seed, stack_format=stack_format, pebs_hz=pebs_hz,
+        profile_ranks=profile_ranks, rank_jitter=rank_jitter,
+    )
     return store.get_or_compute(key, compute)
 
 
@@ -252,48 +182,61 @@ def profile_stage(
     rank_jitter: float = 0.0,
     registry: Optional[SiteRegistry] = None,
     profile_store: Optional[ProfileStore] = None,
-    trace_store: Optional[TraceStore] = None,
     artifact_store: "ArtifactStore | str | None" = None,
 ) -> Tuple[Profiles, Optional[str]]:
-    """:func:`profile_workload` with the artifact layer on top.
+    """:func:`profile_workload` with the artifact layer behind the memory LRU.
 
     Returns ``(profiles, artifact_key)``; the key is ``None`` when the
     artifact layer is off or bypassed (custom registry).  A stored
-    profile artifact decodes bit-identically to a fresh computation —
-    it uses the profile cache's exact float-preserving encoding.
+    profile artifact decodes bit-identically to a fresh computation.
+    """
+    profiles, key, _ = _staged_profiles(
+        workload, seed=seed, stack_format=stack_format, pebs_hz=pebs_hz,
+        profile_ranks=profile_ranks, rank_jitter=rank_jitter,
+        registry=registry, profile_store=profile_store,
+        artifact_store=artifact_store,
+    )
+    return profiles, key
+
+
+def _staged_profiles(
+    workload: Workload,
+    *,
+    registry: Optional[SiteRegistry] = None,
+    profile_store: Optional[ProfileStore] = None,
+    artifact_store: "ArtifactStore | str | None" = None,
+    **knobs,
+) -> Tuple[Profiles, Optional[str], bool]:
+    """:func:`profile_stage`, plus whether the profile came from a cache.
+
+    ``knobs`` are the five profiling keywords of :func:`profile_workload`
+    (the :class:`~repro.profiling.cache.ProfileKey` fields).  Lookup
+    order: the memory LRU, then the profile artifact (a hit fills the
+    LRU), then :func:`profile_workload`, whose result is published.
     """
     store = resolve_artifact_store(artifact_store)
     if store is None or registry is not None:
-        profiles = profile_workload(
-            workload, seed=seed, stack_format=stack_format, pebs_hz=pebs_hz,
-            profile_ranks=profile_ranks, rank_jitter=rank_jitter,
-            registry=registry, profile_store=profile_store,
-            trace_store=trace_store,
-        )
-        return profiles, None
+        profiles = profile_workload(workload, registry=registry,
+                                    profile_store=profile_store, **knobs)
+        return profiles, None, False
 
-    spec = ProfileSpec.for_workload(
-        workload, seed=seed, stack_format=stack_format, pebs_hz=pebs_hz,
-        profile_ranks=profile_ranks, rank_jitter=rank_jitter,
-    )
-    key = spec.key()
-    payload = store.get(key)
-    if payload is not None:
-        try:
-            profiles = {}
-            for entry in payload["profiles"]:
-                prof = _decode_profile(entry)
-                profiles[prof.site_key] = prof
-            return profiles, key
-        except Exception:
-            pass  # corrupt payload: recompute below
-    profiles = profile_workload(
-        workload, seed=seed, stack_format=stack_format, pebs_hz=pebs_hz,
-        profile_ranks=profile_ranks, rank_jitter=rank_jitter,
-        profile_store=profile_store, trace_store=trace_store,
-    )
-    store.put(key, {"profiles": [_encode_profile(p) for p in profiles.values()]})
-    return profiles, key
+    pkey = ProfileKey.for_workload(workload, **knobs)
+    key = artifact_key("profile", pkey)
+    memory = resolve_store(profile_store)
+    profiles = memory.get(pkey) if memory is not None else None
+    if profiles is not None:
+        # an in-process profile still owes the store its artifact
+        if not store.contains(key):
+            store.put(key, encode_profiles(profiles))
+        return profiles, key, True
+    profiles = decode_profiles(store.get(key))
+    if profiles is not None:
+        if memory is not None:
+            memory.put(pkey, profiles)
+        return profiles, key, True
+    profiles = profile_workload(workload, profile_store=profile_store, **knobs)
+    store.put(key, encode_profiles(profiles))
+    return profiles, key, False
 
 
 # -- placement ----------------------------------------------------------------

@@ -10,45 +10,36 @@ the profile-once property: per-site profiles are cached under a
 workload content, tracer seed, stack format, PEBS sampling rate, number
 of profiled ranks and rank jitter.
 
-Two layers:
-
-- an in-memory LRU (per process, bounded by ``capacity``), and
-- an optional on-disk layer (content-hashed JSON files under a cache
-  directory) for cross-process reuse, e.g. by the parallel sweep runner.
+The store is the in-memory LRU (per process, bounded by ``capacity``)
+in front of the profile artifact of :func:`repro.pipeline.profile_stage`:
+cross-process reuse goes through the content-addressed
+:class:`~repro.pipeline.artifacts.ArtifactStore` (``REPRO_ARTIFACT_DIR``),
+which stores the :func:`encode_profiles` payload.
 
 Stored profiles are returned as deep copies so callers may mutate their
 view freely; the cache entry stays pristine.  Cached results are
 bit-identical to a fresh computation: the tracer is fully deterministic
-given the key, and the JSON round trip preserves floats exactly
-(``repr``-based shortest-roundtrip encoding).
+given the key, and the JSON round trip of :func:`encode_profiles`
+preserves floats exactly (``repr``-based shortest-roundtrip encoding).
 
-Environment knobs (read by :func:`resolve_store`):
+Environment knob (read by :func:`resolve_store`):
 
 ``REPRO_PROFILE_CACHE``
     Set to ``0``/``off``/``false`` to disable memoization entirely.
-``REPRO_PROFILE_CACHE_DIR``
-    Directory for the on-disk layer of the process-wide default store.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import os
-import tempfile
 from collections import OrderedDict
 from copy import deepcopy
-from dataclasses import asdict, dataclass
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional
 
-from repro.binary.callstack import BOMFrame, HumanFrame
+from repro.binary.callstack import BOMFrame, HumanFrame, StackFormat
 from repro.errors import ConfigError
 from repro.profiling.paramedir import SiteKey, SiteProfile
-
-#: bump when the serialized layout — or the trace content a key maps to —
-#: changes; stale files are ignored.  v2: per-run tracer RNG derived from
-#: (seed, rank), so profiles for the same key differ from v1.
-_DISK_FORMAT_VERSION = 2
 
 
 def workload_fingerprint(workload) -> str:
@@ -87,22 +78,26 @@ class ProfileKey:
     profile_ranks: int
     rank_jitter: float
 
-    def digest(self) -> str:
-        """Content hash used as the on-disk file name."""
-        canon = json.dumps(
-            {
-                "workload": self.workload,
-                "fingerprint": self.fingerprint,
-                "seed": self.seed,
-                "stack_format": self.stack_format,
-                "pebs_hz": repr(self.pebs_hz),
-                "profile_ranks": self.profile_ranks,
-                "rank_jitter": repr(self.rank_jitter),
-                "version": _DISK_FORMAT_VERSION,
-            },
-            sort_keys=True,
+    @classmethod
+    def for_workload(
+        cls,
+        workload,
+        *,
+        seed: int,
+        stack_format: StackFormat,
+        pebs_hz: float,
+        profile_ranks: int,
+        rank_jitter: float,
+    ) -> "ProfileKey":
+        return cls(
+            workload=workload.name,
+            fingerprint=workload_fingerprint(workload),
+            seed=seed,
+            stack_format=stack_format.value,
+            pebs_hz=float(pebs_hz),
+            profile_ranks=int(profile_ranks),
+            rank_jitter=float(rank_jitter),
         )
-        return hashlib.sha256(canon.encode()).hexdigest()[:32]
 
 
 # -- (de)serialization --------------------------------------------------------
@@ -132,7 +127,7 @@ def _decode_site_key(frames: List[list]) -> SiteKey:
             out.append(HumanFrame(source_file=f[1], line=f[2]))
         elif kind == "raw":
             out.append(f[1])
-        else:  # pragma: no cover - version guard above
+        else:  # pragma: no cover - closed frame set
             raise ConfigError(f"unknown site-key frame kind {kind!r}")
     return tuple(out)
 
@@ -176,16 +171,38 @@ def _decode_profile(data: dict) -> SiteProfile:
 Profiles = Dict[SiteKey, SiteProfile]
 
 
-class ProfileStore:
-    """Two-layer (memory LRU + optional disk) cache of per-site profiles."""
+def encode_profiles(profiles: Profiles) -> dict:
+    """The artifact payload for ``profiles`` (float-exact, order kept)."""
+    return {"profiles": [_encode_profile(p) for p in profiles.values()]}
 
-    def __init__(self, capacity: int = 32, disk_dir: Optional[str] = None):
+
+def decode_profiles(payload: Any) -> Optional[Profiles]:
+    """Inverse of :func:`encode_profiles`; ``None`` for anything else.
+
+    A missing or foreign payload (wrong schema, hand-edited) is a miss,
+    never an error raised into the profiling path.
+    """
+    if payload is None:
+        return None
+    try:
+        profiles = {}
+        for entry in payload["profiles"]:
+            prof = _decode_profile(entry)
+            profiles[prof.site_key] = prof
+    except (LookupError, TypeError, AttributeError, ValueError, ConfigError):
+        return None
+    return profiles
+
+
+class ProfileStore:
+    """In-memory LRU cache of per-site profiles."""
+
+    def __init__(self, capacity: int = 32):
         if capacity < 1:
             raise ConfigError(f"ProfileStore capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self.disk_dir = disk_dir
         self.hits = 0
-        self.disk_hits = 0
+        #: profiles computed (lookups that fell through to ``compute``)
         self.misses = 0
         self._entries: "OrderedDict[ProfileKey, Profiles]" = OrderedDict()
 
@@ -204,17 +221,14 @@ class ProfileStore:
             self._entries.move_to_end(key)
             self.hits += 1
             return deepcopy(entry)
-        entry = self._read_disk(key)
-        if entry is not None:
-            self.disk_hits += 1
-            self._insert(key, entry)
-            return deepcopy(entry)
         return None
 
     def put(self, key: ProfileKey, profiles: Profiles) -> None:
-        """Insert ``profiles`` (copied) into both layers."""
-        self._insert(key, deepcopy(profiles))
-        self._write_disk(key, profiles)
+        """Insert ``profiles`` (copied)."""
+        self._entries[key] = deepcopy(profiles)
+        self._entries.move_to_end(key)
+        while len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
 
     def get_or_compute(
         self, key: ProfileKey, compute: Callable[[], Profiles]
@@ -228,79 +242,15 @@ class ProfileStore:
         self.put(key, profiles)
         return profiles
 
-    # -- internals ------------------------------------------------------------
-
-    def _insert(self, key: ProfileKey, profiles: Profiles) -> None:
-        self._entries[key] = profiles
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-
-    def _path(self, key: ProfileKey) -> str:
-        return os.path.join(self.disk_dir, f"profiles-{key.digest()}.json")
-
-    def _read_disk(self, key: ProfileKey) -> Optional[Profiles]:
-        if self.disk_dir is None:
-            return None
-        try:
-            with open(self._path(key)) as fh:
-                data = json.load(fh)
-        except (OSError, ValueError):
-            return None
-        # a foreign or corrupted-but-parseable file (crash-truncated then
-        # rewritten, wrong schema, hand-edited) must behave as a miss, not
-        # raise into the profiling path
-        try:
-            if data.get("version") != _DISK_FORMAT_VERSION:
-                return None
-            profiles = {}
-            for entry in data["profiles"]:
-                prof = _decode_profile(entry)
-                profiles[prof.site_key] = prof
-        except (AttributeError, KeyError, TypeError, IndexError, ConfigError):
-            return None
-        return profiles
-
-    def _write_disk(self, key: ProfileKey, profiles: Profiles) -> None:
-        if self.disk_dir is None:
-            return
-        os.makedirs(self.disk_dir, exist_ok=True)
-        payload = {
-            "version": _DISK_FORMAT_VERSION,
-            "key": asdict(key),
-            "profiles": [_encode_profile(p) for p in profiles.values()],
-        }
-        # atomic publish: concurrent sweep workers may race on the same
-        # key, and a crash mid-write must never leave a torn file at the
-        # final path — the payload lands in a temp file first and becomes
-        # visible only via os.replace
-        fd, tmp = tempfile.mkstemp(dir=self.disk_dir, suffix=".tmp")
-        try:
-            try:
-                with os.fdopen(fd, "w") as fh:
-                    json.dump(payload, fh)
-                os.replace(tmp, self._path(key))
-            except OSError:  # pragma: no cover - disk layer is best-effort
-                pass
-        finally:
-            # whatever failed (full disk, an encode bug raising through
-            # json.dump), never leak the temp file into the cache dir
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-
 
 _default_store: Optional[ProfileStore] = None
 
 
 def default_store() -> ProfileStore:
-    """The process-wide store (disk layer from ``REPRO_PROFILE_CACHE_DIR``)."""
+    """The process-wide store."""
     global _default_store
     if _default_store is None:
-        _default_store = ProfileStore(
-            disk_dir=os.environ.get("REPRO_PROFILE_CACHE_DIR") or None
-        )
+        _default_store = ProfileStore()
     return _default_store
 
 

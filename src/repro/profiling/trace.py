@@ -153,8 +153,6 @@ class Trace:
         allocs: List[AllocEvent],
         frees: List[FreeEvent],
         columns: Optional[SampleColumns] = None,
-        *,
-        copy: bool = True,
     ) -> "Trace":
         """Assemble a trace directly from event lists and sample columns.
 
@@ -162,32 +160,21 @@ class Trace:
         are taken as-is.  This is the constructor the fault injectors use
         to build *deliberately* inconsistent traces (orphan frees,
         overlapping allocations, unattributable samples); consumers are
-        expected to detect those at replay time, not here.
-
-        ``copy=False`` adopts the column arrays as-is instead of copying
-        them — the zero-copy path the memory-mapped trace store
-        (:mod:`repro.profiling.tracestore`) uses to hand many processes
-        views of one on-disk array.  The caller then guarantees the
-        arrays are never mutated (e.g. read-only ``np.memmap`` views).
+        expected to detect those at replay time, not here.  The column
+        arrays are copied, so the new trace never aliases its inputs.
         """
         trace = cls(meta)
         trace.allocs = list(allocs)
         trace.frees = list(frees)
         if columns is not None and len(columns):
-            if copy:
-                trace._chunks = [(
-                    np.array(columns.times, dtype=np.float64, copy=True),
-                    np.array(columns.addresses, dtype=np.int64, copy=True),
-                    np.array(columns.codes, dtype=np.uint8, copy=True),
-                    np.array(columns.ranks, dtype=np.int32, copy=True),
-                    np.array(columns.latencies, dtype=np.float64, copy=True),
-                    np.array(columns.weights, dtype=np.float64, copy=True),
-                )]
-            else:
-                trace._chunks = [(
-                    columns.times, columns.addresses, columns.codes,
-                    columns.ranks, columns.latencies, columns.weights,
-                )]
+            trace._chunks = [(
+                np.array(columns.times, dtype=np.float64, copy=True),
+                np.array(columns.addresses, dtype=np.int64, copy=True),
+                np.array(columns.codes, dtype=np.uint8, copy=True),
+                np.array(columns.ranks, dtype=np.int32, copy=True),
+                np.array(columns.latencies, dtype=np.float64, copy=True),
+                np.array(columns.weights, dtype=np.float64, copy=True),
+            )]
         return trace
 
     # -- columnar access -------------------------------------------------------

@@ -10,7 +10,7 @@ Architecture (stdlib only):
   artifact key for workload requests, the file path for trace requests)
   and each group runs on a ``ThreadPoolExecutor`` worker
   (``REPRO_SERVICE_WORKERS``);
-- a group pays one profile load (artifact store → profile store →
+- a group pays one profile load (profile store → artifact store →
   tracer, whichever hits first) and one vectorized
   :func:`~repro.advisor.density.density_batch` pass for *all* its
   density queries; bandwidth-aware queries run individually (they embed
@@ -39,13 +39,22 @@ from repro.apps import get_workload
 from repro.apps.sites import SiteRegistry
 from repro.binary.callstack import StackFormat
 from repro.errors import ReproError
-from repro.pipeline.artifacts import ArtifactStore, resolve_artifact_store
+from repro.pipeline.artifacts import (
+    ArtifactStore,
+    artifact_key,
+    resolve_artifact_store,
+)
 from repro.pipeline.stages import (
-    ProfileSpec,
+    _staged_profiles,
     bandwidth_observer,
     profile_stage,
 )
-from repro.profiling.cache import ProfileStore, _decode_profile, _encode_profile
+from repro.profiling.cache import (
+    ProfileKey,
+    ProfileStore,
+    decode_profiles,
+    encode_profiles,
+)
 from repro.profiling.paramedir import Paramedir
 from repro.profiling.trace import Trace
 from repro.pipeline.online import static_placement
@@ -93,6 +102,17 @@ _REPORT_OF = {
 }
 
 
+def _profile_knobs(request: AdvisoryRequest) -> dict:
+    """The profiling keywords (the ``ProfileKey`` fields) of a request."""
+    return dict(
+        seed=request.seed,
+        stack_format=StackFormat(request.stack_format),
+        pebs_hz=request.pebs_hz,
+        profile_ranks=request.profile_ranks,
+        rank_jitter=request.rank_jitter,
+    )
+
+
 def _error_report(request, message: str):
     """The error report of the right kind for ``request``."""
     report_cls = _REPORT_OF.get(type(request), AdvisoryReport)
@@ -114,7 +134,7 @@ class ServiceStats:
     batches: int = 0
     #: requests answered by the largest single batch group
     max_group: int = 0
-    #: profile loads actually performed (tracer, artifact or disk cache)
+    #: profile loads actually performed (tracer, artifact or profile store)
     profile_loads: int = 0
     #: groups answered from the in-process profile memo (no load at all)
     memo_hits: int = 0
@@ -340,16 +360,8 @@ class PlacementServer:
                  request.pebs_hz, request.profile_ranks, request.rank_jitter)
         key = self._gkey_memo.get(ident)
         if key is None:
-            wl = get_workload(request.workload)
-            spec = ProfileSpec.for_workload(
-                wl,
-                seed=request.seed,
-                stack_format=StackFormat(request.stack_format),
-                pebs_hz=request.pebs_hz,
-                profile_ranks=request.profile_ranks,
-                rank_jitter=request.rank_jitter,
-            )
-            key = spec.key()
+            key = artifact_key("profile", ProfileKey.for_workload(
+                get_workload(request.workload), **_profile_knobs(request)))
             self._gkey_memo[ident] = key
         return key
 
@@ -364,17 +376,11 @@ class PlacementServer:
             loaded = self._load_trace_profiles(request)
         else:
             wl = get_workload(request.workload)
-            store = self.artifact_store
-            cached = store.contains(gkey) if store is not None else False
-            profiles, key = profile_stage(
-                wl,
-                seed=request.seed,
-                stack_format=StackFormat(request.stack_format),
-                pebs_hz=request.pebs_hz,
-                profile_ranks=request.profile_ranks,
-                rank_jitter=request.rank_jitter,
-                profile_store=self.profile_store,
-                artifact_store=store,
+            # `cached` reports the read that actually served the profile:
+            # an artifact that exists but does not decode is recomputed
+            profiles, key, cached = _staged_profiles(
+                wl, profile_store=self.profile_store,
+                artifact_store=self.artifact_store, **_profile_knobs(request),
             )
             objects = HMemAdvisor.objects_from_profiles(profiles)
             loaded = _LoadedProfile(
@@ -395,31 +401,21 @@ class PlacementServer:
         store = self.artifact_store
         key = None
         if store is not None:
-            from repro.pipeline.artifacts import artifact_key
-
             key = artifact_key("trace-profile", {"digest": digest})
             payload = store.get(key)
-            if payload is not None:
-                try:
-                    profiles = {}
-                    for entry in payload["profiles"]:
-                        prof = _decode_profile(entry)
-                        profiles[prof.site_key] = prof
-                    objects = HMemAdvisor.objects_from_profiles(profiles)
-                    return _LoadedProfile(
-                        profiles=profiles, objects=objects,
-                        ranks=int(payload.get("ranks", 1)),
-                        profile_key=key, cached=True,
-                    )
-                except Exception:
-                    pass
+            profiles = decode_profiles(payload)
+            if profiles is not None:
+                objects = HMemAdvisor.objects_from_profiles(profiles)
+                return _LoadedProfile(
+                    profiles=profiles, objects=objects,
+                    ranks=int(payload.get("ranks", 1)),
+                    profile_key=key, cached=True,
+                )
         trace = Trace.load(request.trace)
         profiles = Paramedir().analyze(trace)
-        if store is not None and key is not None:
-            store.put(key, {
-                "profiles": [_encode_profile(p) for p in profiles.values()],
-                "ranks": trace.meta.ranks,
-            })
+        if store is not None:
+            store.put(key, {**encode_profiles(profiles),
+                            "ranks": trace.meta.ranks})
         objects = HMemAdvisor.objects_from_profiles(profiles)
         return _LoadedProfile(
             profiles=profiles, objects=objects, ranks=trace.meta.ranks,
@@ -643,14 +639,8 @@ def sequential_advisory(
         else:
             wl = get_workload(request.workload)
             profiles, key = profile_stage(
-                wl,
-                seed=request.seed,
-                stack_format=StackFormat(request.stack_format),
-                pebs_hz=request.pebs_hz,
-                profile_ranks=request.profile_ranks,
-                rank_jitter=request.rank_jitter,
-                profile_store=profile_store,
-                artifact_store=artifact_store,
+                wl, profile_store=profile_store,
+                artifact_store=artifact_store, **_profile_knobs(request),
             )
             ranks = wl.ranks
         system = system_for_name(request.system)

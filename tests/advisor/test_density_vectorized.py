@@ -46,7 +46,7 @@ def workload_objects():
     for name in list_workloads():
         wl = get_workload(name)
         profiles = profile_workload(wl, seed=11, stack_format=StackFormat.BOM,
-                                    profile_store=None, trace_store=None)
+                                    profile_store=None)
         objects[name] = (wl, HMemAdvisor.objects_from_profiles(profiles))
     return objects
 

@@ -1,9 +1,10 @@
-"""The parallel sweep runner (repro.experiments.parallel).
+"""Parallel sweeps: worker-count resolution and the sweep runner.
 
-The headline guarantee: a sweep dispatched over worker processes is
-*bit-identical* to the serial run — same functions, same inputs, results
-reassembled in spec order.  Verified on a synthetic task and on a reduced
-Figure 6 sweep end to end.
+The headline guarantee: a sweep dispatched over worker processes by
+:func:`repro.experiments.sweep.run_scheduled` is *bit-identical* to the
+serial loop ``[fn(s) for s in specs]`` — same functions, same inputs,
+results reassembled in spec order.  Verified on a synthetic task and on
+a reduced Figure 6 sweep end to end.
 """
 
 import pytest
@@ -13,8 +14,8 @@ from repro.experiments.parallel import (
     JOBS_ENV,
     add_jobs_argument,
     resolve_jobs,
-    run_sweep,
 )
+from repro.experiments.sweep import run_scheduled
 
 
 def _square(x):
@@ -89,23 +90,24 @@ class TestAddJobsArgument:
 
 class TestRunSweep:
     def test_serial_matches_map(self):
-        assert run_sweep(_square, range(10), jobs=1) == [x * x for x in range(10)]
+        assert run_scheduled(_square, range(10), jobs=1) == \
+            [_square(x) for x in range(10)]
 
     def test_parallel_preserves_order(self):
-        assert run_sweep(_square, range(20), jobs=4) == \
-            run_sweep(_square, range(20), jobs=1)
+        assert run_scheduled(_square, range(20), jobs=4) == \
+            [_square(x) for x in range(20)]
 
     def test_empty_specs(self):
-        assert run_sweep(_square, [], jobs=4) == []
+        assert run_scheduled(_square, [], jobs=4) == []
 
     def test_single_spec_skips_pool(self):
-        assert run_sweep(_square, [6], jobs=8) == [36]
+        assert run_scheduled(_square, [6], jobs=8) == [36]
 
     def test_worker_exception_propagates(self):
         with pytest.raises(ValueError):
-            run_sweep(_raise_on_three, range(5), jobs=2)
+            run_scheduled(_raise_on_three, range(5), jobs=2)
         with pytest.raises(ValueError):
-            run_sweep(_raise_on_three, range(5), jobs=1)
+            run_scheduled(_raise_on_three, range(5), jobs=1)
 
 
 class TestFig6Parallel:

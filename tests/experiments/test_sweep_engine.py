@@ -1,10 +1,11 @@
 """The sweep scheduler (repro.experiments.sweep.scheduler).
 
-The headline guarantee, inherited from ``run_sweep`` and now holding
-under dynamic dispatch: a scheduled sweep is *bit-identical* to the
-serial oracle — same functions, same inputs, results reassembled in
-spec order — across jobs ∈ {1, 2, all}, with worker exceptions
-propagating and dead workers retried in a fresh pool.
+The headline guarantee under dynamic dispatch: a scheduled sweep is
+*bit-identical* to the serial oracle ``[fn(s) for s in specs]`` — same
+functions, same inputs, results reassembled in spec order — across
+jobs ∈ {1, 2, all}, with worker exceptions propagating and dead workers
+retried in a fresh pool.  Parallel workers share profiles through the
+artifact store.
 """
 
 import os
@@ -13,13 +14,17 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.experiments.fig6_sweep import _cell_task, compute_fig6
-from repro.experiments.parallel import run_sweep
 from repro.experiments.sweep import (
     SweepManifest,
     SweepWorkerDied,
     run_scheduled,
 )
-from repro.experiments.tab8_full_apps import _tab8_baseline_task, _tab8_task
+from repro.experiments.tab8_full_apps import (
+    DRAM_LIMITS,
+    _tab8_baseline_task,
+    _tab8_task,
+    compute_tab8,
+)
 
 
 def _square(x):
@@ -49,7 +54,7 @@ def _always_die(spec):
 class TestSyntheticIdentity:
     @pytest.mark.parametrize("jobs", [1, 2, 0])
     def test_matches_serial_oracle(self, jobs):
-        oracle = run_sweep(_square, range(12), jobs=1)
+        oracle = [_square(x) for x in range(12)]
         assert run_scheduled(_square, range(12), jobs=jobs) == oracle
 
     def test_empty_specs(self):
@@ -93,14 +98,51 @@ class TestExperimentIdentity:
 
     @pytest.mark.parametrize("jobs", [1, 2, 0])
     def test_tab8_scheduled_bit_identical(self, tab8_specs, jobs):
-        oracle = run_sweep(_tab8_task, tab8_specs, jobs=1)
+        oracle = [_tab8_task(spec) for spec in tab8_specs]
         assert run_scheduled(_tab8_task, tab8_specs, jobs=jobs) == oracle
 
     def test_fig6_cell_scheduled_equals_run_sweep(self):
         specs = [("minife", 6, 12, "loads", 11, 100.0),
                  ("minife", 6, 12, "loads+stores", 11, 100.0)]
         assert run_scheduled(_cell_task, specs, jobs=2) == \
-            run_sweep(_cell_task, specs, jobs=1)
+            [_cell_task(spec) for spec in specs]
+
+
+class TestArtifactSharing:
+    def test_tab8_parallel_shares_profile_artifacts(self, tmp_path,
+                                                    monkeypatch):
+        """``jobs=2`` under ``REPRO_ARTIFACT_DIR`` equals ``jobs=1`` and
+        leaves exactly one profile artifact per app."""
+        from repro.apps import get_workload
+        from repro.binary.callstack import StackFormat
+        from repro.pipeline import artifact_key, reset_default_artifact_store
+        from repro.profiling.cache import ProfileKey, reset_default_store
+
+        for var in ("REPRO_ARTIFACT_DIR", "REPRO_SWEEP_MANIFEST",
+                    "REPRO_RESULT_DB"):
+            monkeypatch.delenv(var, raising=False)
+        reset_default_store()
+        serial = compute_tab8(jobs=1)
+        root = tmp_path / "artifacts"
+        monkeypatch.setenv("REPRO_ARTIFACT_DIR", str(root))
+        # workers fork from here: an empty memory LRU makes every profile
+        # go through the artifact layer
+        reset_default_store()
+        reset_default_artifact_store()
+        try:
+            parallel = compute_tab8(jobs=2)
+        finally:
+            reset_default_artifact_store()
+            reset_default_store()
+        assert parallel == serial
+        expected = {
+            artifact_key("profile", ProfileKey.for_workload(
+                get_workload(app), seed=11, stack_format=StackFormat.BOM,
+                pebs_hz=100.0, profile_ranks=1, rank_jitter=0.0))
+            for app in DRAM_LIMITS
+        }
+        published = {p.parent.name for p in root.glob("*/*/payload.json")}
+        assert published == expected
 
 
 class TestWorkerDeath:

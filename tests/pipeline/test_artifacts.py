@@ -3,7 +3,8 @@
 The store is a cache with a crash-safety contract: publish is atomic
 (tmpdir + rename, existence keyed off ``payload.json``), so a SIGKILL at
 any point mid-publish leaves either the complete artifact or nothing —
-never a torn payload visible to readers.
+never a torn payload visible to readers — and an entry that does not
+read back is replaced by the next publish.
 """
 
 import json
@@ -110,6 +111,22 @@ class TestCorruption:
         path = store.root / key[:2] / key / "payload.json"
         path.write_text(json.dumps({"version": 99, "payload": {"v": 1}}))
         assert store.get(key) is None
+
+    @pytest.mark.parametrize("damage", ["torn", "foreign-version"])
+    def test_put_replaces_entry_that_does_not_read_back(self, store, damage):
+        key = artifact_key("t", 6)
+        store.put(key, {"v": 1})
+        path = store.root / key[:2] / key / "payload.json"
+        if damage == "torn":
+            path.write_text(path.read_text()[:10])
+        else:
+            path.write_text(json.dumps({"version": 99, "payload": {"v": 1}}))
+        assert store.get(key) is None
+        store.put(key, {"v": 1})
+        assert store.puts == 2
+        assert store.get(key) == {"v": 1}
+        # the damaged entry was moved aside and removed, not left as litter
+        assert sorted(p.name for p in path.parent.parent.iterdir()) == [key]
 
     def test_unencodable_payload_raises(self, store):
         with pytest.raises(ConfigError):

@@ -26,7 +26,6 @@ from repro.units import GiB
 @pytest.fixture(autouse=True)
 def no_env_stores(monkeypatch):
     monkeypatch.delenv("REPRO_ARTIFACT_DIR", raising=False)
-    monkeypatch.delenv("REPRO_TRACE_STORE_DIR", raising=False)
 
 
 def assert_results_identical(a, b):
@@ -65,8 +64,8 @@ class TestHarnessIdentity:
         store = ArtifactStore(tmp_path / "artifacts")
         kw = dict(dram_limit=12 * GiB, seed=11, artifact_store=store)
         run_ecohmem(wl, system, profile_store=ProfileStore(), **kw)
-        # a warm run hits the profile artifact before profile_workload,
-        # so its fresh ProfileStore never even records a miss
+        # a warm run's fresh ProfileStore misses in memory, then hits the
+        # profile artifact, so it never computes (never records a miss)
         pstore = ProfileStore()
         run_ecohmem(wl, system, profile_store=pstore, **kw)
         assert pstore.misses == 0

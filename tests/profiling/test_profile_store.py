@@ -2,14 +2,15 @@
 
 The contract under test: cached profiles are *bit-identical* to a fresh
 trace + Paramedir computation — through the in-memory LRU, through the
-on-disk JSON layer (float-exact round trip), and all the way up to the
-pipeline results built from them.
+on-disk profile artifact behind it (float-exact round trip), and all the
+way up to the pipeline results built from them.
 """
 
 import pytest
 
 from repro.experiments.harness import profile_workload, run_ecohmem
 from repro.memsim.subsystem import pmem6_system
+from repro.pipeline import ArtifactStore, profile_stage
 from repro.profiling.cache import (
     ProfileKey,
     ProfileStore,
@@ -83,15 +84,27 @@ class TestProfileStoreMemory:
         assert a != b
 
 
+def _staged(root, profile_store=None):
+    """Profile the toy workload through memory LRU -> artifact -> compute."""
+    memory = ProfileStore() if profile_store is None else profile_store
+    store = ArtifactStore(root)
+    profiles, key = profile_stage(make_toy_workload(), profile_store=memory,
+                                  artifact_store=store)
+    return profiles, key, memory, store
+
+
+def _payload_path(root, key):
+    return root / key[:2] / key / "payload.json"
+
+
 class TestProfileStoreDisk:
+    """The store's disk layer is the profile artifact behind the LRU."""
+
     def test_disk_roundtrip_exact(self, tmp_path):
-        """A fresh process (fresh store) reloads bit-identical profiles."""
-        wl = make_toy_workload()
-        writer = ProfileStore(disk_dir=str(tmp_path))
-        fresh = profile_workload(wl, profile_store=writer)
-        reader = ProfileStore(disk_dir=str(tmp_path))
-        reloaded = profile_workload(make_toy_workload(), profile_store=reader)
-        assert reader.disk_hits == 1 and reader.misses == 0
+        """A fresh process (fresh stores) reloads bit-identical profiles."""
+        fresh, _, _, _ = _staged(tmp_path)
+        reloaded, _, memory, store = _staged(tmp_path)
+        assert store.hits == 1 and memory.misses == 0
         assert reloaded == fresh
         for key, prof in fresh.items():
             got = reloaded[key]
@@ -102,88 +115,94 @@ class TestProfileStoreDisk:
             assert got.spans == prof.spans
 
     def test_corrupt_file_falls_back_to_compute(self, tmp_path):
-        wl = make_toy_workload()
-        writer = ProfileStore(disk_dir=str(tmp_path))
-        fresh = profile_workload(wl, profile_store=writer)
-        for path in tmp_path.iterdir():
-            path.write_text("{ not json")
-        reader = ProfileStore(disk_dir=str(tmp_path))
-        recomputed = profile_workload(make_toy_workload(), profile_store=reader)
-        assert reader.misses == 1
+        """A torn payload recomputes bit-identically and is republished."""
+        fresh, key, _, _ = _staged(tmp_path)
+        _payload_path(tmp_path, key).write_text("{ not json")
+        recomputed, _, memory, store = _staged(tmp_path)
+        assert memory.misses == 1 and store.puts == 1
         assert recomputed == fresh
+        reloaded, _, memory, store = _staged(tmp_path)
+        assert store.hits == 1 and memory.misses == 0
+        assert reloaded == fresh
+
+    def test_artifact_hit_fills_memory(self, tmp_path):
+        """Memory -> artifact -> compute: a second call stays in memory."""
+        _staged(tmp_path)
+        memory = ProfileStore()
+        first, _, _, store = _staged(tmp_path, memory)
+        second, _ = profile_stage(make_toy_workload(), profile_store=memory,
+                                  artifact_store=store)
+        assert store.hits == 1  # unchanged by the second call
+        assert (memory.hits, memory.misses) == (1, 0)
+        assert second == first
+
+
+    def test_memory_hit_publishes_missing_artifact(self, tmp_path):
+        """A profile already in memory still lands on disk for others."""
+        memory = ProfileStore()
+        fresh = profile_workload(make_toy_workload(), profile_store=memory)
+        served, _, _, store = _staged(tmp_path, memory)
+        assert store.puts == 1 and memory.misses == 1  # no second compute
+        reloaded, _, other, _ = _staged(tmp_path)
+        assert other.misses == 0
+        assert served == reloaded == fresh
 
 
 class TestCrashSafety:
     """The disk layer publishes atomically and never trusts what it reads.
 
-    A sweep worker can be killed at any instruction; the cache directory
-    must end up in one of exactly two states — old content or complete
-    new content — with no temp-file litter and no torn final file.
+    A sweep worker can be killed at any instruction; the artifact
+    directory must end up in one of exactly two states — old content or
+    complete new content — with no temp litter and no torn payload.
     """
-
-    def _computed(self, store):
-        return profile_workload(make_toy_workload(), profile_store=store)
 
     def test_crash_before_replace_leaves_no_final_file(
         self, tmp_path, monkeypatch
     ):
-        """Die between writing the temp file and publishing it."""
-        import os as os_mod
+        """Die between writing the temp payload and publishing it."""
+        import repro.pipeline.artifacts as artifacts_mod
 
-        import repro.profiling.cache as cache_mod
-
-        def crashing_replace(src, dst):
+        def crashing_rename(src, dst):
             raise OSError("simulated crash at publish")
 
-        monkeypatch.setattr(cache_mod.os, "replace", crashing_replace)
-        store = ProfileStore(disk_dir=str(tmp_path))
-        fresh = self._computed(store)
+        monkeypatch.setattr(artifacts_mod.os, "rename", crashing_rename)
+        fresh, _, _, store = _staged(tmp_path)
         monkeypatch.undo()
         # nothing published, nothing leaked
-        assert list(tmp_path.iterdir()) == []
-        # the store still serves correct results (memory layer) and a
-        # fresh store recomputes identically
-        reader = ProfileStore(disk_dir=str(tmp_path))
-        assert self._computed(reader) == fresh
-        assert reader.misses == 1 and reader.disk_hits == 0
-        assert os_mod.replace is not crashing_replace  # undo restored it
+        assert store.puts == 0
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
+        # a fresh process recomputes identically
+        recomputed, _, memory, store = _staged(tmp_path)
+        assert recomputed == fresh
+        assert memory.misses == 1 and store.hits == 0
 
-    def test_encode_failure_cleans_temp_file(self, tmp_path, monkeypatch):
-        """An exception raising through json.dump must not leak the temp."""
-        import repro.profiling.cache as cache_mod
+    def test_encode_failure_cleans_temp_file(self, tmp_path):
+        """A payload that cannot be encoded raises before touching disk."""
+        from repro.errors import ConfigError
 
-        def exploding_dump(payload, fh):
-            fh.write('{"version":')  # partial bytes, then die
-            raise TypeError("simulated unserializable payload")
-
-        monkeypatch.setattr(cache_mod.json, "dump", exploding_dump)
-        store = ProfileStore(disk_dir=str(tmp_path))
-        with pytest.raises(TypeError):
-            store.put(_key(), {})
-        monkeypatch.undo()
+        store = ArtifactStore(tmp_path)
+        with pytest.raises(ConfigError):
+            store.put("ab" * 16, {"profiles": [object()]})
         assert list(tmp_path.iterdir()) == []
 
     def test_valid_json_wrong_schema_is_a_miss(self, tmp_path):
-        """A parseable-but-foreign file must recompute, not raise."""
-        store = ProfileStore(disk_dir=str(tmp_path))
-        fresh = self._computed(store)
-        for path in tmp_path.iterdir():
-            path.write_text('{"version": 2, "profiles": [{"bogus": 1}]}')
-        reader = ProfileStore(disk_dir=str(tmp_path))
-        assert self._computed(reader) == fresh
-        assert reader.misses == 1 and reader.disk_hits == 0
+        """A readable artifact with a foreign payload recomputes, not raises."""
+        import shutil
+
+        fresh, key, _, store = _staged(tmp_path)
+        shutil.rmtree(_payload_path(tmp_path, key).parent)
+        store.put(key, {"profiles": [{"bogus": 1}]})
+        recomputed, _, memory, store = _staged(tmp_path)
+        assert recomputed == fresh
+        assert memory.misses == 1
 
     def test_concurrent_writers_last_publish_intact(self, tmp_path):
-        """Two stores racing on one key leave one complete file."""
-        a = ProfileStore(disk_dir=str(tmp_path))
-        b = ProfileStore(disk_dir=str(tmp_path))
-        fresh = self._computed(a)
-        self._computed(b)  # b misses in memory, hits a's disk file
-        assert b.disk_hits == 1
-        files = [p for p in tmp_path.iterdir() if p.suffix == ".json"]
-        assert len(files) == 1
-        reader = ProfileStore(disk_dir=str(tmp_path))
-        assert self._computed(reader) == fresh
+        """Two processes racing on one key leave one complete entry."""
+        fresh, _, _, _ = _staged(tmp_path)
+        again, _, memory, store = _staged(tmp_path)  # hits the first entry
+        assert store.hits == 1 and memory.misses == 0
+        assert len(list(tmp_path.glob("*/*/payload.json"))) == 1
+        assert again == fresh
 
 
 class TestCrossProcessDeterminism:

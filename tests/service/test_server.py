@@ -278,6 +278,19 @@ class TestStores:
         assert warm.profile_key == cold.profile_key
         assert warm == cold  # cache temperature cannot change the answer
 
+        # a payload that exists but does not read back is recomputed, and
+        # the report must say so (then the republished entry serves again)
+        key = cold.profile_key
+        (astore.root / key[:2] / key / "payload.json").write_text("{ torn")
+        pstore = ProfileStore()
+        with PlacementServer(workers=2, artifact_store=astore,
+                             profile_store=pstore) as srv:
+            recomputed = srv.query(req)
+        assert not recomputed.profile_cached
+        assert (pstore.hits, pstore.misses) == (0, 1)
+        assert astore.puts == 2
+        assert recomputed == cold
+
     def test_memo_hit_accounting(self, shared_profile_store):
         req = AdvisoryRequest(workload="minife", dram_limit=8 * GiB)
         with PlacementServer(workers=2, batch_window_ms=0.0, max_batch=1,

@@ -12,7 +12,8 @@ Three sections, mirroring the three optimisation layers:
     served from the warm store, asserting identical results.
 ``fig6_sweep``
     A reduced Figure 6 sweep, serial + memoization off vs parallel +
-    shared on-disk profile cache, asserting bit-identical cells.
+    profiles shared through the artifact store, asserting bit-identical
+    cells.
 ``profiling``
     The vectorized profiling cold path (tracer + Paramedir) against the
     scalar oracles, asserting bit-identical traces and per-site
@@ -33,10 +34,10 @@ Three sections, mirroring the three optimisation layers:
     :func:`replay_results_identical`.
 ``sweep``
     The fleet-scale sweep engine on the full Table VIII grid: the
-    serial/uncached ``run_sweep`` seed behaviour vs the scheduled cold
-    path (work-stealing dispatch + shared profile cache + mmap trace
-    store + manifest journal) vs a warm manifest resume of the same
-    sweep, asserting every path bit-identical.
+    serial/uncached seed behaviour vs the scheduled cold path
+    (work-stealing dispatch + profiles shared through the artifact store
+    + manifest journal) vs a warm manifest resume of the same sweep,
+    asserting every path bit-identical.
 ``service``
     The placement server's coalesced advisory path (one profile load +
     one vectorized ``density_batch`` pass per group) against the naive
@@ -79,9 +80,9 @@ from repro.experiments.fig6_sweep import compute_fig6
 from repro.experiments.harness import run_ecohmem
 from repro.experiments.parallel import add_jobs_argument, resolve_jobs
 from repro.experiments.tab8_full_apps import compute_tab8
-from repro.profiling.tracestore import reset_default_trace_store
 from repro.memsim.cache import SetAssociativeCache
 from repro.memsim.subsystem import pmem6_system
+from repro.pipeline import reset_default_artifact_store
 from repro.profiling.cache import ProfileStore, reset_default_store
 from repro.profiling.paramedir import Paramedir
 from repro.profiling.pebs import PEBSConfig
@@ -182,23 +183,27 @@ def bench_fig6(quick: bool, jobs=None) -> dict:
 
     # serial, memoization off: the seed behaviour
     env["REPRO_PROFILE_CACHE"] = "off"
+    env.pop("REPRO_ARTIFACT_DIR", None)
     reset_default_store()
+    reset_default_artifact_store()
     t0 = time.perf_counter()
     serial = compute_fig6(jobs=1, **kwargs)
     t_serial = time.perf_counter() - t0
 
-    # parallel, memoized: workers share the profile cache through disk
-    with tempfile.TemporaryDirectory(prefix="repro-bench-") as cache_dir:
+    # parallel, memoized: workers share profiles through the artifact store
+    with tempfile.TemporaryDirectory(prefix="repro-bench-") as artifact_dir:
         env.pop("REPRO_PROFILE_CACHE", None)
-        env["REPRO_PROFILE_CACHE_DIR"] = cache_dir
+        env["REPRO_ARTIFACT_DIR"] = artifact_dir
         reset_default_store()
+        reset_default_artifact_store()
         if jobs is None:
             jobs = min(os.cpu_count() or 1, 8)
         t0 = time.perf_counter()
         fast = compute_fig6(jobs=jobs, **kwargs)
         t_fast = time.perf_counter() - t0
-    env.pop("REPRO_PROFILE_CACHE_DIR", None)
+    env.pop("REPRO_ARTIFACT_DIR", None)
     reset_default_store()
+    reset_default_artifact_store()
 
     assert fast.cells == serial.cells, "parallel+cached sweep diverged"
     assert fast.tiering == serial.tiering
@@ -215,13 +220,12 @@ def bench_fig6(quick: bool, jobs=None) -> dict:
 def bench_sweep(quick: bool, jobs=None) -> dict:
     """The sweep engine on the full Table VIII grid, three ways.
 
-    ``serial_uncached`` is the seed behaviour (``run_sweep``-equivalent
-    inline loop, no caches, no journal); ``scheduled_cold`` adds the
-    work-stealing pool, the shared on-disk profile cache, the mmap trace
-    store and the sweep manifest; ``resume`` re-runs the same sweep
-    against the populated manifest — every cell is served from the
-    journal, so this is the fleet's steady-state restart cost.  All
-    three produce bit-identical rows.
+    ``serial_uncached`` is the seed behaviour (inline serial loop, no
+    caches, no journal); ``scheduled_cold`` adds the work-stealing pool,
+    profiles shared through the artifact store and the sweep manifest;
+    ``resume`` re-runs the same sweep against the populated manifest —
+    every cell is served from the journal, so this is the fleet's
+    steady-state restart cost.  All three produce bit-identical rows.
     """
     env = os.environ
     jobs = resolve_jobs(jobs) if jobs is not None else min(
@@ -229,17 +233,15 @@ def bench_sweep(quick: bool, jobs=None) -> dict:
 
     def _reset():
         reset_default_store()
-        reset_default_trace_store()
+        reset_default_artifact_store()
 
     # serial, everything off: the seed behaviour
     saved = {k: env.pop(k, None) for k in (
-        "REPRO_PROFILE_CACHE", "REPRO_PROFILE_CACHE_DIR",
-        "REPRO_TRACE_STORE", "REPRO_TRACE_STORE_DIR",
+        "REPRO_PROFILE_CACHE", "REPRO_ARTIFACT_DIR",
         "REPRO_SWEEP_MANIFEST", "REPRO_RESULT_DB",
     )}
     try:
         env["REPRO_PROFILE_CACHE"] = "off"
-        env["REPRO_TRACE_STORE"] = "off"
         _reset()
         t0 = time.perf_counter()
         serial = compute_tab8(jobs=1)
@@ -247,9 +249,7 @@ def bench_sweep(quick: bool, jobs=None) -> dict:
 
         with tempfile.TemporaryDirectory(prefix="repro-bench-") as td:
             env.pop("REPRO_PROFILE_CACHE", None)
-            env.pop("REPRO_TRACE_STORE", None)
-            env["REPRO_PROFILE_CACHE_DIR"] = os.path.join(td, "profiles")
-            env["REPRO_TRACE_STORE_DIR"] = os.path.join(td, "traces")
+            env["REPRO_ARTIFACT_DIR"] = os.path.join(td, "artifacts")
             _reset()
             manifest = os.path.join(td, "manifest.jsonl")
 
@@ -261,8 +261,7 @@ def bench_sweep(quick: bool, jobs=None) -> dict:
             resumed = compute_tab8(jobs=jobs, manifest=manifest)
             t_resume = time.perf_counter() - t0
     finally:
-        for k in ("REPRO_PROFILE_CACHE", "REPRO_PROFILE_CACHE_DIR",
-                  "REPRO_TRACE_STORE", "REPRO_TRACE_STORE_DIR"):
+        for k in ("REPRO_PROFILE_CACHE", "REPRO_ARTIFACT_DIR"):
             env.pop(k, None)
         for k, v in saved.items():
             if v is not None:
