@@ -68,22 +68,11 @@ def _ablation_sweep(
     return points
 
 
-def _sampling_point(spec) -> AblationPoint:
-    app, hz, dram_limit, seed, baseline_time = spec
-    eco = run_ecohmem(get_workload(app), pmem6_system(), dram_limit=dram_limit,
-                      pebs_hz=hz, seed=seed)
-    return AblationPoint(
-        knob=hz, speedup=baseline_time / eco.run.total_time,
-        detail=f"{len(eco.report)} DRAM rows",
-    )
-
-
 def _sampling_group(spec) -> List[AblationPoint]:
     """All sampling-rate points in one fused engine pass.
 
-    Bit-identical to :func:`_sampling_point` per point (the retained
-    per-point oracle): each rate profiles separately, but the resulting
-    placements run through one :func:`run_ecohmem_batch`.
+    Each rate profiles separately, but the resulting placements run
+    through one :func:`run_ecohmem_batch`.
     """
     app, frequencies, dram_limit, seed, baseline_time = spec
     cells = [EcoCell(dram_limit=dram_limit, pebs_hz=hz) for hz in frequencies]
@@ -115,15 +104,6 @@ def sampling_frequency_sweep(
     return _ablation_sweep("sampling", _sampling_group, specs, app=app,
                            seed=seed, jobs=jobs, manifest=manifest,
                            results=results)
-
-
-def _store_coefficient_point(spec) -> AblationPoint:
-    app, coef, dram_limit, seed, baseline_time = spec
-    wl = get_workload(app)
-    config = _store_coefficient_config(wl, coef, dram_limit)
-    eco = run_ecohmem(wl, pmem6_system(), dram_limit=dram_limit,
-                      config=config, seed=seed)
-    return AblationPoint(knob=coef, speedup=baseline_time / eco.run.total_time)
 
 
 def _store_coefficient_config(wl, coef: float, dram_limit: int) -> AdvisorConfig:
@@ -167,19 +147,6 @@ def store_coefficient_sweep(
     return _ablation_sweep("stores", _store_coefficient_group, specs, app=app,
                            seed=seed, jobs=jobs, manifest=manifest,
                            results=results)
-
-
-def _threshold_point(spec) -> AblationPoint:
-    app, t_high, dram_limit, seed, baseline_time = spec
-    system = pmem6_system()
-    wl = get_workload(app)
-    config = _threshold_config(system, wl, t_high, dram_limit)
-    eco = run_ecohmem(wl, system, dram_limit=dram_limit,
-                      algorithm="bw-aware", config=config, seed=seed)
-    return AblationPoint(
-        knob=t_high, speedup=baseline_time / eco.run.total_time,
-        detail=f"{len(eco.swaps or [])} swaps",
-    )
 
 
 def _threshold_config(system, wl, t_high: float, dram_limit: int) -> AdvisorConfig:

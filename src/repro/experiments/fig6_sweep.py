@@ -24,7 +24,6 @@ from repro.baselines.memory_mode import run_memory_mode
 from repro.baselines.tiering import run_tiering
 from repro.experiments.harness import (
     EcoCell,
-    run_ecohmem,
     run_ecohmem_batch,
     run_profdp_best,
 )
@@ -98,30 +97,15 @@ def _baseline_task(spec: Tuple[str, int]) -> float:
     return run_memory_mode(get_workload(app), _system_for(dimms)).total_time
 
 
-def _cell_task(spec: Tuple[str, int, int, str, int, float]) -> Fig6Cell:
-    """One ecoHMEM sweep cell; ``baseline_time`` reproduces speedup_vs."""
-    app, dimms, limit_gb, metrics, seed, baseline_time = spec
-    eco = run_ecohmem(
-        get_workload(app), _system_for(dimms),
-        dram_limit=limit_gb * GiB,
-        use_stores=(metrics == "loads+stores"),
-        seed=seed,
-    )
-    return Fig6Cell(
-        app=app, pmem_dimms=dimms, dram_limit_gb=limit_gb, metrics=metrics,
-        speedup=baseline_time / eco.run.total_time,
-    )
-
-
 def _cell_group_task(
     spec: Tuple[str, int, Tuple[int, ...], Tuple[str, ...], int, float]
 ) -> List[Fig6Cell]:
     """All DRAM-limit x metrics cells of one (app, pmem) pair, fused.
 
     The what-if path: the group's placements share one profile and one
-    :meth:`~repro.runtime.engine.ExecutionEngine.run_batch` pass, and
-    each cell's speedup is bit-identical to the per-cell
-    :func:`_cell_task` (the retained sequential oracle).
+    :meth:`~repro.runtime.engine.ExecutionEngine.run_batch` pass; each
+    cell's speedup is bit-identical to one
+    :func:`~repro.experiments.harness.run_ecohmem` per cell.
     """
     app, dimms, limits_gb, metric_list, seed, baseline_time = spec
     cells = [

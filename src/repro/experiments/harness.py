@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.advisor import AdvisorConfig, HMemAdvisor, Placement
-from repro.advisor.config import config_for_system, default_config
+from repro.advisor.config import default_config
 from repro.alloc import PlacementReport
 from repro.apps.sites import SiteRegistry
 from repro.apps.workload import Workload
@@ -40,7 +40,10 @@ from repro.errors import SimulationError
 from repro.memsim.subsystem import MemorySystem
 from repro.pipeline.artifacts import ArtifactStore, resolve_artifact_store
 from repro.pipeline.stages import (
+    PlacementOutcome,
+    PreparedRun,
     bandwidth_observer,
+    cell_config,
     placement_stage,
     prepare_production,
     profile_stage,
@@ -76,6 +79,71 @@ class EcoHMEMResult:
     base_placement: Optional[Placement] = None
     categories: Optional[dict] = None
     swaps: Optional[list] = None
+
+
+@dataclass(frozen=True)
+class EcoCell:
+    """One configuration of a batched :func:`run_ecohmem_batch` group.
+
+    The fields mirror :func:`run_ecohmem`'s per-cell knobs — everything
+    that may vary *within* one (workload, system) group.  Knobs that
+    change the engine itself (the workload, the memory system, the
+    engine params) define the group, not the cell.
+    """
+
+    dram_limit: int
+    use_stores: bool = True
+    algorithm: str = "density"
+    config: Optional[AdvisorConfig] = None
+    pebs_hz: float = 100.0
+
+
+def _place_cell(
+    workload: Workload,
+    system: MemorySystem,
+    registry: SiteRegistry,
+    profiles: dict,
+    cell: EcoCell,
+    *,
+    stack_format: StackFormat,
+    seed: int,
+    engine_params: EngineParams,
+    artifact_store: "ArtifactStore | None" = None,
+    upstream: "tuple[str, ...]" = (),
+) -> Tuple[PlacementOutcome, str]:
+    """One cell's placement (config, observer, placement stage) and run label."""
+    config = cell_config(system, cell.dram_limit, ranks=workload.ranks,
+                         use_stores=cell.use_stores, config=cell.config)
+    observe = bandwidth_observer(
+        workload, system, registry,
+        dram_limit=cell.dram_limit, stack_format=stack_format,
+        seed=seed, engine_params=engine_params,
+    )
+    outcome = placement_stage(
+        profiles, system, config,
+        algorithm=cell.algorithm,
+        stack_format=stack_format,
+        observe=observe,
+        artifact_store=artifact_store,
+        upstream=upstream,
+    )
+    label = f"ecohmem-{cell.algorithm}" + ("" if cell.use_stores else "-loads")
+    return outcome, label
+
+
+def _eco_result(
+    outcome: PlacementOutcome, run: RunResult, prepared: PreparedRun
+) -> EcoHMEMResult:
+    return EcoHMEMResult(
+        run=run,
+        placement=outcome.placement,
+        report=outcome.report,
+        replay=prepared.replay,
+        site_placement=prepared.site_placement,
+        base_placement=outcome.base_placement,
+        categories=outcome.categories,
+        swaps=outcome.swaps,
+    )
 
 
 def run_ecohmem(
@@ -132,71 +200,25 @@ def run_ecohmem(
         profile_store=profile_store,
         artifact_store=astore,
     )
-
-    advisor_config = config or config_for_system(
-        system, dram_limit, ranks=workload.ranks
-    )
-    advisor_config = advisor_config.with_dram_limit(dram_limit)
-    if not use_stores:
-        advisor_config = advisor_config.loads_only()
-
-    observe = bandwidth_observer(
-        workload, system, registry,
-        dram_limit=dram_limit, stack_format=stack_format,
-        seed=seed, engine_params=engine_params,
-    )
-    outcome = placement_stage(
-        profiles, system, advisor_config,
-        algorithm=algorithm,
-        stack_format=stack_format,
-        observe=observe,
+    outcome, label = _place_cell(
+        workload, system, registry, profiles,
+        EcoCell(dram_limit=dram_limit, use_stores=use_stores,
+                algorithm=algorithm, config=config),
+        stack_format=stack_format, seed=seed, engine_params=engine_params,
         artifact_store=astore,
         upstream=(profile_key,) if profile_key else (),
     )
-    report = outcome.report
-
-    prod_wl = production_workload or workload
-    run, replay, _ = run_stage(
-        prod_wl, system, registry, report,
+    run, prepared, _ = run_stage(
+        production_workload or workload, system, registry, outcome.report,
         dram_limit=dram_limit, stack_format=stack_format,
         aslr_seed=4000 + seed, engine_params=engine_params,
-        label=f"ecohmem-{algorithm}" + ("" if use_stores else "-loads"),
+        label=label,
         # a custom registry changes the run but is not part of the run
         # key, so it bypasses provenance publishing like the other stages
         artifact_store=astore if custom_registry is None else None,
         upstream=(outcome.artifact_key,) if outcome.artifact_key else (),
     )
-    site_placement = dict(replay.site_placement)
-    for obj in prod_wl.objects:
-        site_placement.setdefault(obj.site.name, report.fallback)
-
-    return EcoHMEMResult(
-        run=run,
-        placement=outcome.placement,
-        report=report,
-        replay=replay,
-        site_placement=site_placement,
-        base_placement=outcome.base_placement,
-        categories=outcome.categories,
-        swaps=outcome.swaps,
-    )
-
-
-@dataclass(frozen=True)
-class EcoCell:
-    """One configuration of a batched :func:`run_ecohmem_batch` group.
-
-    The fields mirror :func:`run_ecohmem`'s per-cell knobs — everything
-    that may vary *within* one (workload, system) group.  Knobs that
-    change the engine itself (the workload, the memory system, the
-    engine params) define the group, not the cell.
-    """
-
-    dram_limit: int
-    use_stores: bool = True
-    algorithm: str = "density"
-    config: Optional[AdvisorConfig] = None
-    pebs_hz: float = 100.0
+    return _eco_result(outcome, run, prepared)
 
 
 def run_ecohmem_batch(
@@ -253,31 +275,17 @@ def run_ecohmem_batch(
     outcomes = []
     labels = []
     for cell in cells:
-        advisor_config = cell.config or config_for_system(
-            system, cell.dram_limit, ranks=workload.ranks
-        )
-        advisor_config = advisor_config.with_dram_limit(cell.dram_limit)
-        if not cell.use_stores:
-            advisor_config = advisor_config.loads_only()
-        observe = bandwidth_observer(
-            workload, system, registry,
-            dram_limit=cell.dram_limit, stack_format=stack_format,
-            seed=seed, engine_params=engine_params,
-        )
-        outcome = placement_stage(
-            profiles_for(cell.pebs_hz), system, advisor_config,
-            algorithm=cell.algorithm,
-            stack_format=stack_format,
-            observe=observe,
+        outcome, label = _place_cell(
+            workload, system, registry, profiles_for(cell.pebs_hz), cell,
+            stack_format=stack_format, seed=seed, engine_params=engine_params,
         )
         outcomes.append(outcome)
+        labels.append(label)
         prepared.append(prepare_production(
             workload, system, registry, outcome.report,
             dram_limit=cell.dram_limit, stack_format=stack_format,
             aslr_seed=4000 + seed,
         ))
-        labels.append(f"ecohmem-{cell.algorithm}"
-                      + ("" if cell.use_stores else "-loads"))
 
     extras = list(extra_models or [])
     engine = ExecutionEngine(workload, system, engine_params)
@@ -289,19 +297,8 @@ def run_ecohmem_batch(
         interposer_stats=[p.replay.flexmalloc.stats for p in prepared]
         + [None] * len(extras),
     )
-    results = [
-        EcoHMEMResult(
-            run=run,
-            placement=outcome.placement,
-            report=outcome.report,
-            replay=prep.replay,
-            site_placement=prep.site_placement,
-            base_placement=outcome.base_placement,
-            categories=outcome.categories,
-            swaps=outcome.swaps,
-        )
-        for run, outcome, prep in zip(runs, outcomes, prepared)
-    ]
+    results = [_eco_result(outcome, run, prep)
+               for run, outcome, prep in zip(runs, outcomes, prepared)]
     if extra_models is None:
         return results
     return results, runs[len(prepared):]

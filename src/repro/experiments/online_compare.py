@@ -41,9 +41,9 @@ from repro.experiments.sweep import (
     resolve_result_db,
     run_scheduled,
 )
-from repro.pipeline.online import static_placement
+from repro.pipeline.online import run_online_pipeline
 from repro.runtime.engine import EngineParams, ExecutionEngine
-from repro.runtime.online import OnlineParams, run_online
+from repro.runtime.online import OnlineParams
 
 #: equality slack when calling a cell a tie (totals are deterministic,
 #: so exact comparison is safe; the slack only guards the speedup ratio)
@@ -98,7 +98,11 @@ class OnlineCell:
 def _online_cell_task(
     spec: Tuple[str, str, int, int, int, float, int, float]
 ) -> OnlineCell:
-    """Run static / online / tiering on one cell, sharing one engine."""
+    """Run static / online / tiering on one cell, sharing one engine.
+
+    Static and online are one :func:`run_online_pipeline` cell; the
+    tiering baseline then runs on the same engine.
+    """
     (kind, app, corpus_seed, cell_index, dimms, dram_frac,
      epochs, threshold) = spec
     if kind == "app":
@@ -112,13 +116,12 @@ def _online_cell_task(
     rank_limit = max(dram_limit // wl.ranks, 1)
 
     engine = ExecutionEngine(wl, system, EngineParams())
-    static = static_placement(wl, system, rank_limit, engine=engine)
-    report = run_online(
-        wl, system, static,
+    report = run_online_pipeline(
+        wl, system,
         dram_limit=rank_limit,
         params=OnlineParams(epochs=epochs, shift_threshold=threshold),
         engine=engine,
-    )
+    ).report
     tier = engine.run(TieringTraffic(
         wl,
         tiering_effective_dram(system.get("dram").capacity,

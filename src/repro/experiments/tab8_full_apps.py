@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from repro.apps import get_workload
 from repro.baselines.memory_mode import run_memory_mode
-from repro.experiments.harness import EcoCell, run_ecohmem, run_ecohmem_batch
+from repro.experiments.harness import EcoCell, run_ecohmem_batch
 from repro.experiments.sweep import (
     ResultDB,
     SweepManifest,
@@ -47,21 +47,6 @@ class Tab8Row:
     swaps: int
 
 
-def _tab8_task(spec: Tuple[str, str, int, int, float]) -> Tab8Row:
-    """One (app, algorithm) pipeline run — an independent sweep cell."""
-    app, algorithm, limit_gb, seed, baseline_time = spec
-    eco = run_ecohmem(
-        get_workload(app), pmem6_system(), dram_limit=limit_gb * GiB,
-        algorithm=algorithm, seed=seed,
-    )
-    return Tab8Row(
-        app=app, algorithm=algorithm, dram_limit_gb=limit_gb,
-        speedup=baseline_time / eco.run.total_time,
-        paper_speedup=PAPER_VALUES[app][algorithm],
-        swaps=0 if algorithm == "density" else len(eco.swaps or []),
-    )
-
-
 def _tab8_baseline_task(app: str) -> float:
     return run_memory_mode(get_workload(app), pmem6_system()).total_time
 
@@ -71,9 +56,9 @@ def _tab8_group_task(
 ) -> List[Tab8Row]:
     """Both algorithm rows of one app in one fused engine pass.
 
-    Bit-identical to two :func:`_tab8_task` cells (the retained per-cell
-    oracle): the density and bandwidth-aware placements share the app's
-    profile and one :func:`run_ecohmem_batch` production pass.
+    The density and bandwidth-aware placements share the app's profile
+    and one :func:`run_ecohmem_batch` production pass, bit-identical to
+    one :func:`~repro.experiments.harness.run_ecohmem` per row.
     """
     app, algo_limits, seed, baseline_time = spec
     cells = [EcoCell(dram_limit=limit_gb * GiB, algorithm=algorithm)

@@ -339,3 +339,22 @@ def hbm_dram_pmem_system(
         dram_ddr4(dram_capacity),
         pmem_optane(dimms=6),
     ])
+
+
+#: named memory systems (the names service requests and the CLI accept)
+SERVICE_SYSTEMS = {
+    "pmem6": pmem6_system,
+    "pmem2": pmem2_system,
+    "hbm-dram-pmem": hbm_dram_pmem_system,
+}
+
+
+def system_for_name(name: str) -> MemorySystem:
+    try:
+        factory = SERVICE_SYSTEMS[name]
+    except KeyError:
+        raise ConfigError(
+            f"unknown memory system {name!r} "
+            f"(have {sorted(SERVICE_SYSTEMS)})"
+        )
+    return factory()

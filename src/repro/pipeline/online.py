@@ -19,7 +19,7 @@ from typing import Dict, Optional, Union
 from repro.apps import get_workload
 from repro.apps.workload import Workload
 from repro.errors import ConfigError
-from repro.memsim.subsystem import MemorySystem
+from repro.memsim.subsystem import MemorySystem, system_for_name
 from repro.runtime.engine import EngineParams, ExecutionEngine
 from repro.runtime.online import (
     OnlineParams,
@@ -61,15 +61,6 @@ class OnlineOutcome:
         return self.online_time <= self.static_time
 
 
-def _resolve_system(system: Union[str, MemorySystem]) -> MemorySystem:
-    if isinstance(system, str):
-        # resolved lazily: repro.service imports repro.pipeline at package
-        # import time, so a module-level import here would be circular
-        from repro.service.protocol import system_for_name
-        return system_for_name(system)
-    return system
-
-
 def static_placement(
     workload: Workload,
     system: MemorySystem,
@@ -97,7 +88,7 @@ def run_online_pipeline(
     dram_limit: Optional[int] = None,
     dram_frac: float = 0.25,
     params: Optional[OnlineParams] = None,
-    engine_params: Optional[EngineParams] = None,
+    engine: Optional[ExecutionEngine] = None,
     use_incremental: bool = True,
 ) -> OnlineOutcome:
     """Run the full static-vs-online comparison for one cell.
@@ -106,10 +97,12 @@ def run_online_pipeline(
     derived as ``dram_frac`` of the workload's heap high-water mark (the
     paper's Table V metric), which is where placement actually has to
     choose — a budget that fits everything makes both answers trivially
-    equal.
+    equal.  ``engine`` shares an existing engine of the same (workload,
+    system) and its cached segmentation and pack base; by default the
+    cell builds its own.
     """
     wl = get_workload(workload) if isinstance(workload, str) else workload
-    sysm = _resolve_system(system)
+    sysm = system_for_name(system) if isinstance(system, str) else system
     if dram_limit is None:
         if not 0.0 < dram_frac <= 1.0:
             raise ConfigError(f"online: dram_frac {dram_frac} outside (0, 1]")
@@ -117,7 +110,8 @@ def run_online_pipeline(
     if dram_limit < 1:
         raise ConfigError(f"online: dram_limit must be >= 1, got {dram_limit}")
 
-    engine = ExecutionEngine(wl, sysm, engine_params or EngineParams())
+    if engine is None:
+        engine = ExecutionEngine(wl, sysm, EngineParams())
     static = static_placement(wl, sysm, dram_limit, engine=engine)
     report = run_online(
         wl, sysm, static,

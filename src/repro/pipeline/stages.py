@@ -1,10 +1,11 @@
 """The pipeline stages: profile → placement → run, individually keyed.
 
-Each stage function mirrors exactly what the monolithic harness used to
-do inline — the refactor moved the code, not the computation, so staged
-results are byte-identical to the pre-refactor pipeline.  Every stage
-can consult an :class:`~repro.pipeline.artifacts.ArtifactStore`, the
-pipeline's only on-disk cache:
+The harness entry points and the placement server build their cells
+from these functions: :func:`cell_config` is the one advisor-config rule,
+:func:`placement_stage` the one density / bandwidth-aware placement
+sequence.  Every stage can consult an
+:class:`~repro.pipeline.artifacts.ArtifactStore`, the pipeline's only
+on-disk cache:
 
 - **profile** artifacts persist the per-site profiles
   (:func:`~repro.profiling.cache.encode_profiles`), shortcutting tracer
@@ -27,6 +28,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.advisor import AdvisorConfig, HMemAdvisor, Placement
+from repro.advisor.config import config_for_system
 from repro.alloc import (
     BOMMatcher,
     FlexMalloc,
@@ -242,6 +244,25 @@ def _staged_profiles(
 # -- placement ----------------------------------------------------------------
 
 
+def cell_config(
+    system: MemorySystem,
+    dram_limit: int,
+    *,
+    ranks: int,
+    use_stores: bool = True,
+    config: Optional[AdvisorConfig] = None,
+) -> AdvisorConfig:
+    """The advisor config of one pipeline cell.
+
+    ``config`` (by default the system's own config) with the DRAM limit
+    folded in, and loads-only when ``use_stores`` is off — the paper's
+    *Loads* vs *Loads+stores* profile metrics.
+    """
+    config = config or config_for_system(system, dram_limit, ranks=ranks)
+    config = config.with_dram_limit(dram_limit)
+    return config if use_stores else config.loads_only()
+
+
 #: bandwidth observer: (advisor, density placement, objects) -> observations
 ObserveFn = Callable[[HMemAdvisor, Placement, dict], dict]
 
@@ -342,12 +363,11 @@ def placement_stage(
 ) -> PlacementOutcome:
     """Profiles in, placement + FlexMalloc-ready report out.
 
-    ``config`` must already fold in the DRAM limit and loads-only policy
-    (the harness does this before delegating).  For ``bw-aware`` the
+    ``config`` is the cell's full advisor config (:func:`cell_config`:
+    DRAM limit and loads-only policy included).  For ``bw-aware`` the
     ``observe`` callback supplies the Section VII bandwidth observations
-    for the density base placement — the harness passes the
-    density-observation production run, the service does the same, so
-    both share one implementation.
+    for the density base placement — the harness and the service both
+    pass :func:`bandwidth_observer`'s density-observation run.
 
     The density placement is artifact-cached when ``upstream`` carries
     the profile artifact key; the bandwidth-aware refinement is not (it
@@ -494,7 +514,7 @@ def _production_run(
     engine_params: EngineParams,
     label: str,
     charge_overhead: bool = True,
-) -> Tuple[RunResult, ReplayResult]:
+) -> Tuple[RunResult, PreparedRun]:
     """Match + replay + time one production execution."""
     prepared = prepare_production(
         workload, system, registry, report,
@@ -508,7 +528,7 @@ def _production_run(
         interposer_overhead_s=prepared.overhead_s,
         interposer_stats=prepared.replay.flexmalloc.stats,
     )
-    return run, prepared.replay
+    return run, prepared
 
 
 def run_stage(
@@ -525,15 +545,18 @@ def run_stage(
     charge_overhead: bool = True,
     artifact_store: "ArtifactStore | str | None" = None,
     upstream: "tuple[str, ...]" = (),
-) -> Tuple[RunResult, ReplayResult, Optional[str]]:
+) -> Tuple[RunResult, PreparedRun, Optional[str]]:
     """The production run, with a provenance artifact published.
+
+    Returns the timed run, the :class:`PreparedRun` behind it (replay and
+    fallback-completed site placement) and the run artifact key.
 
     Run results embed bandwidth timelines the codec cannot represent, so
     the artifact is a distilled summary (label, total time, key upstream
     links) — a ledger entry for "which placement produced which run",
     never read back to shortcut an execution.
     """
-    run, replay = _production_run(
+    run, prepared = _production_run(
         workload, system, registry, report,
         dram_limit=dram_limit, stack_format=stack_format,
         aslr_seed=aslr_seed, engine_params=engine_params,
@@ -561,4 +584,4 @@ def run_stage(
             "total_time": run.total_time,
             "upstream": list(upstream),
         })
-    return run, replay, key
+    return run, prepared, key

@@ -17,8 +17,8 @@ queries* can be answered against *few profiles*:
 
 Besides advisory queries the server answers **what-if** requests
 (:class:`WhatIfRequest`): K candidate placements of one workload scored
-in a single fused fixed-point pass
-(:meth:`~repro.runtime.engine.ExecutionEngine.predict_times`), ranked
+in fused fixed-point passes
+(:func:`~repro.pipeline.whatif.evaluate_placements`), ranked
 best-first, bit-equal to running each candidate alone
 (:func:`sequential_whatif` is the oracle).
 

@@ -14,30 +14,8 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, Optional
 
 from repro.errors import ConfigError
-from repro.memsim.subsystem import (
-    MemorySystem,
-    hbm_dram_pmem_system,
-    pmem2_system,
-    pmem6_system,
-)
-
-#: named memory systems a request may ask for
-SERVICE_SYSTEMS = {
-    "pmem6": pmem6_system,
-    "pmem2": pmem2_system,
-    "hbm-dram-pmem": hbm_dram_pmem_system,
-}
-
-
-def system_for_name(name: str) -> MemorySystem:
-    try:
-        factory = SERVICE_SYSTEMS[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown memory system {name!r} "
-            f"(have {sorted(SERVICE_SYSTEMS)})"
-        )
-    return factory()
+# the named systems live with their factories; re-exported for clients
+from repro.memsim.subsystem import SERVICE_SYSTEMS, system_for_name  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -85,9 +63,9 @@ class WhatIfRequest:
     The what-if request kind of the placement server: submit K candidate
     ``{site_name: subsystem}`` placements for a registered workload on a
     named memory system, get one predicted total runtime per candidate
-    plus a best-first ranking.  Candidates are evaluated through the
-    engine's fused fixed point
-    (:meth:`~repro.runtime.engine.ExecutionEngine.predict_times`), so
+    plus a best-first ranking.  Candidates are evaluated in the
+    engine's fused passes
+    (:func:`~repro.pipeline.whatif.evaluate_placements`), so
     every predicted time is bit-equal to a full sequential
     ``engine.run`` of that placement — :func:`~repro.service.server.sequential_whatif`
     is the retained per-candidate oracle.

@@ -32,9 +32,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.advisor import HMemAdvisor, Placement, density_batch
-from repro.advisor.config import config_for_system
+from repro.advisor import AdvisorConfig, HMemAdvisor, Placement, density_batch
 from repro.advisor.density import density_placement_scalar
+from repro.alloc import PlacementReport
 from repro.apps import get_workload
 from repro.apps.sites import SiteRegistry
 from repro.binary.callstack import StackFormat
@@ -44,9 +44,12 @@ from repro.pipeline.artifacts import (
     artifact_key,
     resolve_artifact_store,
 )
+from repro.pipeline.online import run_online_pipeline
 from repro.pipeline.stages import (
     _staged_profiles,
     bandwidth_observer,
+    cell_config,
+    placement_stage,
     profile_stage,
 )
 from repro.profiling.cache import (
@@ -57,10 +60,9 @@ from repro.profiling.cache import (
 )
 from repro.profiling.paramedir import Paramedir
 from repro.profiling.trace import Trace
-from repro.pipeline.online import static_placement
-from repro.pipeline.whatif import rank_placements
+from repro.pipeline.whatif import evaluate_placements, rank_placements
 from repro.runtime.engine import EngineParams, ExecutionEngine
-from repro.runtime.online import OnlineParams, run_online
+from repro.runtime.online import OnlineParams
 from repro.runtime.traffic import PlacementTraffic
 from repro.service.protocol import (
     AdvisoryReport,
@@ -438,7 +440,9 @@ class PlacementServer:
                 continue
             try:
                 system = system_for_name(request.system)
-                config = self._config_for(request, loaded)
+                config = cell_config(system, request.dram_limit,
+                                     ranks=loaded.ranks,
+                                     use_stores=request.use_stores)
                 HMemAdvisor(system, config).validate_feasible(loaded.objects)
             except Exception as exc:
                 self._fail([(request, future)], str(exc))
@@ -456,7 +460,12 @@ class PlacementServer:
             return
         for (request, future, system, config), placement in zip(
                 density, placements):
-            report = self._to_report(request, loaded, system, config, placement)
+            report = _advisory_report(
+                request, config, placement,
+                HMemAdvisor(system, config).to_report(
+                    placement, StackFormat(request.stack_format)),
+                loaded.objects, profile_key=loaded.profile_key,
+                profile_cached=loaded.cached)
             self._resolve(future, report, request)
 
     def _whatif_engine(
@@ -477,13 +486,14 @@ class PlacementServer:
     def _run_whatif_group(
         self, gkey: str, items: List[Tuple[WhatIfRequest, Future]]
     ) -> None:
-        """Score a group's candidates in one fused prediction pass.
+        """Score a group's candidates in fused prediction passes.
 
         Every request in the group names the same (workload, system), so
-        all their candidates concatenate into a single
-        :meth:`~repro.runtime.engine.ExecutionEngine.predict_times` call;
-        the times vector is then split back per request.  Predictions are
-        bit-equal to running each candidate alone
+        all their candidates concatenate into one
+        :func:`~repro.pipeline.whatif.evaluate_placements` call — fused
+        passes of at most ``whatif.BATCH_SIZE`` candidates on the shared
+        engine — and the times are split back per request.  Predictions
+        are bit-equal to running each candidate alone
         (:func:`sequential_whatif` is the oracle).
         """
         self.stats.bump("whatif", len(items))
@@ -497,7 +507,8 @@ class PlacementServer:
                 for candidate in request.placements
             ]
             with lock:
-                times = engine.predict_times(models)
+                times = evaluate_placements(wl, engine.system, models,
+                                            engine=engine)
         except Exception as exc:
             self._fail(items, str(exc))
             return
@@ -550,56 +561,27 @@ class PlacementServer:
                     "(the observation run replays its allocations)"
                 )
             system = system_for_name(request.system)
-            config = self._config_for(request, loaded)
-            advisor = HMemAdvisor(system, config)
-            advisor.validate_feasible(loaded.objects)
-            base = advisor.advise_density(loaded.objects)
-            observe = bandwidth_observer(
-                loaded.workload, system, SiteRegistry(loaded.workload),
-                dram_limit=request.dram_limit,
-                stack_format=StackFormat(request.stack_format),
-                seed=request.seed, engine_params=self.engine_params,
+            config = cell_config(system, request.dram_limit,
+                                 ranks=loaded.ranks,
+                                 use_stores=request.use_stores)
+            fmt = StackFormat(request.stack_format)
+            outcome = placement_stage(
+                loaded.profiles, system, config,
+                algorithm="bw-aware",
+                stack_format=fmt,
+                observe=bandwidth_observer(
+                    loaded.workload, system, SiteRegistry(loaded.workload),
+                    dram_limit=request.dram_limit, stack_format=fmt,
+                    seed=request.seed, engine_params=self.engine_params,
+                ),
             )
-            observations = observe(advisor, base, loaded.objects)
-            result = advisor.advise_bandwidth_aware(
-                loaded.objects, observations, base=base)
-            report = self._to_report(
-                request, loaded, system, config, result.placement)
+            report = _advisory_report(
+                request, config, outcome.placement, outcome.report,
+                loaded.objects, profile_key=loaded.profile_key,
+                profile_cached=loaded.cached)
         except Exception as exc:
-            report = AdvisoryReport(request=request, status="error",
-                                    error=str(exc))
+            report = _error_report(request, str(exc))
         self._resolve(future, report, request)
-
-    def _config_for(self, request: AdvisoryRequest, loaded: _LoadedProfile):
-        system = system_for_name(request.system)
-        config = config_for_system(
-            system, request.dram_limit, ranks=loaded.ranks
-        ).with_dram_limit(request.dram_limit)
-        if not request.use_stores:
-            config = config.loads_only()
-        return config
-
-    def _to_report(
-        self, request: AdvisoryRequest, loaded: _LoadedProfile,
-        system, config, placement: Placement,
-    ) -> AdvisoryReport:
-        fmt = StackFormat(request.stack_format)
-        advisor = HMemAdvisor(system, config)
-        text = advisor.to_report(placement, fmt).dumps()
-        bytes_by = {
-            name: placement.bytes_in(name, loaded.objects, ranks=config.ranks)
-            for name in placement.subsystems
-        }
-        return AdvisoryReport(
-            request=request,
-            status="ok",
-            report_text=text,
-            fallback=placement.fallback,
-            bytes_by_subsystem=bytes_by,
-            objects_placed=len(placement),
-            profile_key=loaded.profile_key,
-            profile_cached=loaded.cached,
-        )
 
     def _resolve(self, future: Future, report, request) -> None:
         self.stats.bump("requests")
@@ -612,6 +594,32 @@ class PlacementServer:
         with self._session_lock:
             self._session_reports.setdefault(request.session, []).append(report)
         future.set_result(report)
+
+
+def _advisory_report(
+    request: AdvisoryRequest,
+    config: AdvisorConfig,
+    placement: Placement,
+    report: PlacementReport,
+    objects: dict,
+    *,
+    profile_key: Optional[str] = None,
+    profile_cached: bool = False,
+) -> AdvisoryReport:
+    """An ok advisory answer: the report text plus placement accounting."""
+    return AdvisoryReport(
+        request=request,
+        status="ok",
+        report_text=report.dumps(),
+        fallback=placement.fallback,
+        bytes_by_subsystem={
+            name: placement.bytes_in(name, objects, ranks=config.ranks)
+            for name in placement.subsystems
+        },
+        objects_placed=len(placement),
+        profile_key=profile_key,
+        profile_cached=profile_cached,
+    )
 
 
 def sequential_advisory(
@@ -644,11 +652,8 @@ def sequential_advisory(
             )
             ranks = wl.ranks
         system = system_for_name(request.system)
-        config = config_for_system(
-            system, request.dram_limit, ranks=ranks
-        ).with_dram_limit(request.dram_limit)
-        if not request.use_stores:
-            config = config.loads_only()
+        config = cell_config(system, request.dram_limit, ranks=ranks,
+                             use_stores=request.use_stores)
         advisor = HMemAdvisor(system, config)
         objects = advisor.objects_from_profiles(profiles)
         advisor.validate_feasible(objects)
@@ -671,22 +676,11 @@ def sequential_advisory(
                 objects, observations, base=base).placement
         else:
             placement = density_placement_scalar(objects, system, config)
-        fmt = StackFormat(request.stack_format)
-        text = advisor.to_report(placement, fmt).dumps()
-        return AdvisoryReport(
-            request=request,
-            status="ok",
-            report_text=text,
-            fallback=placement.fallback,
-            bytes_by_subsystem={
-                name: placement.bytes_in(name, objects, ranks=config.ranks)
-                for name in placement.subsystems
-            },
-            objects_placed=len(placement),
-            profile_key=key,
-        )
+        report = advisor.to_report(placement, StackFormat(request.stack_format))
+        return _advisory_report(request, config, placement, report, objects,
+                                profile_key=key)
     except Exception as exc:
-        return AdvisoryReport(request=request, status="error", error=str(exc))
+        return _error_report(request, str(exc))
 
 
 def sequential_whatif(
@@ -718,7 +712,7 @@ def sequential_whatif(
             ranking=rank_placements(times),
         )
     except Exception as exc:
-        return WhatIfReport(request=request, status="error", error=str(exc))
+        return _error_report(request, str(exc))
 
 
 def _online_report(
@@ -728,13 +722,9 @@ def _online_report(
     use_incremental: bool = True,
 ) -> OnlineReport:
     """Run one online cell on ``engine`` and wrap it as an OnlineReport."""
-    wl = engine.workload
-    system = engine.system
-    dram_limit = max(int(wl.heap_high_water() * request.dram_frac), 1)
-    static = static_placement(wl, system, dram_limit, engine=engine)
-    outcome = run_online(
-        wl, system, static,
-        dram_limit=dram_limit,
+    outcome = run_online_pipeline(
+        engine.workload, engine.system,
+        dram_frac=request.dram_frac,
         params=OnlineParams(
             epochs=request.epochs,
             shift_threshold=request.shift_threshold,
@@ -742,17 +732,18 @@ def _online_report(
         engine=engine,
         use_incremental=use_incremental,
     )
+    report = outcome.report
     return OnlineReport(
         request=request,
         status="ok",
-        static_time=float(outcome.static_time),
-        online_time=float(outcome.total_time),
-        engine_time=float(outcome.engine_time),
-        migration_time=float(outcome.migration_total_s),
-        migrations=outcome.migrations,
-        candidate_evaluations=outcome.candidate_evaluations,
-        shift_boundaries=[int(s) for s in outcome.shift_boundaries],
-        dram_limit=dram_limit,
+        static_time=float(report.static_time),
+        online_time=float(report.total_time),
+        engine_time=float(report.engine_time),
+        migration_time=float(report.migration_total_s),
+        migrations=report.migrations,
+        candidate_evaluations=report.candidate_evaluations,
+        shift_boundaries=[int(s) for s in report.shift_boundaries],
+        dram_limit=outcome.dram_limit,
     )
 
 
@@ -777,4 +768,4 @@ def sequential_online(
             engine_params or EngineParams())
         return _online_report(request, engine, use_incremental=False)
     except Exception as exc:
-        return OnlineReport(request=request, status="error", error=str(exc))
+        return _error_report(request, str(exc))

@@ -13,7 +13,7 @@ import os
 import pytest
 
 from repro.errors import ConfigError
-from repro.experiments.fig6_sweep import _cell_task, compute_fig6
+from repro.experiments.fig6_sweep import _cell_group_task, compute_fig6
 from repro.experiments.sweep import (
     SweepManifest,
     SweepWorkerDied,
@@ -22,7 +22,7 @@ from repro.experiments.sweep import (
 from repro.experiments.tab8_full_apps import (
     DRAM_LIMITS,
     _tab8_baseline_task,
-    _tab8_task,
+    _tab8_group_task,
     compute_tab8,
 )
 
@@ -93,19 +93,19 @@ class TestExperimentIdentity:
     @pytest.fixture(scope="class")
     def tab8_specs(self):
         base = _tab8_baseline_task("openfoam")
-        return [("openfoam", "density", 11, 11, base),
-                ("openfoam", "bw-aware", 11, 11, base)]
+        return [("openfoam", (("density", 11),), 11, base),
+                ("openfoam", (("bw-aware", 11),), 11, base)]
 
     @pytest.mark.parametrize("jobs", [1, 2, 0])
     def test_tab8_scheduled_bit_identical(self, tab8_specs, jobs):
-        oracle = [_tab8_task(spec) for spec in tab8_specs]
-        assert run_scheduled(_tab8_task, tab8_specs, jobs=jobs) == oracle
+        oracle = [_tab8_group_task(spec) for spec in tab8_specs]
+        assert run_scheduled(_tab8_group_task, tab8_specs, jobs=jobs) == oracle
 
     def test_fig6_cell_scheduled_equals_run_sweep(self):
-        specs = [("minife", 6, 12, "loads", 11, 100.0),
-                 ("minife", 6, 12, "loads+stores", 11, 100.0)]
-        assert run_scheduled(_cell_task, specs, jobs=2) == \
-            [_cell_task(spec) for spec in specs]
+        specs = [("minife", 6, (12,), ("loads",), 11, 100.0),
+                 ("minife", 6, (12,), ("loads+stores",), 11, 100.0)]
+        assert run_scheduled(_cell_group_task, specs, jobs=2) == \
+            [_cell_group_task(spec) for spec in specs]
 
 
 class TestArtifactSharing:

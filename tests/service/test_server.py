@@ -109,7 +109,10 @@ class TestEndToEnd:
         assert report.bytes_by_subsystem["dram"] <= 8 * GiB
         assert report.objects_placed > 0
 
-    def test_matches_run_ecohmem_report(self, shared_profile_store):
+    @pytest.mark.parametrize("use_stores", [True, False])
+    @pytest.mark.parametrize("algorithm", ["density", "bw-aware"])
+    def test_matches_run_ecohmem_report(self, shared_profile_store,
+                                        algorithm, use_stores):
         # the service's report_text is the exact FlexMalloc artifact the
         # full pipeline would have produced for the same query
         from repro.apps import get_workload
@@ -117,12 +120,15 @@ class TestEndToEnd:
         from repro.memsim.subsystem import pmem6_system
 
         eco = run_ecohmem(get_workload("minife"), pmem6_system(),
-                          dram_limit=8 * GiB,
+                          dram_limit=8 * GiB, algorithm=algorithm,
+                          use_stores=use_stores,
                           profile_store=shared_profile_store)
         with PlacementServer(workers=2,
                              profile_store=shared_profile_store) as srv:
-            report = srv.query(
-                AdvisoryRequest(workload="minife", dram_limit=8 * GiB))
+            report = srv.query(AdvisoryRequest(
+                workload="minife", dram_limit=8 * GiB, algorithm=algorithm,
+                use_stores=use_stores))
+        assert report.ok
         assert report.report_text == eco.report.dumps()
 
     def test_trace_request(self, shared_profile_store, tmp_path):
@@ -418,6 +424,32 @@ class TestWhatIf:
         for b, s in zip(batched, solo):
             assert b.ok and b == s
         assert all(r.ok for r in batched)
+
+    def test_groups_score_in_bounded_passes(self, monkeypatch):
+        """One request, or a coalesced group, with more candidates than
+        ``whatif.BATCH_SIZE`` is scored in passes of at most that many
+        candidates, with answers unchanged."""
+        from repro.pipeline import whatif
+        from repro.runtime.engine import ExecutionEngine
+        from repro.service import sequential_whatif
+
+        reqs = [_whatif_request(K=7), _whatif_request(K=4, system="pmem2"),
+                _whatif_request(K=5, system="pmem2")]
+        oracle = [sequential_whatif(r) for r in reqs]
+        widths = []
+        predict = ExecutionEngine.predict_times
+
+        def spy(self, models, *args, **kwargs):
+            widths.append(len(models))
+            return predict(self, models, *args, **kwargs)
+
+        monkeypatch.setattr(whatif, "BATCH_SIZE", 3)
+        monkeypatch.setattr(ExecutionEngine, "predict_times", spy)
+        with PlacementServer(batch_window_ms=50.0, max_batch=16) as srv:
+            futures = [srv.submit(r) for r in reqs]
+            reports = [f.result() for f in futures]
+        assert reports == oracle
+        assert sum(widths) == 16 and max(widths) <= 3
 
     def test_mixes_with_advisory_requests(self, shared_profile_store):
         wreq = _whatif_request(K=2)

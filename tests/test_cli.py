@@ -318,6 +318,25 @@ class TestOnlineCommand:
         assert payload["online_time"] <= payload["static_time"]
         assert payload["migrations"] == len(payload["events"])
 
+    def test_json_matches_server_report(self, capsys):
+        import json
+
+        from repro.service import OnlineRequest, PlacementServer
+
+        assert main(["online", "minife", "--system", "pmem2",
+                     "--dram-frac", "0.1", "--epochs", "4",
+                     "--shift-threshold", "0.0", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        with PlacementServer(batch_window_ms=1.0) as srv:
+            report = srv.query(OnlineRequest(
+                workload="minife", system="pmem2", dram_frac=0.1, epochs=4,
+                shift_threshold=0.0))
+        assert report.ok
+        for name in ("dram_limit", "static_time", "online_time",
+                     "engine_time", "migration_time", "migrations",
+                     "candidate_evaluations", "shift_boundaries"):
+            assert payload[name] == getattr(report, name), name
+
     def test_full_flag_same_answer(self, capsys):
         import json
 
