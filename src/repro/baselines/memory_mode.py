@@ -11,15 +11,23 @@ thrash exactly as Table VI reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.apps.workload import InstanceSpan, Workload
+from repro.baselines.packing import builtin_sum, segment_sums, two_tier_batch
 from repro.memsim.dram_cache import memory_mode_hit_ratio
 from repro.memsim.subsystem import MemorySystem
 from repro.runtime.engine import EngineParams, ExecutionEngine
+from repro.runtime.segments import SegmentArrays
 from repro.runtime.stats import RunResult
-from repro.runtime.traffic import SegmentTraffic
+from repro.runtime.traffic import (
+    SegmentTraffic,
+    TrafficBatch,
+    check_traffic_adds,
+    pair_rates,
+)
 
 #: extra per-load penalty of a DRAM-cache miss: the fill round-trip the
 #: memory controller inserts before data reaches the core (measured
@@ -44,7 +52,8 @@ class MemoryModeTraffic:
     def __init__(self, workload: Workload, dram_cache_bytes: int):
         self.workload = workload
         self.dram_cache_bytes = dram_cache_bytes
-        self._hit_ratios: list = []
+        #: (traffic weights, hit ratios) chunks, in contribution order
+        self._hit_ratios: List[Tuple[Sequence[float], Sequence[float]]] = []
 
     @property
     def label(self) -> str:
@@ -127,6 +136,8 @@ class MemoryModeTraffic:
             return traffic
 
         hits = self._per_object_hits(contributions, dt)
+        weights = []
+        self._hit_ratios.append((weights, hits))
 
         dram = traffic.subsystem("dram")
         pmem = traffic.subsystem("pmem")
@@ -136,7 +147,7 @@ class MemoryModeTraffic:
             loads = stats.load_rate * dt * ranks
             stores = stats.store_rate * dt * ranks
             serial = loads * inst.spec.serial_fraction
-            self._hit_ratios.append((loads + stores, hit))
+            weights.append(loads + stores)
             # every access probes the DRAM cache; misses additionally fill
             # a line into DRAM (counted as half a store: one 64 B write,
             # no RFO) — the memory-mode write-amplification effect
@@ -156,14 +167,133 @@ class MemoryModeTraffic:
             )
         return traffic
 
+    def traffic_batch(
+        self, segments: SegmentArrays, subsystem_names: Sequence[str]
+    ) -> TrafficBatch:
+        """All segments' traffic at once, field-identical to the scalar path.
+
+        Every per-contribution quantity is the scalar expression evaluated
+        on columns of the kept pairs.  The two order-sensitive steps keep
+        the scalar order: the greedy residency walks each segment's
+        contributions in stable descending density (every segment's
+        ``j``-th step at once), and the thrash term's rate totals are the
+        builtin ``sum`` over each segment in contribution order.
+        """
+        wl = self.workload
+        ranks = wl.ranks
+        S = segments.num_segments
+        rates = pair_rates(wl, segments)
+        # the scalar rule: stats present and not both rates zero
+        k = np.flatnonzero(rates.has & ((rates.lr != 0) | (rates.sr != 0)))
+        kseg = segments.pair_seg[k]
+        kinst = segments.pair_inst[k]
+        lr, sr = rates.lr[k], rates.sr[k]
+        size = rates.inst_size[kinst]
+        rate = lr + sr
+        inst_fp = rates.inst_size * ranks * wl.ws_factor
+        footprint = inst_fp[kinst]
+
+        order = np.lexsort((-(rate / size), kseg))
+        residency = np.empty(k.size)
+        residency[order] = _greedy_residency(
+            kseg[order], footprint[order],
+            self.dram_cache_bytes * (1.0 - wl.conflict_pressure),
+        )
+
+        bounds = np.searchsorted(kseg, np.arange(S + 1))
+        total_rate = segment_sums(rate, bounds)
+        stream_rate = segment_sums(rate * (1.0 - residency), bounds)
+        stream_share = np.divide(stream_rate, total_rate, out=np.zeros(S),
+                                 where=total_rate > 0)
+        thrash = 1.0 - 2.0 * wl.conflict_pressure * stream_share
+
+        # one analytic hit ratio per distinct footprint
+        used = np.zeros(inst_fp.size, dtype=bool)
+        used[kinst] = True
+        uniq = np.unique(inst_fp[used])
+        streaming = np.array([
+            memory_mode_hit_ratio(
+                f, self.dram_cache_bytes,
+                reuse_locality=wl.locality * 0.15,
+                conflict_pressure=wl.conflict_pressure,
+            )
+            for f in uniq.tolist()
+        ])[np.searchsorted(uniq, footprint)]
+        x = (residency * wl.locality * thrash[kseg]
+             + (1.0 - residency) * streaming)
+        hit = np.where(0.0 > x, 0.0, x)  # max(x, 0.0), NaN and -0.0 kept
+
+        dt = segments.durations_nominal[kseg]
+        loads = lr * dt * ranks
+        stores = sr * dt * ranks
+        serial = loads * rates.inst_sf[kinst]
+        miss = 1.0 - hit
+        fill_stores = 0.5 * (loads + stores) * miss
+        pmem_stores = stores * miss * WRITEBACK_COALESCING
+        dram = (loads, stores + fill_stores, serial)
+        pmem = (loads * miss, pmem_stores, serial * miss)
+        check_traffic_adds(dram, pmem)
+        self._hit_ratios.append((loads + stores, hit))
+
+        touched = bounds[1:] > bounds[:-1]
+        recorded = np.ones(k.size, dtype=bool)
+        return two_tier_batch(
+            segments, subsystem_names, rates.site_names,
+            kseg, rates.inst_site[kinst],
+            dram=(kseg,) + dram, pmem=(kseg,) + pmem,
+            dram_present=touched, pmem_present=touched, dram_first=touched,
+            obj_dram=(recorded, loads * hit, stores * hit),
+            obj_pmem=(recorded, pmem[0], pmem_stores),
+            extra_latency_ns=(CACHE_PROBE_NS, FILL_PENALTY_NS),
+        )
+
     def mean_hit_ratio(self) -> Optional[float]:
         """Traffic-weighted DRAM cache hit ratio over the run."""
         if not self._hit_ratios:
             return None
-        total = sum(w for w, _ in self._hit_ratios)
+        weights = np.concatenate([np.asarray(w, dtype=float)
+                                  for w, _ in self._hit_ratios])
+        hits = np.concatenate([np.asarray(h, dtype=float)
+                               for _, h in self._hit_ratios])
+        total = builtin_sum(weights)
         if total == 0:
             return None
-        return sum(w * h for w, h in self._hit_ratios) / total
+        return builtin_sum(weights * hits) / total
+
+
+def _greedy_residency(
+    seg: np.ndarray, footprint: np.ndarray, budget0: float
+) -> np.ndarray:
+    """``_per_object_hits``' residency loop for every segment at once.
+
+    ``seg``/``footprint`` list each segment's contributions in the order
+    the loop visits them.  Step ``j`` handles every segment's ``j``-th
+    contribution: a footprint that fits the budget is resident and
+    subtracted from it (sequentially, as the loop does), and the first
+    that does not takes what is left of a positive budget, emptying it.
+    """
+    n = seg.size
+    if n == 0:
+        return np.zeros(0)
+    starts = np.flatnonzero(np.r_[True, seg[1:] != seg[:-1]])
+    counts = np.diff(np.r_[starts, n])
+    row = np.repeat(np.arange(starts.size), counts)
+    pos = np.arange(n) - starts[row]
+    # (step, segment) layout: each step is one contiguous row
+    shape = (int(counts.max()), starts.size)
+    fp = np.zeros(shape)
+    fp[pos, row] = footprint
+    valid = np.zeros(shape, dtype=bool)
+    valid[pos, row] = True
+    res = np.zeros(shape)
+    budget = np.full(starts.size, budget0)
+    for f, v, r in zip(fp, valid, res):
+        fits = v & (f <= budget)
+        part = v & ~fits & (budget > 0)
+        r[fits] = 1.0
+        np.divide(budget, f, out=r, where=part)
+        budget = np.where(fits, budget - f, np.where(part, 0.0, budget))
+    return res[pos, row]
 
 
 def run_memory_mode(

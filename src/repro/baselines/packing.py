@@ -1,0 +1,156 @@
+"""Columnar packs for the baselines' DRAM/PMem traffic.
+
+Memory mode and kernel tiering send every contribution to ``dram``,
+``pmem`` or both.  Their ``traffic_batch`` methods compute per-pair
+columns over the kept (segment, instance) pairs, in the scalar
+``segment_traffic`` order, and :func:`two_tier_batch` assembles them
+into the :class:`~repro.runtime.traffic.TrafficBatch` the generic
+per-segment replay (:func:`~repro.runtime.traffic.pack_traffic_batch`)
+would build, field for field:
+
+- bucket sums are ``np.bincount`` scatter-adds, which add in input order
+  from ``0.0`` exactly as the scalar ``SubsystemTraffic.add`` calls do;
+  a pair that skips a bucket adds ``0.0``, which leaves every
+  non-negative sum unchanged;
+- the by-object rows are the (segment, site) groups in first-touch
+  order, each emitting its ``dram`` row before its ``pmem`` row (the
+  order both models call ``record_object`` in);
+- site and object-subsystem names are numbered by first appearance.
+"""
+
+from __future__ import annotations
+
+from typing import List, Sequence, Tuple
+
+import numpy as np
+
+from repro.runtime.segments import SegmentArrays
+from repro.runtime.traffic import TrafficBatch
+
+#: one bucket's additions: (segment, loads, stores, serial_loads) columns
+Adds = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def builtin_sum(values: np.ndarray) -> float:
+    """``sum(values.tolist())``: the scalar baselines' reduction."""
+    return sum(values.tolist())
+
+
+def segment_sums(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """The builtin ``sum`` of each segment's slice of ``values``.
+
+    ``bounds[s]:bounds[s + 1]`` is segment ``s``'s slice.  The builtin
+    ``sum`` is the scalar path's own reduction, so the result is exact
+    whatever rounding the interpreter's ``sum`` applies.
+    """
+    v = values.tolist()
+    b = bounds.tolist()
+    return np.array([sum(v[lo:hi]) for lo, hi in zip(b[:-1], b[1:])],
+                    dtype=float)
+
+
+def two_tier_batch(
+    segments: SegmentArrays,
+    subsystem_names: Sequence[str],
+    site_names: Sequence[str],
+    kseg: np.ndarray,
+    ksite: np.ndarray,
+    *,
+    dram: Adds,
+    pmem: Adds,
+    dram_present: np.ndarray,
+    pmem_present: np.ndarray,
+    dram_first: np.ndarray,
+    obj_dram: Tuple[np.ndarray, np.ndarray, np.ndarray],
+    obj_pmem: Tuple[np.ndarray, np.ndarray, np.ndarray],
+    extra_latency_ns: Tuple[float, float] = (0.0, 0.0),
+) -> TrafficBatch:
+    """Assemble a ``TrafficBatch`` from per-pair DRAM/PMem columns.
+
+    ``kseg``/``ksite`` are the kept pairs' segments and sites (indices
+    into ``site_names``), in scalar order.  ``dram``/``pmem`` are each
+    bucket's additions in call order.  The presence masks and
+    ``dram_first`` (the ``dram`` bucket was created before ``pmem``) are
+    per segment.  ``obj_dram``/``obj_pmem`` are ``(recorded, loads,
+    stores)`` per kept pair: whether the pair records that row, and its
+    values; a (segment, site) group records the same rows for every
+    member.  ``extra_latency_ns`` is set on present cells.
+    """
+    S = segments.num_segments
+    K = len(subsystem_names)
+    colmap = {name: k for k, name in enumerate(subsystem_names)}
+    d, p = colmap["dram"], colmap["pmem"]
+
+    loads = np.zeros((S, K))
+    stores = np.zeros((S, K))
+    serial = np.zeros((S, K))
+    extra = np.zeros((S, K))
+    present = np.zeros((S, K), dtype=bool)
+    order_pos = np.full((S, K), np.inf)
+    row_pos = np.arange(0.0, S * K, K)
+    for col, adds, here, rank, ns in (
+        (d, dram, dram_present, np.where(dram_first, 0.0, pmem_present),
+         extra_latency_ns[0]),
+        (p, pmem, pmem_present, np.where(dram_first, dram_present, 0.0),
+         extra_latency_ns[1]),
+    ):
+        idx = adds[0]
+        loads[:, col] = np.bincount(idx, weights=adds[1], minlength=S)
+        stores[:, col] = np.bincount(idx, weights=adds[2], minlength=S)
+        serial[:, col] = np.bincount(idx, weights=adds[3], minlength=S)
+        extra[:, col] = np.where(here, ns, 0.0)
+        present[:, col] = here
+        order_pos[:, col] = np.where(here, row_pos + rank, np.inf)
+
+    # (segment, site) groups in first-touch order
+    nsites = max(len(site_names), 1)
+    uniq, first, inv = np.unique(kseg * nsites + ksite, return_index=True,
+                                 return_inverse=True)
+    gorder = np.argsort(first, kind="stable")
+    rank_of = np.empty_like(gorder)
+    rank_of[gorder] = np.arange(gorder.size)
+    ginv = rank_of[inv]
+    gfirst = first[gorder]
+    gseg = (uniq // nsites)[gorder]
+    gsite = (uniq % nsites)[gorder]
+    G = gorder.size
+
+    def group_sum(w: np.ndarray) -> np.ndarray:
+        return np.bincount(ginv, weights=w, minlength=G)
+
+    rec_d = obj_dram[0][gfirst]
+    rec_p = obj_pmem[0][gfirst]
+    nrows = rec_d.astype(np.int64) + rec_p
+    row_g = np.repeat(np.arange(G), nrows)
+    within = np.arange(row_g.size) - np.repeat(np.cumsum(nrows) - nrows, nrows)
+    is_pmem = (within == 1) | ~rec_d[row_g]
+    obj_loads = np.where(is_pmem, group_sum(obj_pmem[1])[row_g],
+                         group_sum(obj_dram[1])[row_g])
+    obj_stores = np.where(is_pmem, group_sum(obj_pmem[2])[row_g],
+                          group_sum(obj_dram[2])[row_g])
+
+    # object subsystems numbered by first appearance
+    pmem_first = bool(is_pmem[0]) if is_pmem.size else False
+    obj_sub = (is_pmem != pmem_first).astype(np.int64)
+    sub_names: List[str] = (["pmem", "dram"] if pmem_first
+                            else ["dram", "pmem"])[:obj_sub.max(initial=-1) + 1]
+
+    # sites numbered by first appearance (rows list groups in first-touch
+    # order, so a site's first row is its first kept pair)
+    used_sites, site_first = np.unique(ksite, return_index=True)
+    site_order = used_sites[np.argsort(site_first, kind="stable")]
+    renum = np.zeros(nsites, dtype=np.int64)
+    renum[site_order] = np.arange(site_order.size)
+
+    return TrafficBatch(
+        subsystems=list(subsystem_names),
+        loads=loads, stores=stores, serial_loads=serial,
+        extra_latency_ns=extra, present=present, order_pos=order_pos,
+        site_names=[site_names[i] for i in site_order.tolist()],
+        obj_sub_names=sub_names,
+        obj_seg=gseg[row_g].astype(np.int64),
+        obj_site=renum[gsite[row_g]],
+        obj_sub=obj_sub,
+        obj_loads=obj_loads,
+        obj_stores=obj_stores,
+    )

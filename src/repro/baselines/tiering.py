@@ -20,14 +20,22 @@ real access bits, not samples) until the effective DRAM fills.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.apps.workload import InstanceSpan, Workload
+from repro.baselines.packing import two_tier_batch
 from repro.memsim.subsystem import MemorySystem
 from repro.runtime.engine import EngineParams, ExecutionEngine
+from repro.runtime.segments import SegmentArrays
 from repro.runtime.stats import RunResult
-from repro.runtime.traffic import SegmentTraffic
+from repro.runtime.traffic import (
+    SegmentTraffic,
+    TrafficBatch,
+    check_traffic_adds,
+    pair_rates,
+)
 from repro.units import GiB
 
 #: struct page is 64 B per 4 KiB page -> ~1.56% of device capacity.
@@ -170,6 +178,133 @@ class TieringTraffic:
             traffic.subsystem("dram").add(stores=moved / 128.0)
         return traffic
 
+    def traffic_batch(
+        self, segments: SegmentArrays, subsystem_names: Sequence[str]
+    ) -> TrafficBatch:
+        """All segments' traffic at once, field-identical to the scalar path."""
+        return self._columnar_batch(segments, subsystem_names)
+
+    def _columnar_batch(
+        self,
+        segments: SegmentArrays,
+        subsystem_names: Sequence[str],
+        static_dram: Optional[Set[str]] = None,
+    ) -> TrafficBatch:
+        """The scalar ``segment_traffic`` evaluated on columns of pairs.
+
+        A segment's phase occurrence is its span (``span_idx``): spans tile
+        the timeline, so that is the span the scalar lookup finds.  Each
+        occurrence's promoted set comes from :meth:`_promoted_set` on the
+        live set of its first segment (the call that fills the scalar
+        cache); the warm-up share ``cold`` is per segment.  Every kept
+        pair is then routed one of three ways: all to DRAM (a
+        ``static_dram`` site, or promoted after warm-up — only when
+        ``static_dram`` is given, as :class:`CombinedTraffic` does), split
+        between PMem and DRAM (promoted), or all to PMem.  Migration
+        traffic is added after the per-instance traffic, as the scalar
+        path does.
+        """
+        wl = self.workload
+        ranks = wl.ranks
+        spans = wl.spans
+        S = segments.num_segments
+        rates = pair_rates(wl, segments)
+        pseg, pinst = segments.pair_seg, segments.pair_inst
+        bounds = np.searchsorted(pseg, np.arange(S + 1))
+
+        # each segment's warm-up share of its phase occurrence
+        lo, hi = segments.seg_lo, segments.seg_hi
+        dt = segments.durations_nominal
+        sp = segments.span_idx
+        phase_start = np.array([span.start for span in spans])[sp]
+        warm_end = phase_start + self.reaction_s
+        warm = np.where(warm_end < hi, warm_end, hi) - lo
+        warm = np.where(warm > 0.0, warm, 0.0)
+        cold = np.divide(warm, dt, out=np.zeros(S), where=dt > 0)
+
+        site_idx = {name: i for i, name in enumerate(rates.site_names)}
+        promoted = np.zeros((len(spans), len(rates.site_names)), dtype=bool)
+        firsts = np.flatnonzero(np.r_[True, sp[1:] != sp[:-1]])
+        for s in firsts.tolist():
+            span = spans[sp[s]]
+            live = [segments.instances[j]
+                    for j in pinst[bounds[s]:bounds[s + 1]].tolist()]
+            for name in self._promoted_set((span.name, span.iteration),
+                                           live, span.name):
+                promoted[sp[s], site_idx[name]] = True
+        psite = rates.inst_site[pinst]
+        pprom = promoted[sp[pseg], psite]
+
+        scale = 1.0 + self.scan_overhead
+        dtp = dt[pseg]
+        loads = rates.lr * dtp * ranks * scale
+        stores = rates.sr * dtp * ranks * scale
+        k = np.flatnonzero(rates.has & ~((loads == 0.0) & (stores == 0.0)))
+        kseg = pseg[k]
+        ksite = psite[k]
+        loads, stores = loads[k], stores[k]
+        serial = loads * rates.inst_sf[pinst[k]]
+        prom = pprom[k]
+        kcold = cold[kseg]
+        if static_dram is None:
+            to_dram = np.zeros(k.size, dtype=bool)
+        else:
+            static = np.array([name in static_dram
+                               for name in rates.site_names], dtype=bool)
+            to_dram = static[ksite] | (prom & (kcold == 0.0))
+        split = prom & ~to_dram
+        to_pmem = ~prom & ~to_dram
+
+        def route(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> Tuple:
+            """Per-pair (loads, stores, serial) where ``a`` takes all of
+            a column and ``b`` takes ``x`` of it; zero elsewhere."""
+            return tuple(np.where(a, v, np.where(b, v * x, 0.0))
+                         for v in (loads, stores, serial))
+
+        pmem_adds = route(to_pmem, split, kcold)
+        dram_adds = route(to_dram, split, 1 - kcold)
+        check_traffic_adds(pmem_adds, dram_adds)
+
+        # migration: promoted bytes cross both devices once per occurrence
+        if static_dram is None:
+            live_bytes = np.where(rates.has & pprom,
+                                  rates.inst_size[pinst] * ranks, 0)
+            csum = np.r_[0, np.cumsum(live_bytes)]
+            moved_bytes = csum[bounds[1:]] - csum[bounds[:-1]]
+            migrates = cold > 0.0
+        else:
+            moved_bytes = np.bincount(
+                kseg[split], weights=rates.inst_size[pinst[k][split]] * ranks,
+                minlength=S,
+            )
+            migrates = (cold > 0.0) & (moved_bytes > 0)
+        window = warm_end - phase_start
+        window = np.where(1e-9 > window, 1e-9, window)
+        mseg = np.flatnonzero(migrates)
+        moved = (moved_bytes * (warm / window))[mseg]
+        zeros = np.zeros(mseg.size)
+
+        def touches(mask: np.ndarray) -> np.ndarray:
+            return np.bincount(kseg[mask], minlength=S) > 0
+
+        # a segment's first bucket is its first contribution's first add
+        kb = np.searchsorted(kseg, np.arange(S + 1))
+        dram_first = kb[1:] > kb[:-1]
+        dram_first[dram_first] = to_dram[kb[:-1][dram_first]]
+        return two_tier_batch(
+            segments, subsystem_names, rates.site_names, kseg, ksite,
+            dram=(np.r_[kseg, mseg], np.r_[dram_adds[0], zeros],
+                  np.r_[dram_adds[1], moved / 128.0],
+                  np.r_[dram_adds[2], zeros]),
+            pmem=(np.r_[kseg, mseg], np.r_[pmem_adds[0], moved / 64.0],
+                  np.r_[pmem_adds[1], zeros], np.r_[pmem_adds[2], zeros]),
+            dram_present=migrates | touches(~to_pmem),
+            pmem_present=migrates | touches(~to_dram),
+            dram_first=dram_first,
+            obj_dram=(~to_pmem,) + dram_adds[:2],
+            obj_pmem=(~to_dram,) + pmem_adds[:2],
+        )
+
 
 def run_tiering(
     workload: Workload,
@@ -213,6 +348,15 @@ class CombinedTraffic(TieringTraffic):
     @property
     def label(self) -> str:
         return "combined-proactive-reactive"
+
+    def traffic_batch(
+        self, segments: SegmentArrays, subsystem_names: Sequence[str]
+    ) -> TrafficBatch:
+        """All segments' traffic at once, field-identical to the scalar
+        path: the tiering pack with the statically placed DRAM sites."""
+        static_dram = {name for name, sub in self.initial_placement.items()
+                       if sub == "dram"}
+        return self._columnar_batch(segments, subsystem_names, static_dram)
 
     def segment_traffic(self, lo, hi, phase_name, live):
         wl = self.workload

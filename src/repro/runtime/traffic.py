@@ -139,6 +139,25 @@ class TrafficBatch:
         return out
 
 
+def traffic_batches_identical(a: TrafficBatch, b: TrafficBatch) -> List[str]:
+    """Field-by-field comparison of two packs; returns the fields that differ.
+
+    Arrays must match in dtype and compare equal element for element (no
+    tolerance); name lists must compare ``==``, order included.
+    """
+    errors: List[str] = []
+    for name in ("subsystems", "site_names", "obj_sub_names"):
+        if getattr(a, name) != getattr(b, name):
+            errors.append(name)
+    for name in ("loads", "stores", "serial_loads", "extra_latency_ns",
+                 "present", "order_pos", "obj_seg", "obj_site", "obj_sub",
+                 "obj_loads", "obj_stores"):
+        x, y = getattr(a, name), getattr(b, name)
+        if x.dtype != y.dtype or not np.array_equal(x, y):
+            errors.append(name)
+    return errors
+
+
 def pack_traffic_batch(
     model: "TrafficModel",
     workload: Workload,
@@ -149,8 +168,9 @@ def pack_traffic_batch(
 
     The generic adapter for models without a native batched path: it calls
     the scalar entry point once per segment *in segment order* (so models
-    with per-segment side effects, like memory-mode hit-ratio tracking,
-    observe the same call sequence) and transcribes the dicts into arrays.
+    with per-segment side effects observe the scalar call sequence) and
+    transcribes the dicts into arrays.  It is also the oracle every native
+    ``traffic_batch`` must reproduce field for field.
     """
     spans = workload.spans
     K = len(subsystem_names)
@@ -449,9 +469,27 @@ def _placement_pack_base(
     return base
 
 
-def _build_placement_pack_base(
-    wl: Workload, segments: SegmentArrays
-) -> _PlacementPackBase:
+@dataclass
+class PairRates:
+    """Every (segment, live instance) pair's access rates, in scalar order.
+
+    The placement-independent input every columnar pack starts from: for
+    each pair of :attr:`SegmentArrays.pair_seg`/``pair_inst``, whether the
+    instance's spec has stats for the segment's phase, and its per-rank
+    load/store rates (zero where it has none).
+    """
+
+    site_names: List[str]             # sites in workload instance order
+    inst_site: np.ndarray             # (N,) instance -> site index
+    inst_size: np.ndarray             # (N,) int64 bytes per rank
+    inst_sf: np.ndarray               # (N,) serial fraction
+    slot_of_instance: Dict[Tuple[str, int], int]
+    has: np.ndarray                   # (P,) bool: stats exist
+    lr: np.ndarray                    # (P,) load rate
+    sr: np.ndarray                    # (P,) store rate
+
+
+def pair_rates(wl: Workload, segments: SegmentArrays) -> PairRates:
     instances = segments.instances
     N = len(instances)
 
@@ -469,8 +507,10 @@ def _build_placement_pack_base(
     spec_row: Dict[int, int] = {}
     rate_load_rows: List[np.ndarray] = []
     rate_store_rows: List[np.ndarray] = []
+    has_rows: List[np.ndarray] = []
     inst_row = np.empty(N, dtype=np.int64)
     inst_site = np.empty(N, dtype=np.int64)
+    inst_size = np.empty(N, dtype=np.int64)
     inst_sf = np.empty(N, dtype=float)
     slot_of_instance: Dict[Tuple[str, int], int] = {}
     for n, inst in enumerate(instances):
@@ -479,33 +519,81 @@ def _build_placement_pack_base(
         if row is None:
             rl = np.zeros(U)
             rs = np.zeros(U)
+            hs = np.zeros(U, dtype=bool)
             for pname, u in pname_idx.items():
                 stats = spec.access.get(pname)
                 if stats is not None:
                     rl[u] = stats.load_rate
                     rs[u] = stats.store_rate
+                    hs[u] = True
             row = len(rate_load_rows)
             spec_row[id(spec)] = row
             rate_load_rows.append(rl)
             rate_store_rows.append(rs)
+            has_rows.append(hs)
         inst_row[n] = row
         name = spec.site.name
         if name not in site_idx:
             site_idx[name] = len(site_names)
             site_names.append(name)
         inst_site[n] = site_idx[name]
+        inst_size[n] = spec.size
         inst_sf[n] = spec.serial_fraction
         slot_of_instance[(name, inst.index)] = n
-    rate_load = np.array(rate_load_rows) if rate_load_rows else np.zeros((0, U))
-    rate_store = np.array(rate_store_rows) if rate_store_rows else np.zeros((0, U))
 
+    def table(rows: List[np.ndarray], dtype=float) -> np.ndarray:
+        return np.array(rows) if rows else np.zeros((0, U), dtype=dtype)
+
+    prow = inst_row[segments.pair_inst]
+    pcol = pname_of_span[segments.span_idx][segments.pair_seg]
+    return PairRates(
+        site_names=site_names,
+        inst_site=inst_site,
+        inst_size=inst_size,
+        inst_sf=inst_sf,
+        slot_of_instance=slot_of_instance,
+        has=table(has_rows, bool)[prow, pcol],
+        lr=table(rate_load_rows)[prow, pcol],
+        sr=table(rate_store_rows)[prow, pcol],
+    )
+
+
+def check_traffic_adds(*adds: Tuple[np.ndarray, ...]) -> None:
+    """Raise what the first failing :meth:`SubsystemTraffic.add` would.
+
+    ``adds`` are ``(loads, stores, serial_loads)`` columns, one triple per
+    ``add`` call a contribution makes, in call order; rows are the
+    contributions in scalar order.  A row that skips an ``add`` holds
+    zeros there, which always pass.
+    """
+    neg = [(ld < 0) | (st < 0) | (se < 0) for ld, st, se in adds]
+    over = [se > ld for ld, _st, se in adds]
+    bad = np.logical_or.reduce(neg + over)
+    if not bad.any():
+        return
+    i = int(np.argmax(bad))
+    for n, o in zip(neg, over):
+        if n[i]:
+            raise SimulationError("negative traffic contribution")
+        if o[i]:
+            raise SimulationError("serial_loads cannot exceed loads")
+
+
+def _build_placement_pack_base(
+    wl: Workload, segments: SegmentArrays
+) -> _PlacementPackBase:
+    rates = pair_rates(wl, segments)
+    site_names = rates.site_names
+    inst_site = rates.inst_site
+    inst_sf = rates.inst_sf
+    slot_of_instance = rates.slot_of_instance
     pseg = segments.pair_seg
     pinst = segments.pair_inst
     dt = segments.durations_nominal
-    seg_pname = pname_of_span[segments.span_idx]
     ranks = wl.ranks
-    pl = rate_load[inst_row[pinst], seg_pname[pseg]] * dt[pseg] * ranks
-    ps = rate_store[inst_row[pinst], seg_pname[pseg]] * dt[pseg] * ranks
+    pl = rates.lr * dt[pseg] * ranks
+    ps = rates.sr * dt[pseg] * ranks
+    del rates  # free the per-pair rate columns before the grouping below
     keep = (pl != 0.0) | (ps != 0.0)
     kpos = np.flatnonzero(keep)
     pl, ps = pl[kpos], ps[kpos]
@@ -552,8 +640,10 @@ def pack_traffic_multi(
     """Pack several models' traffic over one shared segmentation.
 
     Models are packed strictly in call order, so stateful models (the
-    baselines' hit-ratio and promotion caches) observe the same
-    ``segment_traffic`` call sequence a sequential loop would produce.
+    baselines' hit-ratio and promotion caches) accumulate exactly as a
+    sequential loop would.  Models with a ``traffic_batch`` (app-direct,
+    Memory Mode, tiering, combined) pack natively; the rest are replayed
+    per segment through :func:`pack_traffic_batch`.
     ``PlacementTraffic`` models share one :class:`_PlacementPackBase`
     through the cache on ``segments``, so K placements of the same
     workload re-walk the (segment, instance) pairs exactly once.

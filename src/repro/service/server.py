@@ -336,7 +336,17 @@ class PlacementServer:
             assert self._executor is not None
             for (handler, gkey), items in groups.items():
                 self.stats.observe_group(len(items))
-                self._executor.submit(handler, gkey, items)
+                self._executor.submit(self._run_guarded, handler, gkey, items)
+
+    def _run_guarded(self, handler, gkey, items) -> None:
+        """Run a group handler; if it raises, answer every request it left
+        unresolved with the error (the executor would otherwise keep the
+        exception on a future nobody reads, and those clients would wait
+        forever)."""
+        try:
+            handler(gkey, items)
+        except Exception as exc:
+            self._fail([(r, f) for r, f in items if not f.done()], str(exc))
 
     def _fail(self, items, message: str) -> None:
         """Answer every ``(request, future)`` in ``items`` with an error."""

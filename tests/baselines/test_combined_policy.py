@@ -2,7 +2,11 @@
 
 import pytest
 
-from repro.baselines.tiering import CombinedTraffic
+from repro.apps.registry import get_workload
+from repro.baselines.tiering import CombinedTraffic, tiering_effective_dram
+from repro.memsim.subsystem import pmem2_system, pmem6_system
+from repro.runtime.engine import ExecutionEngine
+from repro.runtime.stats import run_results_identical
 from repro.units import GiB, MiB
 
 from tests.conftest import make_toy_workload
@@ -46,3 +50,30 @@ class TestCombinedTraffic:
     def test_label(self):
         _, model = model_with({})
         assert model.label == "combined-proactive-reactive"
+
+
+class TestCombinedPack:
+    """``CombinedTraffic`` subclasses ``TieringTraffic`` but routes
+    statically placed sites to DRAM: its native pack must be its own, not
+    the tiering pack it would otherwise inherit."""
+
+    @pytest.mark.parametrize("app,system_factory", [
+        ("lulesh", pmem6_system),
+        ("openfoam", pmem2_system),
+    ], ids=["lulesh-pmem6", "openfoam-pmem2"])
+    def test_run_matches_scalar(self, app, system_factory):
+        wl = get_workload(app)
+        system = system_factory()
+        eff = tiering_effective_dram(system.get("dram").capacity,
+                                     system.get("pmem").capacity)
+        # every other site proactively in DRAM, short warm-up so promoted
+        # objects also reach DRAM within a phase
+        placement = {obj.site.name: ("dram" if i % 2 else "pmem")
+                     for i, obj in enumerate(wl.objects)}
+
+        def model():
+            return CombinedTraffic(wl, eff, placement, reaction_s=0.3)
+
+        engine = ExecutionEngine(wl, system)
+        assert run_results_identical(
+            engine.run(model()), engine.run_scalar(model())) == []

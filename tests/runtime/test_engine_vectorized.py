@@ -11,7 +11,7 @@ the layer that broke.
 import numpy as np
 import pytest
 
-from repro.apps.registry import get_workload
+from repro.apps.registry import get_workload, list_workloads
 from repro.baselines.memory_mode import MemoryModeTraffic
 from repro.baselines.tiering import (
     CombinedTraffic,
@@ -27,7 +27,12 @@ from repro.memsim.subsystem import (
 from repro.runtime.engine import EngineParams, ExecutionEngine
 from repro.runtime.segments import build_segment_arrays
 from repro.runtime.stats import run_results_identical
-from repro.runtime.traffic import PlacementTraffic, SegmentTraffic
+from repro.runtime.traffic import (
+    PlacementTraffic,
+    SegmentTraffic,
+    pack_traffic_batch,
+    traffic_batches_identical,
+)
 from repro.units import GiB, MiB
 
 from tests.conftest import make_toy_workload
@@ -130,11 +135,71 @@ class TestAppDirectDifferential:
             model()).total_time != capped
 
 
+class _ScalarOnly:
+    """A traffic model with ``segment_traffic`` and no ``traffic_batch``,
+    so the engine packs it through the generic per-segment replay."""
+
+    def __init__(self, model):
+        self._model = model
+        self.label = model.label
+
+    def segment_traffic(self, lo, hi, phase_name, live):
+        return self._model.segment_traffic(lo, hi, phase_name, live)
+
+
+def baseline_models(wl, system, half):
+    """Memory Mode, tiering and combined factories for one grid cell.
+
+    ``half`` shrinks the DRAM cache and the tiering budget to half the
+    heap high-water mark (so residency and promotion are both partial)
+    and shortens the reaction window (so warm-up shares vary within a
+    phase and some promoted objects reach DRAM before a phase ends).
+    """
+    small = max(wl.heap_high_water() // 2, 1 * MiB)
+    cache = small if half else system.get("dram").capacity
+    eff = small if half else tiering_effective_dram(
+        system.get("dram").capacity, system.get("pmem").capacity)
+    reaction_s = 0.3 if half else 1.5
+    placement, _ = checkerboard_placement(wl, system.names)
+    return {
+        "memory-mode": lambda: MemoryModeTraffic(wl, cache),
+        "tiering": lambda: TieringTraffic(wl, eff, reaction_s=reaction_s),
+        "combined": lambda: CombinedTraffic(wl, eff, placement,
+                                            reaction_s=reaction_s),
+    }
+
+
 class TestBaselineDifferential:
-    """The baselines have no ``traffic_batch``: the engine replays their
-    scalar ``segment_traffic`` through the generic packer, so these runs
-    prove the packed path — matrices, order reconstruction, by-object
-    transcription — not just the vectorized app-direct model."""
+    """The baselines pack natively: Memory Mode, tiering and combined
+    build their ``TrafficBatch`` from columns of the (segment, instance)
+    pairs.  Each native pack must equal the generic per-segment replay of
+    the same model's scalar ``segment_traffic`` (``pack_traffic_batch``)
+    field for field, with the same side effects, over every app, system
+    and cache size; ``run`` against ``run_scalar`` then checks the engine
+    end to end, and a model without ``traffic_batch`` keeps the generic
+    packer proven."""
+
+    @pytest.mark.parametrize("half", [False, True], ids=["full", "half"])
+    @pytest.mark.parametrize("system_factory", [
+        pmem6_system, pmem2_system, hbm_dram_pmem_system,
+    ], ids=["pmem6", "pmem2", "hbm-dram-pmem"])
+    @pytest.mark.parametrize("app", list_workloads())
+    def test_native_pack_matches_generic(self, app, system_factory, half):
+        wl = get_workload(app)
+        system = system_factory()
+        segments = build_segment_arrays(wl)
+        for kind, make in baseline_models(wl, system, half).items():
+            native, generic = make(), make()
+            assert traffic_batches_identical(
+                native.traffic_batch(segments, system.names),
+                pack_traffic_batch(generic, wl, segments, system.names),
+            ) == [], kind
+            if kind == "memory-mode":
+                assert native.mean_hit_ratio() == generic.mean_hit_ratio()
+            else:
+                assert native._promoted_cache == generic._promoted_cache
+                assert list(native._promoted_cache) == list(
+                    generic._promoted_cache)
 
     @pytest.mark.parametrize("workload_name", [None, "minife"])
     def test_memory_mode(self, workload_name):
@@ -168,6 +233,41 @@ class TestBaselineDifferential:
         assert_runs_identical(
             wl, system, lambda: CombinedTraffic(wl, eff, placement)
         )
+
+    @pytest.mark.parametrize("kind", ["memory-mode", "tiering"])
+    def test_lulesh_run(self, kind):
+        wl = get_workload("lulesh")
+        system = pmem6_system()
+        assert_runs_identical(
+            wl, system, baseline_models(wl, system, half=False)[kind])
+
+    @pytest.mark.parametrize("kind", ["memory-mode", "tiering", "combined"])
+    def test_generic_packer(self, kind):
+        wl = get_workload("minife")
+        system = pmem2_system()
+        make = baseline_models(wl, system, half=True)[kind]
+        assert not hasattr(_ScalarOnly(make()), "traffic_batch")
+        engine = ExecutionEngine(wl, system)
+        generic = engine.run(_ScalarOnly(make()))
+        assert run_results_identical(generic, engine.run(make())) == []
+        assert run_results_identical(
+            generic, engine.run_scalar(make())) == []
+
+    def test_reused_model_matches_scalar_side_effects(self):
+        """A model packed twice keeps accumulating like the scalar path:
+        hit ratios append, promotion sets come from the cache."""
+        wl = get_workload("minife")
+        system = pmem6_system()
+        segments = build_segment_arrays(wl)
+        for make in baseline_models(wl, system, half=True).values():
+            native, generic = make(), make()
+            for _ in range(2):
+                assert traffic_batches_identical(
+                    native.traffic_batch(segments, system.names),
+                    pack_traffic_batch(generic, wl, segments, system.names),
+                ) == []
+            if isinstance(native, MemoryModeTraffic):
+                assert native.mean_hit_ratio() == generic.mean_hit_ratio()
 
 
 class TestSegmentArrays:

@@ -174,6 +174,32 @@ class TestEndToEnd:
         assert out[1] == sequential_advisory(reqs[1])
 
 
+    def test_raising_handler_fails_its_group(self, shared_profile_store,
+                                             monkeypatch):
+        """An exception escaping a group handler (here: report rendering,
+        outside its per-request ``try``) must answer every unresolved
+        request in the group instead of leaving its clients waiting."""
+        from repro.service import server as server_mod
+
+        reqs = _requests(6)
+        render = server_mod._advisory_report
+
+        def flaky(request, *args, **kwargs):
+            if request == reqs[0]:
+                raise RuntimeError("report rendering failed")
+            return render(request, *args, **kwargs)
+
+        monkeypatch.setattr(server_mod, "_advisory_report", flaky)
+        with PlacementServer(workers=2, batch_window_ms=50.0,
+                             max_batch=len(reqs),
+                             profile_store=shared_profile_store) as srv:
+            futures = [srv.submit(r) for r in reqs]
+            out = [f.result(timeout=30) for f in futures]
+            assert srv.stats.max_group == len(reqs), "queries did not coalesce"
+        assert all(not r.ok for r in out)
+        assert all("report rendering failed" in r.error for r in out)
+
+
 class TestCoalescingIdentity:
     def test_concurrent_equals_sequential(self, shared_profile_store):
         """K coalesced concurrent queries == K sequential oracle queries.

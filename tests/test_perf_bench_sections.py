@@ -19,6 +19,10 @@ def test_online_section_is_registered():
     assert "whatif" in perf_bench.SECTIONS
 
 
+def test_baselines_section_is_registered():
+    assert "baselines" in perf_bench.SECTIONS
+
+
 def test_unknown_section_exits_loudly(capsys):
     with pytest.raises(SystemExit) as exc:
         perf_bench.main(["--quick", "--section", "onlin"])

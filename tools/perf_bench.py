@@ -23,6 +23,12 @@ Three sections, mirroring the three optimisation layers:
     scalar oracle (``run_scalar``) on an app-direct LULESH run (miniFE
     in quick mode), asserting the full :class:`RunResult` bit-identical
     via :func:`run_results_identical`.
+``baselines``
+    The Memory Mode and kernel tiering packs: each model's native
+    columnar ``traffic_batch`` against the generic per-segment replay
+    of its scalar ``segment_traffic`` (``pack_traffic_batch``) on LULESH
+    (miniFE in quick mode), asserting every ``TrafficBatch`` field
+    identical and the same hit ratio / promotion cache.
 ``replay``
     The batched allocation replay (``replay_allocations``: indexed
     first-fit heaps, memoized matcher, lexsorted edges) against its
@@ -75,6 +81,8 @@ from repro.apps.generators import (
     Region, hot_cold_stream, random_access, sequential_stream,
 )
 from repro.apps.sites import SiteRegistry
+from repro.baselines.memory_mode import MemoryModeTraffic
+from repro.baselines.tiering import TieringTraffic, tiering_effective_dram
 from repro.binary.callstack import StackFormat
 from repro.experiments.fig6_sweep import compute_fig6
 from repro.experiments.harness import run_ecohmem
@@ -94,8 +102,13 @@ from repro.runtime.replay import (
     replay_allocations_scalar,
     replay_results_identical,
 )
+from repro.runtime.segments import build_segment_arrays
 from repro.runtime.stats import run_results_identical
-from repro.runtime.traffic import PlacementTraffic
+from repro.runtime.traffic import (
+    PlacementTraffic,
+    pack_traffic_batch,
+    traffic_batches_identical,
+)
 from repro.units import GiB, MiB
 
 LLC = dict(size=16 * MiB, line_size=64, ways=16)
@@ -399,6 +412,41 @@ def bench_engine(quick: bool) -> dict:
     }
 
 
+def bench_baselines(quick: bool) -> dict:
+    wl_name = "minife" if quick else "lulesh"
+    wl = get_workload(wl_name)
+    system = pmem6_system()
+    segments = build_segment_arrays(wl)
+    dram = system.get("dram").capacity
+    eff = tiering_effective_dram(dram, system.get("pmem").capacity)
+    models = {
+        "memory_mode": lambda: MemoryModeTraffic(wl, dram),
+        "tiering": lambda: TieringTraffic(wl, eff),
+    }
+    out = {"workload": wl_name, "segments": segments.num_segments,
+           "pairs": int(segments.pair_seg.size)}
+    for name, make in models.items():
+        native, generic = make(), make()
+        t0 = time.perf_counter()
+        packed = native.traffic_batch(segments, system.names)
+        t_native = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        replayed = pack_traffic_batch(generic, wl, segments, system.names)
+        t_generic = time.perf_counter() - t0
+        fields = traffic_batches_identical(packed, replayed)
+        assert fields == [], f"{name} pack diverged in {fields}"
+        if name == "memory_mode":
+            assert native.mean_hit_ratio() == generic.mean_hit_ratio()
+        else:
+            assert native._promoted_cache == generic._promoted_cache
+        out[name] = {
+            "generic_s": round(t_generic, 4),
+            "native_s": round(t_native, 4),
+            "speedup": round(t_generic / t_native, 2),
+        }
+    return out
+
+
 def _prefragment(heap, holes: int) -> None:
     """Checkerboard ``holes`` pinned 16 B holes at the base of the heap.
 
@@ -700,8 +748,8 @@ def bench_corpus(quick: bool, jobs=None) -> dict:
 
 #: section name -> benchmark callable (jobs-aware ones wrapped in main)
 SECTIONS = ("kernel", "profile_cache", "fig6_sweep", "profiling",
-            "engine", "replay", "sweep", "service", "whatif", "online",
-            "corpus")
+            "engine", "baselines", "replay", "sweep", "service", "whatif",
+            "online", "corpus")
 
 
 def main(argv=None) -> int:
@@ -779,6 +827,15 @@ def main(argv=None) -> int:
               f"{results['engine']['vectorized_s']}s "
               f"({results['engine']['speedup']}x, "
               f"{results['engine']['segments']} segments)")
+
+    if "baselines" in want:
+        print("baseline packs ...", flush=True)
+        results["baselines"] = bench_baselines(args.quick)
+        bl = results["baselines"]
+        for name in ("memory_mode", "tiering"):
+            print(f"  {name} generic {bl[name]['generic_s']}s -> native "
+                  f"{bl[name]['native_s']}s ({bl[name]['speedup']}x, "
+                  f"{bl['segments']} segments, {bl['pairs']} live pairs)")
 
     if "replay" in want:
         print("allocation replay ...", flush=True)
@@ -890,6 +947,11 @@ def main(argv=None) -> int:
                 return 1
         if "engine" in want and results["engine"]["speedup"] < 5.0:
             print("FAIL: execution engine speedup below 5x", file=sys.stderr)
+            return 1
+        if "baselines" in want and min(
+                results["baselines"][m]["speedup"]
+                for m in ("memory_mode", "tiering")) < 3.0:
+            print("FAIL: baseline pack speedup below 3x", file=sys.stderr)
             return 1
         if "replay" in want and results["replay"]["speedup"] < 5.0:
             print("FAIL: allocation replay speedup below 5x", file=sys.stderr)
