@@ -19,7 +19,7 @@ from repro.apps.workload import InstanceSpan, Workload
 from repro.baselines.packing import builtin_sum, segment_sums, two_tier_batch
 from repro.memsim.dram_cache import memory_mode_hit_ratio
 from repro.memsim.subsystem import MemorySystem
-from repro.runtime.engine import EngineParams, ExecutionEngine
+from repro.runtime.engine import ExecutionEngine
 from repro.runtime.segments import SegmentArrays
 from repro.runtime.stats import RunResult
 from repro.runtime.traffic import (
@@ -301,7 +301,6 @@ def run_memory_mode(
     system: MemorySystem,
     *,
     dram_cache_bytes: Optional[int] = None,
-    params: EngineParams = EngineParams(),
 ) -> RunResult:
     """Convenience: execute a workload in memory mode.
 
@@ -311,7 +310,7 @@ def run_memory_mode(
     """
     cache = dram_cache_bytes if dram_cache_bytes is not None else system.get("dram").capacity
     model = MemoryModeTraffic(workload, cache)
-    engine = ExecutionEngine(workload, system, params)
+    engine = ExecutionEngine(workload, system)
     result = engine.run(model, label="memory-mode")
     result.dram_cache_hit_ratio = model.mean_hit_ratio()
     return result

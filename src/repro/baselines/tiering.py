@@ -27,7 +27,7 @@ import numpy as np
 from repro.apps.workload import InstanceSpan, Workload
 from repro.baselines.packing import two_tier_batch
 from repro.memsim.subsystem import MemorySystem
-from repro.runtime.engine import EngineParams, ExecutionEngine
+from repro.runtime.engine import ExecutionEngine
 from repro.runtime.segments import SegmentArrays
 from repro.runtime.stats import RunResult
 from repro.runtime.traffic import (
@@ -311,7 +311,6 @@ def run_tiering(
     system: MemorySystem,
     *,
     reaction_s: float = 1.5,
-    params: EngineParams = EngineParams(),
 ) -> RunResult:
     """Convenience: execute a workload under kernel tiering."""
     dram = system.get("dram").capacity
@@ -321,7 +320,7 @@ def run_tiering(
         tiering_effective_dram(dram, pmem),
         reaction_s=reaction_s,
     )
-    engine = ExecutionEngine(workload, system, params)
+    engine = ExecutionEngine(workload, system)
     return engine.run(model, label="kernel-tiering")
 
 
@@ -424,7 +423,6 @@ def run_combined(
     initial_placement: "Dict[str, str]",
     *,
     reaction_s: float = 1.5,
-    params: EngineParams = EngineParams(),
 ) -> RunResult:
     """Execute under the combined proactive + reactive policy."""
     dram = system.get("dram").capacity
@@ -435,5 +433,5 @@ def run_combined(
         initial_placement,
         reaction_s=reaction_s,
     )
-    engine = ExecutionEngine(workload, system, params)
+    engine = ExecutionEngine(workload, system)
     return engine.run(model, label="combined-proactive-reactive")

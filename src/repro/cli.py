@@ -412,14 +412,14 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if not requests:
         raise SystemExit(f"no requests in {args.requests}")
 
-    server = PlacementServer(
-        workers=args.workers,
-        batch_window_ms=args.batch_window_ms,
-        max_batch=args.max_batch,
-        artifact_store=args.artifact_dir,
-        report_store=args.report_dir,
-    )
     try:
+        server = PlacementServer(
+            workers=args.workers,
+            batch_window_ms=args.batch_window_ms,
+            max_batch=args.max_batch,
+            artifact_store=args.artifact_dir,
+            report_store=args.report_dir,
+        )
         with server:
             reports = server.query_many(requests)
     except ReproError as exc:

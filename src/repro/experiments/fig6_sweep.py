@@ -58,30 +58,15 @@ class Fig6Result:
     tiering: Dict[str, float] = field(default_factory=dict)
     profdp: Dict[str, Optional[float]] = field(default_factory=dict)
     profdp_variant: Dict[str, Optional[str]] = field(default_factory=dict)
-    #: lazily built (app, pmem, limit, metrics) -> speedup index
-    _index: Optional[Dict[Tuple[str, int, int, str], float]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    #: the exact cell contents the index was built from; a length check
-    #: alone misses in-place replacement and same-length mutation
-    _index_src: Optional[list] = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def lookup(self, app: str, pmem: int, limit_gb: int, metrics: str) -> float:
-        # rebuilt whenever the cells changed in *any* way since the last
-        # lookup — append, in-place replacement, reorder, or field edits
-        src = [
-            ((c.app, c.pmem_dimms, c.dram_limit_gb, c.metrics), c.speedup)
-            for c in self.cells
-        ]
-        if self._index is None or self._index_src != src:
-            self._index = dict(src)
-            self._index_src = src
-        try:
-            return self._index[(app, pmem, limit_gb, metrics)]
-        except KeyError:
-            raise KeyError((app, pmem, limit_gb, metrics)) from None
+        # scan the live cells, newest first, so any edit since the last
+        # lookup is seen and the last duplicate wins, as in ``dict(cells)``
+        key = (app, pmem, limit_gb, metrics)
+        for c in reversed(self.cells):
+            if (c.app, c.pmem_dimms, c.dram_limit_gb, c.metrics) == key:
+                return c.speedup
+        raise KeyError(key)
 
 
 def _system_for(dimms: int) -> MemorySystem:

@@ -51,7 +51,7 @@ from repro.pipeline.stages import (
     run_stage,
 )
 from repro.profiling.cache import ProfileStore
-from repro.runtime.engine import EngineParams, ExecutionEngine
+from repro.runtime.engine import ExecutionEngine
 from repro.runtime.replay import ReplayResult
 from repro.runtime.stats import RunResult
 
@@ -87,8 +87,8 @@ class EcoCell:
 
     The fields mirror :func:`run_ecohmem`'s per-cell knobs — everything
     that may vary *within* one (workload, system) group.  Knobs that
-    change the engine itself (the workload, the memory system, the
-    engine params) define the group, not the cell.
+    change the engine itself (the workload and the memory system) define
+    the group, not the cell.
     """
 
     dram_limit: int
@@ -107,7 +107,6 @@ def _place_cell(
     *,
     stack_format: StackFormat,
     seed: int,
-    engine_params: EngineParams,
     artifact_store: "ArtifactStore | None" = None,
     upstream: "tuple[str, ...]" = (),
 ) -> Tuple[PlacementOutcome, str]:
@@ -117,7 +116,7 @@ def _place_cell(
     observe = bandwidth_observer(
         workload, system, registry,
         dram_limit=cell.dram_limit, stack_format=stack_format,
-        seed=seed, engine_params=engine_params,
+        seed=seed,
     )
     outcome = placement_stage(
         profiles, system, config,
@@ -155,7 +154,6 @@ def run_ecohmem(
     algorithm: str = "density",
     stack_format: StackFormat = StackFormat.BOM,
     config: Optional[AdvisorConfig] = None,
-    engine_params: Optional[EngineParams] = None,
     seed: int = 11,
     registry: Optional[SiteRegistry] = None,
     pebs_hz: float = 100.0,
@@ -184,7 +182,6 @@ def run_ecohmem(
     """
     if algorithm not in ("density", "bw-aware"):
         raise SimulationError(f"unknown algorithm {algorithm!r}")
-    engine_params = engine_params or EngineParams()
 
     custom_registry = registry
     registry = registry or SiteRegistry(workload)
@@ -204,15 +201,13 @@ def run_ecohmem(
         workload, system, registry, profiles,
         EcoCell(dram_limit=dram_limit, use_stores=use_stores,
                 algorithm=algorithm, config=config),
-        stack_format=stack_format, seed=seed, engine_params=engine_params,
-        artifact_store=astore,
+        stack_format=stack_format, seed=seed, artifact_store=astore,
         upstream=(profile_key,) if profile_key else (),
     )
     run, prepared, _ = run_stage(
         production_workload or workload, system, registry, outcome.report,
         dram_limit=dram_limit, stack_format=stack_format,
-        aslr_seed=4000 + seed, engine_params=engine_params,
-        label=label,
+        aslr_seed=4000 + seed, label=label,
         # a custom registry changes the run but is not part of the run
         # key, so it bypasses provenance publishing like the other stages
         artifact_store=astore if custom_registry is None else None,
@@ -227,7 +222,6 @@ def run_ecohmem_batch(
     cells: "list[EcoCell]",
     *,
     stack_format: StackFormat = StackFormat.BOM,
-    engine_params: Optional[EngineParams] = None,
     seed: int = 11,
     profile_store: Optional[ProfileStore] = None,
     extra_models: Optional[list] = None,
@@ -256,7 +250,6 @@ def run_ecohmem_batch(
     share them as profile artifacts; placements and runs are not
     artifact-cached here.
     """
-    engine_params = engine_params or EngineParams()
     registry = SiteRegistry(workload)
 
     profiles_by_hz: Dict[float, dict] = {}
@@ -277,7 +270,7 @@ def run_ecohmem_batch(
     for cell in cells:
         outcome, label = _place_cell(
             workload, system, registry, profiles_for(cell.pebs_hz), cell,
-            stack_format=stack_format, seed=seed, engine_params=engine_params,
+            stack_format=stack_format, seed=seed,
         )
         outcomes.append(outcome)
         labels.append(label)
@@ -288,7 +281,7 @@ def run_ecohmem_batch(
         ))
 
     extras = list(extra_models or [])
-    engine = ExecutionEngine(workload, system, engine_params)
+    engine = ExecutionEngine(workload, system)
     runs = engine.run_batch(
         [p.model for p in prepared] + [model for model, _ in extras],
         labels=labels + [label for _, label in extras],
@@ -310,7 +303,6 @@ def run_profdp_best(
     *,
     dram_limit: int,
     stack_format: StackFormat = StackFormat.BOM,
-    engine_params: Optional[EngineParams] = None,
     seed: int = 11,
     pebs_hz: float = 100.0,
     profile_store: Optional[ProfileStore] = None,
@@ -329,7 +321,6 @@ def run_profdp_best(
     """
     if workload.name == "minimd":
         return None, None
-    engine_params = engine_params or EngineParams()
 
     registry = SiteRegistry(workload)
     astore = resolve_artifact_store(artifact_store)
@@ -353,8 +344,7 @@ def run_profdp_best(
         run, _, _ = run_stage(
             workload, system, registry, report,
             dram_limit=dram_limit, stack_format=stack_format,
-            aslr_seed=5000 + seed, engine_params=engine_params,
-            label=variant.label,
+            aslr_seed=5000 + seed, label=variant.label,
             artifact_store=astore,
             upstream=(profile_key,) if profile_key else (),
         )

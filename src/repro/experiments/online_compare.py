@@ -42,7 +42,7 @@ from repro.experiments.sweep import (
     run_scheduled,
 )
 from repro.pipeline.online import run_online_pipeline
-from repro.runtime.engine import EngineParams, ExecutionEngine
+from repro.runtime.engine import ExecutionEngine
 from repro.runtime.online import OnlineParams
 
 #: equality slack when calling a cell a tie (totals are deterministic,
@@ -115,7 +115,7 @@ def _online_cell_task(
     # per-rank budget: the advisor and the engine both think per rank
     rank_limit = max(dram_limit // wl.ranks, 1)
 
-    engine = ExecutionEngine(wl, system, EngineParams())
+    engine = ExecutionEngine(wl, system)
     report = run_online_pipeline(
         wl, system,
         dram_limit=rank_limit,

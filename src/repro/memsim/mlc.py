@@ -21,7 +21,7 @@ from typing import Dict, List, Sequence
 from repro.apps.workload import AccessStats, AllocationSite, ObjectSpec, Phase, Workload
 from repro.errors import ConfigError
 from repro.memsim.subsystem import MemorySystem
-from repro.runtime.engine import EngineParams, ExecutionEngine
+from repro.runtime.engine import ExecutionEngine
 from repro.runtime.traffic import PlacementTraffic
 from repro.units import GiB
 
@@ -80,7 +80,6 @@ def measure_loaded_latency(
     bandwidths: Sequence[float],
     *,
     write_fraction: float = 0.0,
-    params: EngineParams = EngineParams(),
 ) -> List[MLCPoint]:
     """Measure effective latency at several bandwidth demands.
 
@@ -93,7 +92,7 @@ def measure_loaded_latency(
     points: List[MLCPoint] = []
     for bw in bandwidths:
         wl = _probe_workload(subsystem, bw, write_fraction)
-        engine = ExecutionEngine(wl, system, params)
+        engine = ExecutionEngine(wl, system)
         run = engine.run(
             PlacementTraffic(wl, {"mlc::buffer": subsystem}),
             label=f"mlc-{subsystem}",

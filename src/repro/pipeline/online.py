@@ -20,7 +20,7 @@ from repro.apps import get_workload
 from repro.apps.workload import Workload
 from repro.errors import ConfigError
 from repro.memsim.subsystem import MemorySystem, system_for_name
-from repro.runtime.engine import EngineParams, ExecutionEngine
+from repro.runtime.engine import ExecutionEngine
 from repro.runtime.online import (
     OnlineParams,
     OnlineRunReport,
@@ -76,7 +76,7 @@ def static_placement(
     advisor on the same inputs.
     """
     if engine is None:
-        engine = ExecutionEngine(workload, system, EngineParams())
+        engine = ExecutionEngine(workload, system)
     traffic = suffix_site_traffic(workload, engine._segment_arrays, 0)
     return advise_placement(workload, system, dram_limit, traffic)
 
@@ -111,7 +111,7 @@ def run_online_pipeline(
         raise ConfigError(f"online: dram_limit must be >= 1, got {dram_limit}")
 
     if engine is None:
-        engine = ExecutionEngine(wl, sysm, EngineParams())
+        engine = ExecutionEngine(wl, sysm)
     static = static_placement(wl, sysm, dram_limit, engine=engine)
     report = run_online(
         wl, sysm, static,

@@ -59,7 +59,7 @@ from repro.profiling.cache import (
 from repro.profiling.paramedir import Paramedir, SiteProfile
 from repro.profiling.pebs import PEBSConfig
 from repro.profiling.tracer import ExtraeTracer, TracerConfig
-from repro.runtime.engine import EngineParams, ExecutionEngine
+from repro.runtime.engine import ExecutionEngine
 from repro.runtime.replay import ReplayResult, replay_allocations
 from repro.runtime.stats import RunResult
 from repro.runtime.traffic import PlacementTraffic
@@ -97,7 +97,6 @@ class RunSpec:
     dram_limit: int
     stack_format: str
     aslr_seed: int
-    engine_params: EngineParams
     label: str
     charge_overhead: bool
     report_digest: str
@@ -275,7 +274,6 @@ def bandwidth_observer(
     dram_limit: int,
     stack_format: StackFormat,
     seed: int,
-    engine_params: EngineParams,
 ) -> ObserveFn:
     """The Section VII observation step as an :data:`ObserveFn`.
 
@@ -294,8 +292,8 @@ def bandwidth_observer(
         density_run, _ = _production_run(
             workload, system, registry, density_report,
             dram_limit=dram_limit, stack_format=stack_format,
-            aslr_seed=2000 + seed, engine_params=engine_params,
-            label="density-observation", charge_overhead=False,
+            aslr_seed=2000 + seed, label="density-observation",
+            charge_overhead=False,
         )
         # bridge site names <-> stable site keys
         probe = registry.make_process(rank=0, aslr_seed=3000 + seed)
@@ -511,7 +509,6 @@ def _production_run(
     dram_limit: int,
     stack_format: StackFormat,
     aslr_seed: int,
-    engine_params: EngineParams,
     label: str,
     charge_overhead: bool = True,
 ) -> Tuple[RunResult, PreparedRun]:
@@ -521,7 +518,7 @@ def _production_run(
         dram_limit=dram_limit, stack_format=stack_format,
         aslr_seed=aslr_seed, charge_overhead=charge_overhead,
     )
-    engine = ExecutionEngine(workload, system, engine_params)
+    engine = ExecutionEngine(workload, system)
     run = engine.run(
         prepared.model,
         label=label,
@@ -540,7 +537,6 @@ def run_stage(
     dram_limit: int,
     stack_format: StackFormat,
     aslr_seed: int,
-    engine_params: EngineParams,
     label: str,
     charge_overhead: bool = True,
     artifact_store: "ArtifactStore | str | None" = None,
@@ -559,8 +555,7 @@ def run_stage(
     run, prepared = _production_run(
         workload, system, registry, report,
         dram_limit=dram_limit, stack_format=stack_format,
-        aslr_seed=aslr_seed, engine_params=engine_params,
-        label=label, charge_overhead=charge_overhead,
+        aslr_seed=aslr_seed, label=label, charge_overhead=charge_overhead,
     )
     store = resolve_artifact_store(artifact_store)
     key = None
@@ -572,7 +567,6 @@ def run_stage(
             dram_limit=dram_limit,
             stack_format=stack_format.value,
             aslr_seed=aslr_seed,
-            engine_params=engine_params,
             label=label,
             charge_overhead=charge_overhead,
             report_digest=hashlib.sha256(

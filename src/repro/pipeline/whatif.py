@@ -7,9 +7,8 @@ loop's front door.  :func:`evaluate_placements` feeds a list of
 candidate placements through one shared
 :class:`~repro.runtime.engine.ExecutionEngine`, which evaluates them in
 fused ``(K × segments × subsystems)`` fixed-point passes
-(:meth:`~repro.runtime.engine.ExecutionEngine.predict_times` /
-:meth:`~repro.runtime.engine.ExecutionEngine.run_batch`) instead of K
-independent ``run`` calls.  The returned numbers are **bit-equal** to
+(:meth:`~repro.runtime.engine.ExecutionEngine.predict_times`) instead of
+K independent ``run`` calls.  The returned numbers are **bit-equal** to
 the sequential path — the fixed point is per-row, so fusing rows cannot
 change any row's trajectory (see docs/PERFORMANCE.md §9).
 
@@ -24,8 +23,7 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from repro.apps.workload import Workload
 from repro.memsim.subsystem import MemorySystem
-from repro.runtime.engine import EngineParams, ExecutionEngine
-from repro.runtime.stats import RunResult
+from repro.runtime.engine import ExecutionEngine
 
 #: a candidate is a plain {site_name: subsystem} mapping or any traffic
 #: model the engine accepts (PlacementTraffic, TieringTraffic, ...)
@@ -43,43 +41,21 @@ def evaluate_placements(
     system: MemorySystem,
     placements: Sequence[Candidate],
     *,
-    labels: Optional[Sequence[Optional[str]]] = None,
-    interposer_overheads_s: Optional[Sequence[float]] = None,
     engine: Optional[ExecutionEngine] = None,
-    engine_params: Optional[EngineParams] = None,
-    full: bool = False,
-) -> "List[float] | List[RunResult]":
-    """Score candidate placements of one workload on one memory system.
+) -> List[float]:
+    """Predicted total runtime of each candidate placement of one workload.
 
-    By default returns one predicted total runtime per candidate (the
-    cheap ranking path — no per-object/per-phase assembly); with
-    ``full=True`` returns complete :class:`RunResult`\\ s instead.  Both
-    are bit-identical to evaluating each candidate through a sequential
-    ``engine.run`` call.  Candidates are chunked into fused passes of
-    :data:`BATCH_SIZE`; pass an existing ``engine`` to reuse its
+    The cheap ranking path: no per-object/per-phase assembly, yet every
+    time is bit-identical to the ``total_time`` of a sequential
+    ``engine.run`` of that candidate.  Candidates are chunked into fused
+    passes of :data:`BATCH_SIZE`; pass an existing ``engine`` to reuse its
     segmentation and packing caches across calls.
     """
     if engine is None:
-        engine = ExecutionEngine(workload, system, engine_params or EngineParams())
-    K = len(placements)
-    labels = list(labels) if labels is not None else None
-    overheads = (list(interposer_overheads_s)
-                 if interposer_overheads_s is not None else None)
-    out: list = []
-    for lo in range(0, K, BATCH_SIZE):
-        hi = min(lo + BATCH_SIZE, K)
-        part = list(placements[lo:hi])
-        part_over = overheads[lo:hi] if overheads is not None else None
-        if full:
-            out.extend(engine.run_batch(
-                part,
-                labels=labels[lo:hi] if labels is not None else None,
-                interposer_overheads_s=part_over,
-            ))
-        else:
-            out.extend(engine.predict_times(
-                part, interposer_overheads_s=part_over,
-            ))
+        engine = ExecutionEngine(workload, system)
+    out: List[float] = []
+    for lo in range(0, len(placements), BATCH_SIZE):
+        out.extend(engine.predict_times(list(placements[lo:lo + BATCH_SIZE])))
     return out
 
 

@@ -21,7 +21,7 @@ from repro.runtime.traffic import (
     PlacementTraffic,
 )
 from repro.runtime.stats import ObjectRunStats, PhaseResult, RunResult
-from repro.runtime.engine import ExecutionEngine, EngineParams
+from repro.runtime.engine import ExecutionEngine
 
 __all__ = [
     "SegmentTraffic",
@@ -32,5 +32,4 @@ __all__ = [
     "PhaseResult",
     "RunResult",
     "ExecutionEngine",
-    "EngineParams",
 ]

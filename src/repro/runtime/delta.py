@@ -199,7 +199,6 @@ class DeltaState:
     result: object
     label: Optional[str] = None
     interposer_overhead_s: float = 0.0
-    dram_cache_hit_ratio: Optional[float] = None
     interposer_stats: Optional[dict] = None
 
     @property

@@ -56,25 +56,22 @@ from repro.runtime.traffic import (
 _NS = 1e-9
 
 
-@dataclass(frozen=True)
-class EngineParams:
-    """Numerical knobs of the timing model."""
+# The timing model's numerical constants (docs/MODEL.md).  The engine
+# reads them at call time, so a test can monkeypatch one.
 
-    fixed_point_iters: int = 24
-    damping: float = 0.5
-    timeline_bins: int = 600
-    #: convergence tolerance on segment duration (relative)
-    tolerance: float = 1e-6
-    #: utilization at which the latency curve is clamped; beyond it the
-    #: throughput constraint (duration >= bytes/peak) governs, so letting
-    #: the curve approach its pole would double-count queueing
-    latency_util_cap: float = 0.92
-
-    def __post_init__(self) -> None:
-        if self.fixed_point_iters < 1:
-            raise SimulationError("fixed_point_iters must be >= 1")
-        if not 0.0 < self.damping <= 1.0:
-            raise SimulationError("damping must be in (0, 1]")
+#: fixed-point iterations per row; a row still moving at the cap is
+#: returned as it stands, with no signal
+FIXED_POINT_ITERS = 24
+#: weight of the new iterate in each damped fixed-point step
+DAMPING = 0.5
+#: convergence tolerance on segment duration (relative)
+TOLERANCE = 1e-6
+#: utilization at which the latency curve is clamped; beyond it the
+#: throughput constraint (duration >= bytes/peak) governs, so letting
+#: the curve approach its pole would double-count queueing
+LATENCY_UTIL_CAP = 0.92
+#: bins of a run's bandwidth timeline (resolution at least 1 us)
+TIMELINE_BINS = 600
 
 
 @dataclass
@@ -183,15 +180,9 @@ def _per_model(seq, default, K: int, caller: str, what: str) -> list:
 class ExecutionEngine:
     """Runs a workload under a traffic model on a memory system."""
 
-    def __init__(
-        self,
-        workload: Workload,
-        system: MemorySystem,
-        params: EngineParams = EngineParams(),
-    ):
+    def __init__(self, workload: Workload, system: MemorySystem):
         self.workload = workload
         self.system = system
-        self.params = params
         self._segment_arrays = build_segment_arrays(workload)
 
     # -- segmentation -----------------------------------------------------------
@@ -255,13 +246,13 @@ class ExecutionEngine:
 
         duration = compute
         lat_by_sub: Dict[str, float] = {}
-        for _ in range(self.params.fixed_point_iters):
+        for _ in range(FIXED_POINT_ITERS):
             stall = 0.0
             for name, t in traffic.by_subsystem.items():
                 sub = self.system.get(name)
                 bw = t.total_bytes / duration
                 lat = sub.read_latency_ns(
-                    bw, t.write_fraction, util_cap=self.params.latency_util_cap
+                    bw, t.write_fraction, util_cap=LATENCY_UTIL_CAP
                 )
                 lat += t.extra_latency_ns
                 lat_by_sub[name] = lat
@@ -283,13 +274,10 @@ class ExecutionEngine:
                     new_duration,
                     t.read_bytes / sub.peak_read_bw + t.write_bytes / sub.peak_write_bw,
                 )
-            if abs(new_duration - duration) <= self.params.tolerance * duration:
+            if abs(new_duration - duration) <= TOLERANCE * duration:
                 duration = new_duration
                 break
-            duration = (
-                self.params.damping * new_duration
-                + (1.0 - self.params.damping) * duration
-            )
+            duration = DAMPING * new_duration + (1.0 - DAMPING) * duration
         stall_time = duration - compute
         return duration, stall_time, lat_by_sub
 
@@ -336,20 +324,17 @@ class ExecutionEngine:
         floor = (rb / prb + wb / pwb).max(axis=1)
         order_cols = np.argsort(batch.order_pos, axis=1, kind="stable")
 
-        cap = self.params.latency_util_cap
-        tol = self.params.tolerance
-        damp = self.params.damping
         duration = compute.copy()
         lat_final = np.zeros((S, K))
         active = np.ones(S, dtype=bool)
-        for _ in range(self.params.fixed_point_iters):
+        for _ in range(FIXED_POINT_ITERS):
             if not active.any():
                 break
             bw = total_bytes / duration[:, None]
             lat = np.empty_like(bw)
             for k, sub in enumerate(subs):
                 lat[:, k] = sub.read_latency_ns_batch(
-                    bw[:, k], wf[:, k], util_cap=cap
+                    bw[:, k], wf[:, k], util_cap=LATENCY_UTIL_CAP
                 )
             lat = lat + extra
             lat_final = np.where(active[:, None], lat, lat_final)
@@ -359,8 +344,9 @@ class ExecutionEngine:
             for k in range(K):
                 stall = stall + ordered[:, k]
             new = np.maximum(compute + stall, floor)
-            converged = np.abs(new - duration) <= tol * duration
-            step = np.where(converged, new, damp * new + (1.0 - damp) * duration)
+            converged = np.abs(new - duration) <= TOLERANCE * duration
+            step = np.where(converged, new,
+                            DAMPING * new + (1.0 - DAMPING) * duration)
             duration = np.where(active, step, duration)
             active &= ~converged
         return duration, lat_final
@@ -407,7 +393,7 @@ class ExecutionEngine:
         self, models: Sequence[TrafficModel], runs: Sequence[dict]
     ) -> List[DeltaState]:
         """Pack, solve and assemble K models; ``runs[k]`` is lane k's run
-        arguments (label, interposer overhead, hit ratio, stats)."""
+        arguments (label, interposer overhead, stats)."""
         resolved, batches = self._pack(models)
         durations, lat_final = self._solve(batches)
         S = self._segment_arrays.num_segments
@@ -441,7 +427,6 @@ class ExecutionEngine:
         *,
         label: Optional[str] = None,
         interposer_overhead_s: float = 0.0,
-        dram_cache_hit_ratio: Optional[float] = None,
         interposer_stats: Optional[InterposerStats] = None,
     ) -> RunResult:
         """Execute the workload under ``model`` and collect statistics.
@@ -451,7 +436,6 @@ class ExecutionEngine:
         return self._lanes([model], [dict(
             label=label,
             interposer_overhead_s=interposer_overhead_s,
-            dram_cache_hit_ratio=dram_cache_hit_ratio,
             interposer_stats=interposer_stats,
         )])[0].result
 
@@ -461,7 +445,6 @@ class ExecutionEngine:
         *,
         labels: Optional[Sequence[Optional[str]]] = None,
         interposer_overheads_s: Optional[Sequence[float]] = None,
-        dram_cache_hit_ratios: Optional[Sequence[Optional[float]]] = None,
         interposer_stats: Optional[Sequence[Optional[InterposerStats]]] = None,
     ) -> List[RunResult]:
         """Evaluate K candidate placements in one fused fixed-point pass.
@@ -482,14 +465,11 @@ class ExecutionEngine:
         """
         K = len(models)
         runs = [
-            dict(label=lb, interposer_overhead_s=ov,
-                 dram_cache_hit_ratio=hr, interposer_stats=st)
-            for lb, ov, hr, st in zip(
+            dict(label=lb, interposer_overhead_s=ov, interposer_stats=st)
+            for lb, ov, st in zip(
                 _per_model(labels, None, K, "run_batch", "labels"),
                 _per_model(interposer_overheads_s, 0.0, K, "run_batch",
                            "overheads"),
-                _per_model(dram_cache_hit_ratios, None, K, "run_batch",
-                           "hit ratios"),
                 _per_model(interposer_stats, None, K, "run_batch",
                            "interposer stats"),
             )
@@ -536,7 +516,6 @@ class ExecutionEngine:
         *,
         label: Optional[str] = None,
         interposer_overhead_s: float = 0.0,
-        dram_cache_hit_ratio: Optional[float] = None,
         interposer_stats: Optional[InterposerStats] = None,
     ) -> DeltaState:
         """:meth:`run`, but return a :class:`DeltaState` for suffix patching.
@@ -548,7 +527,6 @@ class ExecutionEngine:
         return self._lanes([model], [dict(
             label=label,
             interposer_overhead_s=interposer_overhead_s,
-            dram_cache_hit_ratio=dram_cache_hit_ratio,
             interposer_stats=interposer_stats,
         )])[0]
 
@@ -613,9 +591,9 @@ class ExecutionEngine:
         :class:`~repro.runtime.delta.PatchedPlacementTraffic` model
         (enforced by ``tests/runtime/test_online_incremental.py``).
 
-        Scalar run parameters (interposer overhead, cache hit ratio,
-        stats) carry over from ``state`` so totals stay comparable across
-        a chain of patches.
+        Scalar run parameters (interposer overhead, stats) carry over
+        from ``state`` so totals stay comparable across a chain of
+        patches.
         """
         switch_time = self._check_boundary(boundary_seg, "run_incremental")
         patched = PatchedPlacementTraffic(state.model, placement_of, switch_time)
@@ -627,7 +605,6 @@ class ExecutionEngine:
             durations, lat_final,
             label=label if label is not None else state.label,
             interposer_overhead_s=state.interposer_overhead_s,
-            dram_cache_hit_ratio=state.dram_cache_hit_ratio,
             interposer_stats=state.interposer_stats,
         )
 
@@ -746,7 +723,6 @@ class ExecutionEngine:
         *,
         label: Optional[str],
         interposer_overhead_s: float,
-        dram_cache_hit_ratio: Optional[float],
         interposer_stats: Optional[InterposerStats],
     ) -> RunResult:
         """Turn one lane's converged durations/latencies into a RunResult.
@@ -959,7 +935,6 @@ class ExecutionEngine:
             objects=objects,
             timeline=timeline,
             interposer_overhead_s=interposer_overhead_s,
-            dram_cache_hit_ratio=dram_cache_hit_ratio,
             interposer_stats=interposer_stats,
         )
 
@@ -971,7 +946,6 @@ class ExecutionEngine:
         *,
         label: Optional[str] = None,
         interposer_overhead_s: float = 0.0,
-        dram_cache_hit_ratio: Optional[float] = None,
         interposer_stats: Optional[InterposerStats] = None,
     ) -> RunResult:
         """Reference implementation of :meth:`run`: one Python loop per segment."""
@@ -1067,7 +1041,6 @@ class ExecutionEngine:
             objects=objects,
             timeline=timeline,
             interposer_overhead_s=interposer_overhead_s,
-            dram_cache_hit_ratio=dram_cache_hit_ratio,
             interposer_stats=interposer_stats,
         )
 
@@ -1146,7 +1119,7 @@ class ExecutionEngine:
         starts: np.ndarray,
         total_time: float,
     ) -> BandwidthTimeline:
-        resolution = max(total_time / self.params.timeline_bins, 1e-6)
+        resolution = max(total_time / TIMELINE_BINS, 1e-6)
         timeline = BandwidthTimeline(duration=total_time, resolution=resolution)
         ends = starts + durations
         # zero-length segments, and positive durations below the float
@@ -1199,7 +1172,7 @@ class ExecutionEngine:
         return [phases[k] for k in order]
 
     def _timeline(self, seg_results, total_time: float) -> BandwidthTimeline:
-        resolution = max(total_time / self.params.timeline_bins, 1e-6)
+        resolution = max(total_time / TIMELINE_BINS, 1e-6)
         timeline = BandwidthTimeline(duration=total_time, resolution=resolution)
         for seg, traffic, start, duration, _stall, _lat, _pf in seg_results:
             if duration <= 0.0:  # zero-length segment: nothing to spread

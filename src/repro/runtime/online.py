@@ -45,7 +45,7 @@ from repro.errors import SimulationError
 from repro.memsim.subsystem import MemorySystem
 from repro.profiling.metrics import LINE_BYTES
 from repro.runtime.delta import DeltaState, PatchedPlacementTraffic
-from repro.runtime.engine import EngineParams, ExecutionEngine
+from repro.runtime.engine import ExecutionEngine
 from repro.runtime.segments import SegmentArrays
 from repro.runtime.traffic import PlacementTraffic, _placement_pack_base
 
@@ -63,6 +63,12 @@ __all__ = [
 ]
 
 
+#: the DRAM-budget fractions the advisor is asked for at each boundary —
+#: sweeping the budget down produces genuinely different candidate
+#: placements from one advisory pass
+CANDIDATE_FRACS = (1.0, 0.75, 0.5)
+
+
 @dataclass(frozen=True)
 class OnlineParams:
     """Knobs of the online re-advisory loop.
@@ -71,28 +77,17 @@ class OnlineParams:
     re-advisory is only considered at epoch boundaries whose leading
     epoch shifted by more than ``shift_threshold`` (total-variation
     distance between consecutive per-site byte distributions, in
-    ``[0, 1]``).  ``candidate_fracs`` are the DRAM-budget fractions the
-    advisor is asked for at each boundary — sweeping the budget down
-    produces genuinely different candidate placements from one advisory
-    pass.
+    ``[0, 1]``).
     """
 
     epochs: int = 8
     shift_threshold: float = 0.10
-    candidate_fracs: Tuple[float, ...] = (1.0, 0.75, 0.5)
 
     def __post_init__(self) -> None:
         if self.epochs < 2:
             raise SimulationError("online: epochs must be >= 2")
         if not 0.0 <= self.shift_threshold <= 1.0:
             raise SimulationError("online: shift_threshold must be in [0, 1]")
-        if not self.candidate_fracs:
-            raise SimulationError("online: need at least one candidate frac")
-        for f in self.candidate_fracs:
-            if not 0.0 < f <= 1.0:
-                raise SimulationError(
-                    f"online: candidate frac {f} outside (0, 1]"
-                )
 
 
 @dataclass
@@ -343,7 +338,6 @@ def run_online(
     dram_limit: int,
     params: Optional[OnlineParams] = None,
     engine: Optional[ExecutionEngine] = None,
-    engine_params: Optional[EngineParams] = None,
     use_incremental: bool = True,
 ) -> OnlineRunReport:
     """Execute the full online loop and report the outcome.
@@ -357,7 +351,7 @@ def run_online(
     """
     params = params or OnlineParams()
     if engine is None:
-        engine = ExecutionEngine(workload, system, engine_params or EngineParams())
+        engine = ExecutionEngine(workload, system)
     sa = engine._segment_arrays
 
     state = engine.run_delta(PlacementTraffic(workload, initial_placement))
@@ -372,7 +366,7 @@ def run_online(
     for epoch, s0 in shifted:
         traffic = suffix_site_traffic(workload, sa, s0)
         candidates: List[Dict[str, str]] = []
-        for frac in params.candidate_fracs:
+        for frac in CANDIDATE_FRACS:
             cand = advise_placement(
                 workload, system, dram_limit, traffic, dram_frac=frac
             )
@@ -421,7 +415,6 @@ def run_online(
                 PatchedPlacementTraffic(state.model, chosen, switch),
                 label=state.label,
                 interposer_overhead_s=state.interposer_overhead_s,
-                dram_cache_hit_ratio=state.dram_cache_hit_ratio,
                 interposer_stats=state.interposer_stats,
             )
         migration_total += best_cost

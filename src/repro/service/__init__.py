@@ -33,7 +33,8 @@ costs charged, and the report compares ``==`` to
 Environment knobs: ``REPRO_SERVICE_WORKERS``,
 ``REPRO_SERVICE_BATCH_WINDOW_MS``, ``REPRO_SERVICE_MAX_BATCH``,
 ``REPRO_SERVICE_REPORT_DIR`` — plus ``REPRO_ARTIFACT_DIR`` for the
-shared stage cache.
+shared stage cache.  A malformed or out-of-range knob raises
+:class:`~repro.errors.ConfigError`.
 """
 
 from repro.service.protocol import (

@@ -38,7 +38,7 @@ from repro.alloc import PlacementReport
 from repro.apps import get_workload
 from repro.apps.sites import SiteRegistry
 from repro.binary.callstack import StackFormat
-from repro.errors import ReproError
+from repro.errors import ConfigError, ReproError
 from repro.pipeline.artifacts import (
     ArtifactStore,
     artifact_key,
@@ -61,7 +61,7 @@ from repro.profiling.cache import (
 from repro.profiling.paramedir import Paramedir
 from repro.profiling.trace import Trace
 from repro.pipeline.whatif import evaluate_placements, rank_placements
-from repro.runtime.engine import EngineParams, ExecutionEngine
+from repro.runtime.engine import ExecutionEngine
 from repro.runtime.online import OnlineParams
 from repro.runtime.traffic import PlacementTraffic
 from repro.service.protocol import (
@@ -76,24 +76,27 @@ from repro.service.protocol import (
 from repro.service.reports import ReportStore, resolve_report_store
 
 
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if not raw:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        return default
+def _knob(value, arg: str, env: str, default, parse, least):
+    """The explicit ``value``, else ``$env``, else ``default``.
 
-
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name)
-    if not raw:
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        return default
+    A malformed or out-of-range value raises :class:`ConfigError` naming
+    the argument or variable and its value, so a typo cannot silently
+    change the server's shape.
+    """
+    where = f"{arg}={value!r}"
+    if value is None:
+        raw = os.environ.get(env, "").strip()
+        if not raw:
+            return default
+        where = f"{env}={raw!r}"
+        try:
+            value = parse(raw)
+        except ValueError:
+            raise ConfigError(
+                f"{where} is not a valid {parse.__name__}") from None
+    if not value >= least:
+        raise ConfigError(f"{where} must be >= {least}")
+    return value
 
 
 #: the report class answering each request type
@@ -205,19 +208,17 @@ class PlacementServer:
         artifact_store: "ArtifactStore | str | None" = None,
         report_store: "ReportStore | str | None" = None,
         profile_store: Optional[ProfileStore] = None,
-        engine_params: Optional[EngineParams] = None,
     ):
-        self.workers = workers or _env_int("REPRO_SERVICE_WORKERS", 4)
-        self.batch_window_s = (
-            batch_window_ms
-            if batch_window_ms is not None
-            else _env_float("REPRO_SERVICE_BATCH_WINDOW_MS", 5.0)
-        ) / 1000.0
-        self.max_batch = max_batch or _env_int("REPRO_SERVICE_MAX_BATCH", 64)
+        self.workers = _knob(
+            workers, "workers", "REPRO_SERVICE_WORKERS", 4, int, 1)
+        self.batch_window_s = _knob(
+            batch_window_ms, "batch_window_ms",
+            "REPRO_SERVICE_BATCH_WINDOW_MS", 5.0, float, 0.0) / 1000.0
+        self.max_batch = _knob(
+            max_batch, "max_batch", "REPRO_SERVICE_MAX_BATCH", 64, int, 1)
         self.artifact_store = resolve_artifact_store(artifact_store)
         self.report_store = resolve_report_store(report_store)
         self.profile_store = profile_store
-        self.engine_params = engine_params or EngineParams()
         self.stats = ServiceStats()
 
         self._queue: "queue.Queue" = queue.Queue()
@@ -486,8 +487,7 @@ class PlacementServer:
             entry = self._engine_memo.get(key)
         if entry is None:
             wl = get_workload(request.workload)
-            engine = ExecutionEngine(
-                wl, system_for_name(request.system), self.engine_params)
+            engine = ExecutionEngine(wl, system_for_name(request.system))
             with self._memo_lock:
                 entry = self._engine_memo.setdefault(
                     key, (engine, threading.Lock()))
@@ -582,7 +582,7 @@ class PlacementServer:
                 observe=bandwidth_observer(
                     loaded.workload, system, SiteRegistry(loaded.workload),
                     dram_limit=request.dram_limit, stack_format=fmt,
-                    seed=request.seed, engine_params=self.engine_params,
+                    seed=request.seed,
                 ),
             )
             report = _advisory_report(
@@ -637,7 +637,6 @@ def sequential_advisory(
     *,
     profile_store: Optional[ProfileStore] = None,
     artifact_store: "ArtifactStore | str | None" = None,
-    engine_params: Optional[EngineParams] = None,
 ) -> AdvisoryReport:
     """The retained per-query oracle: no server, no batching, scalar ranking.
 
@@ -679,7 +678,6 @@ def sequential_advisory(
                 dram_limit=request.dram_limit,
                 stack_format=StackFormat(request.stack_format),
                 seed=request.seed,
-                engine_params=engine_params or EngineParams(),
             )
             observations = observe(advisor, base, objects)
             placement = advisor.advise_bandwidth_aware(
@@ -693,11 +691,7 @@ def sequential_advisory(
         return _error_report(request, str(exc))
 
 
-def sequential_whatif(
-    request: WhatIfRequest,
-    *,
-    engine_params: Optional[EngineParams] = None,
-) -> WhatIfReport:
+def sequential_whatif(request: WhatIfRequest) -> WhatIfReport:
     """The retained per-candidate oracle: one fresh engine run per placement.
 
     Builds a new :class:`~repro.runtime.engine.ExecutionEngine` for every
@@ -711,8 +705,7 @@ def sequential_whatif(
         system = system_for_name(request.system)
         times: List[float] = []
         for candidate in request.placements:
-            engine = ExecutionEngine(
-                wl, system, engine_params or EngineParams())
+            engine = ExecutionEngine(wl, system)
             run = engine.run(PlacementTraffic(wl, dict(candidate)))
             times.append(float(run.total_time))
         return WhatIfReport(
@@ -757,11 +750,7 @@ def _online_report(
     )
 
 
-def sequential_online(
-    request: OnlineRequest,
-    *,
-    engine_params: Optional[EngineParams] = None,
-) -> OnlineReport:
+def sequential_online(request: OnlineRequest) -> OnlineReport:
     """The retained full-recompute oracle for the online path.
 
     A fresh engine, and ``use_incremental=False``: every candidate is
@@ -773,9 +762,7 @@ def sequential_online(
     try:
         request.validate()
         wl = get_workload(request.workload)
-        engine = ExecutionEngine(
-            wl, system_for_name(request.system),
-            engine_params or EngineParams())
+        engine = ExecutionEngine(wl, system_for_name(request.system))
         return _online_report(request, engine, use_incremental=False)
     except Exception as exc:
         return _error_report(request, str(exc))

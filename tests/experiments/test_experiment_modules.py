@@ -57,6 +57,19 @@ class TestFig6Plumbing:
         assert r.lookup("c", 2, 8, "loads+stores") == 4.0
         assert r.lookup("b", 6, 12, "loads") == 2.0
 
+    def test_lookup_last_duplicate_wins_after_mutation(self):
+        first = Fig6Cell("x", 6, 12, "loads", 1.0)
+        r = Fig6Result(cells=[first, Fig6Cell("x", 6, 12, "loads", 2.0)])
+        assert r.lookup("x", 6, 12, "loads") == 2.0
+        r.cells[1].speedup = 5.0
+        assert r.lookup("x", 6, 12, "loads") == 5.0
+        r.cells[1].dram_limit_gb = 8  # rekeyed: the first cell answers now
+        assert r.lookup("x", 6, 12, "loads") == 1.0
+        assert r.lookup("x", 6, 8, "loads") == 5.0
+        with pytest.raises(KeyError) as err:
+            r.lookup("x", 6, 4, "loads")
+        assert err.value.args == (("x", 6, 4, "loads"),)
+
     def test_subset_sweep_runs(self):
         """A minimal one-app, one-limit sweep exercises the machinery."""
         result = compute_fig6(apps=["minife"], pmem_configs=(6,),

@@ -5,7 +5,7 @@ import pytest
 from repro.errors import SimulationError
 from repro.apps.workload import AccessStats, ObjectSpec, Phase, Workload
 from repro.memsim.subsystem import pmem2_system, pmem6_system
-from repro.runtime.engine import EngineParams, ExecutionEngine
+from repro.runtime.engine import ExecutionEngine
 from repro.runtime.traffic import PlacementTraffic
 from repro.units import MiB
 
@@ -144,12 +144,6 @@ class TestValidation:
     def test_missing_placement_rejected(self, toy_workload):
         with pytest.raises(SimulationError):
             PlacementTraffic(toy_workload, {"toy::hot": "dram"})
-
-    def test_engine_params_validated(self):
-        with pytest.raises(SimulationError):
-            EngineParams(fixed_point_iters=0)
-        with pytest.raises(SimulationError):
-            EngineParams(damping=0.0)
 
 
 class TestInstanceOverride:

@@ -24,7 +24,7 @@ from repro.memsim.subsystem import (
     pmem2_system,
     pmem6_system,
 )
-from repro.runtime.engine import EngineParams, ExecutionEngine
+from repro.runtime.engine import FIXED_POINT_ITERS, ExecutionEngine
 from repro.runtime.segments import build_segment_arrays
 from repro.runtime.stats import run_results_identical
 from repro.runtime.traffic import (
@@ -115,9 +115,9 @@ class TestAppDirectDifferential:
         ("minimd", pmem2_system),
     ], ids=["cloverleaf3d-pmem6", "lammps-pmem2", "minimd-pmem2"])
     def test_rows_unconverged_at_iteration_cap(self, workload_name,
-                                               system_factory):
+                                               system_factory, monkeypatch):
         """Cells where some rows are still moving when the fixed point
-        hits ``fixed_point_iters``: converged rows must stay frozen while
+        hits ``FIXED_POINT_ITERS``: converged rows must stay frozen while
         the capped rows keep their last damped step, as in the scalar
         loop."""
         wl = get_workload(workload_name)
@@ -129,10 +129,9 @@ class TestAppDirectDifferential:
 
         assert_runs_identical(wl, system, model)
         capped = ExecutionEngine(wl, system).run(model()).total_time
-        one_more = EngineParams(
-            fixed_point_iters=EngineParams().fixed_point_iters + 1)
-        assert ExecutionEngine(wl, system, one_more).run(
-            model()).total_time != capped
+        monkeypatch.setattr("repro.runtime.engine.FIXED_POINT_ITERS",
+                            FIXED_POINT_ITERS + 1)
+        assert ExecutionEngine(wl, system).run(model()).total_time != capped
 
 
 class _ScalarOnly:

@@ -192,7 +192,7 @@ class TestEvaluatePlacements:
         wl = make_toy_workload()
         system = pmem6_system()
         cands = [p for p, _ in candidate_placements(wl, system.names, 4)]
-        runs = evaluate_placements(wl, system, cands, full=True)
+        runs = ExecutionEngine(wl, system).run_batch(cands)
         times = evaluate_placements(wl, system, cands)
         assert times == [r.total_time for r in runs]
 

@@ -12,6 +12,7 @@ import os
 
 import pytest
 
+from repro.errors import ConfigError
 from repro.experiments.sweep import codec
 from repro.pipeline import ArtifactStore
 from repro.profiling.cache import ProfileStore
@@ -380,9 +381,34 @@ class TestEnvKnobs:
         monkeypatch.setenv("REPRO_SERVICE_WORKERS", "7")
         assert PlacementServer(workers=2).workers == 2
 
-    def test_bad_env_falls_back(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVICE_WORKERS", "many")
-        assert PlacementServer().workers == 4
+    @pytest.mark.parametrize("var,value", [
+        ("REPRO_SERVICE_WORKERS", "four"),
+        ("REPRO_SERVICE_WORKERS", "0"),
+        ("REPRO_SERVICE_WORKERS", "2.5"),
+        ("REPRO_SERVICE_MAX_BATCH", "-3"),
+        ("REPRO_SERVICE_MAX_BATCH", "0"),
+        ("REPRO_SERVICE_BATCH_WINDOW_MS", "-1"),
+        ("REPRO_SERVICE_BATCH_WINDOW_MS", "soon"),
+        ("REPRO_SERVICE_BATCH_WINDOW_MS", "nan"),
+    ])
+    def test_bad_env_raises(self, monkeypatch, var, value):
+        monkeypatch.setenv(var, value)
+        with pytest.raises(ConfigError) as err:
+            PlacementServer()
+        assert var in str(err.value) and value in str(err.value)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"workers": 0}, {"max_batch": 0}, {"max_batch": -3},
+        {"batch_window_ms": -0.5},
+    ], ids=["workers-0", "max_batch-0", "max_batch-neg", "window-neg"])
+    def test_bad_explicit_raises(self, monkeypatch, kwargs):
+        # a valid environment must not mask a bad explicit argument
+        monkeypatch.setenv("REPRO_SERVICE_WORKERS", "3")
+        monkeypatch.setenv("REPRO_SERVICE_MAX_BATCH", "8")
+        [(arg, value)] = kwargs.items()
+        with pytest.raises(ConfigError) as err:
+            PlacementServer(**kwargs)
+        assert f"{arg}={value!r}" in str(err.value)
 
 
 def _whatif_request(workload="minife", K=3, system="pmem6", **kw):

@@ -190,6 +190,13 @@ class TestQueryServe:
         with pytest.raises(SystemExit, match="no requests"):
             main(["serve", "--requests", str(reqs)])
 
+    def test_serve_rejects_bad_server_knob(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("REPRO_SERVICE_WORKERS", raising=False)
+        reqs = tmp_path / "requests.jsonl"
+        reqs.write_text('{"workload": "minife", "dram_limit_gb": 2}\n')
+        with pytest.raises(SystemExit, match="workers=0 must be >= 1"):
+            main(["serve", "--requests", str(reqs), "--workers", "0"])
+
 
 class TestWhatIf:
     def _candidates(self, tmp_path, entries, jsonl=False):
