@@ -119,20 +119,24 @@ def profile_workload(
     registry: Optional[SiteRegistry] = None,
     profile_store: Optional[ProfileStore] = None,
 ) -> Profiles:
-    """The profiling stage: Extrae trace + Paramedir analysis, memoized.
+    """The profiling stage: Extrae + Paramedir per-site profiles, memoized.
 
     The result is a deterministic function of (workload content, seed,
     stack format, PEBS rate, profiled ranks, rank jitter), so it is
     cached in memory through a :class:`~repro.profiling.cache.ProfileStore`
     and shared by every pipeline run with the same configuration — one
-    trace per configuration instead of one per sweep cell.  A custom
-    ``registry`` changes the address spaces behind the site keys, so it
-    bypasses the cache.  Cross-process reuse is :func:`profile_stage`'s
-    artifact layer.
+    profiling run per configuration instead of one per sweep cell.  A
+    custom ``registry`` changes the address spaces behind the site keys,
+    so it bypasses the cache.  Cross-process reuse is
+    :func:`profile_stage`'s artifact layer.
+
+    Each rank is profiled with :meth:`ExtraeTracer.profile`, which
+    equals ``Paramedir().analyze(tracer.run(...))`` field for field but
+    never builds the trace (only profiles are ever cached).
 
     Determinism is per rank, not per profiling session: the tracer
     derives each run's generators from ``(seed, rank)``, so profiling
-    rank ``r`` alone yields the same trace as profiling ranks ``0..r``
+    rank ``r`` alone yields the same profile as profiling ranks ``0..r``
     (and the vectorized tracer/analyzer are bit-identical to their
     scalar oracles) — cached profiles stay valid however the ranks were
     produced.
@@ -146,20 +150,18 @@ def profile_workload(
                          rank_jitter=rank_jitter),
             registry or SiteRegistry(workload),
         )
-        paramedir = Paramedir()
         if profile_ranks > 1:
             # rank r of run_all_ranks(aslr_base_seed=b) is run(r, b + r)
-            traces = [tracer.run(rank=r, aslr_seed=1000 + seed + r)
-                      for r in range(profile_ranks)]
-            per_rank = [paramedir.analyze(t) for t in traces]
-            profiles = paramedir.merge(per_rank, mode="sum")
+            per_rank = [tracer.profile(rank=r, aslr_seed=1000 + seed + r)
+                        for r in range(profile_ranks)]
+            profiles = Paramedir().merge(per_rank, mode="sum")
             # cross-rank sums describe profile_ranks processes; the advisor's
             # density ranking is scale-invariant, so no renormalization needed
             for prof in profiles.values():
                 prof.load_misses /= profile_ranks
                 prof.store_misses /= profile_ranks
             return profiles
-        return paramedir.analyze(tracer.run(rank=0, aslr_seed=1000 + seed))
+        return tracer.profile(rank=0, aslr_seed=1000 + seed)
 
     if registry is not None:
         return compute()

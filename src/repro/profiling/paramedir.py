@@ -20,10 +20,11 @@ Two implementations share that definition:
 - :meth:`Paramedir.analyze` — the vectorized cold path.  Alloc/free
   edges are replayed scalar (they are few), but all samples falling
   between two consecutive edges are attributed in one batch: a
-  ``searchsorted`` finds the batch boundary, ``lookup_batch`` resolves
-  the addresses, and per-site weights accumulate with ``np.add.at``
-  (which applies additions in element order, preserving the scalar
-  accumulation order bit for bit).
+  ``searchsorted`` finds the batch boundary and ``lookup_batch``
+  resolves the addresses.  Per-site weights accumulate once at the end
+  with a weighted ``np.bincount`` (:func:`add_sample_sums`), which
+  applies additions in element order, preserving the scalar
+  accumulation order bit for bit.
 - :meth:`Paramedir.analyze_scalar` — the original per-event loop, kept
   as the equivalence oracle.
 """
@@ -80,6 +81,45 @@ class SiteProfile:
         return self.load_misses / self.largest_alloc if self.largest_alloc else 0.0
 
 
+def add_sample_sums(
+    profiles: Dict[SiteKey, SiteProfile],
+    site_idx: Dict[SiteKey, int],
+    sites: np.ndarray,
+    codes: np.ndarray,
+    weights: np.ndarray,
+    lats: np.ndarray,
+) -> None:
+    """Fold attributed samples into the profiles, in sample order.
+
+    ``sites[i]`` is the ``site_idx`` index sample ``i`` is attributed to.
+    A weighted ``np.bincount`` adds ``weights[i]`` into its site's bin in
+    element order, starting from 0.0 — the scalar ``+=`` over the same
+    sample sequence, so every float sum matches it.  Also finalizes each
+    profile (sorted spans).
+    """
+    n_sites = len(site_idx)
+    is_load = codes == COUNTER_CODE[HardwareCounter.LLC_LOAD_MISS]
+    is_store = codes == COUNTER_CODE[HardwareCounter.ALL_STORES]
+    has_lat = is_load & ~np.isnan(lats)
+
+    def sums(mask, values=None):
+        return np.bincount(sites[mask], minlength=n_sites,
+                           weights=None if values is None else values[mask])
+
+    load_miss, load_n = sums(is_load, weights), sums(is_load)
+    store_miss, store_n = sums(is_store, weights), sums(is_store)
+    lat_sum, lat_count = sums(has_lat, lats), sums(has_lat)
+    for key, prof in profiles.items():
+        i = site_idx[key]
+        prof.load_samples = int(load_n[i])
+        prof.load_misses = float(load_miss[i])
+        prof.store_samples = int(store_n[i])
+        prof.store_misses = float(store_miss[i])
+        if lat_count[i]:
+            prof.mean_load_latency_ns = float(lat_sum[i] / lat_count[i])
+        prof.spans.sort()
+
+
 class Paramedir:
     """Analyze a trace into per-site profiles."""
 
@@ -95,8 +135,8 @@ class Paramedir:
         the same scalar loop, sample batches are flushed exactly where the
         merged ``(time, kind)`` sort would place the edges (samples with
         ``time < t`` precede an alloc at ``t``; samples with ``time <= t``
-        precede a free), and ``np.add.at`` accumulates per-site weights in
-        the same element order as the scalar ``+=``.
+        precede a free), and :func:`add_sample_sums` accumulates per-site
+        weights in the same element order as the scalar ``+=``.
 
         With a ``degradation`` report, malformed records degrade instead
         of raising: orphan frees, overlapping/invalid allocs, and
@@ -131,54 +171,30 @@ class Paramedir:
         for _, kind, ev in edges:
             if kind == 0 and ev.site_key not in site_idx:
                 site_idx[ev.site_key] = len(site_idx)
-        n_sites = len(site_idx)
-
-        load_miss = np.zeros(n_sites)
-        store_miss = np.zeros(n_sites)
-        load_n = np.zeros(n_sites, dtype=np.int64)
-        store_n = np.zeros(n_sites, dtype=np.int64)
-        lat_sum = np.zeros(n_sites)
-        lat_count = np.zeros(n_sites, dtype=np.int64)
-        load_code = COUNTER_CODE[HardwareCounter.LLC_LOAD_MISS]
-        store_code = COUNTER_CODE[HardwareCounter.ALL_STORES]
 
         # slot id (from the table) -> site index, kept in lockstep with
         # insert/remove so a flushed batch maps slots to sites in O(1)
         slot_site = np.full(64, -1, dtype=np.int64)
         open_allocs: Dict[int, Tuple[SiteKey, float]] = {}
         cursor = 0
+        # attributed samples (sorted position, site index), batch by batch
+        hit_pos: List[np.ndarray] = []
+        hit_site: List[np.ndarray] = []
 
         def flush(upto: int) -> None:
-            nonlocal cursor, load_n, store_n, lat_count
+            nonlocal cursor
             if upto <= cursor:
                 return
             sl = slice(cursor, upto)
-            cursor = upto
             slots = table.lookup_batch(addrs[sl])
             hit = slots >= 0
             if degradation is not None:
                 degradation.record(UNATTRIBUTABLE_SAMPLE,
                                    int((~hit).sum()))
-            if not hit.any():
-                # samples in stacks/statics are legal; just not attributed
-                return
-            sites = slot_site[slots[hit]]
-            c = codes[sl][hit]
-            w = weights[sl][hit]
-            la = lats[sl][hit]
-            is_load = c == load_code
-            if is_load.any():
-                np.add.at(load_miss, sites[is_load], w[is_load])
-                load_n += np.bincount(sites[is_load], minlength=n_sites)
-                has_lat = is_load & ~np.isnan(la)
-                if has_lat.any():
-                    np.add.at(lat_sum, sites[has_lat], la[has_lat])
-                    lat_count += np.bincount(sites[has_lat],
-                                             minlength=n_sites)
-            is_store = c == store_code
-            if is_store.any():
-                np.add.at(store_miss, sites[is_store], w[is_store])
-                store_n += np.bincount(sites[is_store], minlength=n_sites)
+            # samples in stacks/statics are legal; just not attributed
+            hit_pos.append(np.flatnonzero(hit) + cursor)
+            hit_site.append(slot_site[slots[hit]])
+            cursor = upto
 
         for time_, kind, ev in edges:
             if kind == 0:  # alloc: samples strictly before it flush first
@@ -235,15 +251,12 @@ class Paramedir:
             prof.spans.append((t_alloc, run_end))
             prof.last_free = max(prof.last_free, run_end)
 
-        for key, prof in profiles.items():
-            i = site_idx[key]
-            prof.load_samples = int(load_n[i])
-            prof.load_misses = float(load_miss[i])
-            prof.store_samples = int(store_n[i])
-            prof.store_misses = float(store_miss[i])
-            if lat_count[i]:
-                prof.mean_load_latency_ns = float(lat_sum[i] / lat_count[i])
-            prof.spans.sort()
+        pos = (np.concatenate(hit_pos) if hit_pos
+               else np.empty(0, dtype=np.intp))
+        sites = (np.concatenate(hit_site) if hit_site
+                 else np.empty(0, dtype=np.int64))
+        add_sample_sums(profiles, site_idx, sites, codes[pos],
+                        weights[pos], lats[pos])
         return profiles
 
     def analyze_scalar(

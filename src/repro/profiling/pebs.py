@@ -17,6 +17,7 @@ Scaling back to estimated true counts divides by the sampling fraction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
@@ -36,10 +37,16 @@ class PEBSConfig:
     seed: int = 12345
 
     def __post_init__(self) -> None:
-        if self.frequency_hz <= 0:
-            raise ConfigError(f"sampling frequency must be > 0, got {self.frequency_hz}")
-        if self.min_events <= 0:
-            raise ConfigError(f"min_events must be > 0, got {self.min_events}")
+        # NaN passes a plain ``<= 0`` check and then fails deep inside
+        # NumPy's Poisson draw
+        if not (math.isfinite(self.frequency_hz) and self.frequency_hz > 0):
+            raise ConfigError(
+                f"PEBSConfig.frequency_hz must be finite and > 0, "
+                f"got {self.frequency_hz!r}")
+        if not (math.isfinite(self.min_events) and self.min_events > 0):
+            raise ConfigError(
+                f"PEBSConfig.min_events must be finite and > 0, "
+                f"got {self.min_events!r}")
 
 
 @dataclass
@@ -172,12 +179,10 @@ class PEBSSampler:
         ``counts`` holds the (positive) per-key sample counts in batch
         order.  One uniform draw covers every key — consecutive uniform
         calls read the bit stream sequentially, so one draw of the total
-        splits into the same per-key values — and each key's segment is
-        sorted in place, reproducing the per-key ``sort()``.
+        splits into the same per-key values — and one segmented sort
+        orders each key's run, reproducing the per-key ``sort()``
+        (sorted values are unique up to equal values).
         """
         ts = self._rng.uniform(start, end, size=int(counts.sum()))
-        offset = 0
-        for c in counts.tolist():
-            ts[offset:offset + c].sort()
-            offset += c
-        return ts
+        seg = np.repeat(np.arange(counts.size), counts)
+        return ts[np.lexsort((ts, seg))]

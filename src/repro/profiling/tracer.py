@@ -12,45 +12,66 @@ stores) are properties of the cache hierarchy above the placement, so the
 profile is placement-independent, exactly the property the paper's
 workflow relies on (profile once, place, run).
 
-Two implementations share one definition of the run:
+One window loop (alloc/free edges, then per window and counter the PEBS
+draws) feeds one of two sinks:
 
-- :meth:`ExtraeTracer.run` — the vectorized cold path.  The per-window
-  x per-instance true event counts are precomputed as NumPy matrices
-  (span overlap geometry via ``searchsorted``/broadcasting), and sample
-  materialization is batched: offsets/latencies are drawn per key in the
-  same RNG call order as the scalar loop, addresses resolve through
-  :meth:`LiveObjectTable.lookup_batch`, and batches append to the
-  trace's columnar storage.
-- :meth:`ExtraeTracer.run_scalar` — the original per-event loop, kept
-  as the equivalence oracle (same pattern as
-  ``SetAssociativeCache.access_stream_scalar``).
+- :meth:`ExtraeTracer.run` — the trace sink.  Allocations go through
+  the profiling heap, sample addresses are built from the drawn offsets
+  and resolved through :meth:`LiveObjectTable.lookup_batch`, and batches
+  append to the trace's columnar storage.
+- :meth:`ExtraeTracer.profile` — the profile sink, which returns exactly
+  ``Paramedir().analyze(self.run(...))`` without building a trace.  Each
+  drawn sample already knows its live instance and so its site, so the
+  sink keeps Paramedir's per-site sums directly: structural fields from
+  the sorted alloc/free edges (the order ``analyze`` replays them in),
+  sample sums from each window's batch, stable-sorted by time.  No heap,
+  no live-object table, no event objects.
 
-Both draw from per-run generators derived from ``(config.seed, rank)``,
-so a rank's trace never depends on which ranks were profiled before it,
-and both produce bit-identical traces (the invariant
-``tests/profiling/test_tracer_vectorized.py`` pins).
+The window loop is vectorized: per-window x per-instance true event
+counts are precomputed as NumPy matrices (span overlap geometry via
+``searchsorted``/broadcasting); per-key load offsets and latencies are
+drawn in the scalar RNG call order, and store offsets in one exact call
+per window (:meth:`~repro.profiling.offsets.OffsetDraws.draw`).
+:meth:`ExtraeTracer.run_scalar` — the original per-event loop — is kept
+as the equivalence oracle (same pattern as
+``SetAssociativeCache.access_stream_scalar``).
+
+All paths draw from per-run generators derived from ``(config.seed,
+rank)``, so a rank's trace never depends on which ranks were profiled
+before it; ``run`` and ``run_scalar`` produce bit-identical traces
+(``tests/profiling/test_tracer_vectorized.py``) and ``profile`` equals
+``analyze(run())`` field for field
+(``tests/profiling/test_profile_direct.py``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import TraceError
+from repro.errors import ConfigError, TraceError
 from repro.binary.callstack import StackFormat
 from repro.alloc.heap import FreeListHeap
 from repro.apps.sites import ProcessImage, SiteRegistry
 from repro.apps.workload import InstanceSpan, Workload
 from repro.profiling.events import AllocEvent, FreeEvent, HardwareCounter, SampleEvent
 from repro.profiling.object_table import LiveObjectTable
+from repro.profiling.offsets import OffsetDraws
+from repro.profiling.paramedir import (
+    Paramedir, SiteKey, SiteProfile, add_sample_sums,
+)
 from repro.profiling.pebs import PEBSConfig, PEBSSampler
-from repro.profiling.trace import Trace, TraceMeta
+from repro.profiling.trace import COUNTER_CODE, Trace, TraceMeta
 
 #: Profiling heap: one large region; base far from the real heaps so tests
 #: can tell profiling-run addresses from production-run ones.
 _PROFILING_HEAP_BASE = 0x0800_0000_0000
+
+_LOAD = HardwareCounter.LLC_LOAD_MISS
+_STORE = HardwareCounter.ALL_STORES
 
 
 @dataclass(frozen=True)
@@ -65,6 +86,17 @@ class TracerConfig:
     #: per-rank load-imbalance jitter (lognormal sigma) applied to the
     #: true event counts a rank's sampler sees; 0 = perfectly symmetric
     rank_jitter: float = 0.0
+
+    def __post_init__(self) -> None:
+        # a zero/negative window never advances the window loop, and NaN
+        # silently yields an empty trace
+        if not (math.isfinite(self.window) and self.window > 0):
+            raise ConfigError(
+                f"TracerConfig.window must be finite and > 0, got {self.window!r}")
+        if not (math.isfinite(self.rank_jitter) and self.rank_jitter >= 0):
+            raise ConfigError(
+                f"TracerConfig.rank_jitter must be finite and >= 0, "
+                f"got {self.rank_jitter!r}")
 
 
 class ExtraeTracer:
@@ -96,88 +128,87 @@ class ExtraeTracer:
 
     def run(self, rank: int = 0, aslr_seed: Optional[int] = None) -> Trace:
         """Execute the profiling run and return the trace (vectorized)."""
-        return self._run(rank, aslr_seed, vectorized=True)
+        return self._replay(rank, aslr_seed, _TraceSink, vectorized=True)
 
     def run_scalar(self, rank: int = 0, aslr_seed: Optional[int] = None) -> Trace:
         """The per-event reference implementation (equivalence oracle)."""
-        return self._run(rank, aslr_seed, vectorized=False)
+        return self._replay(rank, aslr_seed, _TraceSink, vectorized=False)
+
+    def profile(self, rank: int = 0, aslr_seed: Optional[int] = None
+                ) -> Dict[SiteKey, SiteProfile]:
+        """``Paramedir().analyze(self.run(rank, aslr_seed))``, without a trace.
+
+        Same RNG draws, same per-site float sums in the same order.  A
+        sample time rounded past its object's free (which the analyzer
+        resolves by address) or before an earlier window's samples falls
+        back to the trace path.
+        """
+        profiles = self._replay(rank, aslr_seed, _ProfileSink, vectorized=True)
+        if profiles is None:
+            return Paramedir().analyze(self.run(rank, aslr_seed))
+        return profiles
 
     # -- the shared run loop ---------------------------------------------------
 
-    def _run(self, rank: int, aslr_seed: Optional[int], vectorized: bool) -> Trace:
+    def _replay(self, rank: int, aslr_seed: Optional[int], sink_cls,
+                vectorized: bool):
         # Per-run generators: sample offsets/latencies and rank jitter are
         # functions of (seed, rank) only — never of previously profiled
-        # ranks (the shared-RNG coupling fixed in PR 2).
-        self._sample_rng = np.random.default_rng((self.config.seed, rank))
-        self._rank_rng = np.random.default_rng(self.config.seed * 131 + rank)
+        # ranks.  PCG64 explicitly (what ``default_rng`` builds):
+        # ``OffsetDraws`` reproduces its bounded-integer stream.
+        self._sample_rng = np.random.Generator(
+            np.random.PCG64((self.config.seed, rank)))
+        self._rank_rng = np.random.Generator(
+            np.random.PCG64(self.config.seed * 131 + rank))
+        self._offset_draws = OffsetDraws(self._sample_rng)
         wl = self.workload
         process = self.registry.make_process(
             rank=rank, aslr_seed=aslr_seed if aslr_seed is not None else 1000 + rank
         )
-        fmt = self.config.stack_format
-        trace = Trace(TraceMeta(
-            workload=wl.name,
-            ranks=wl.ranks,
-            duration=wl.nominal_duration,
-            stack_format=fmt,
-            sampling_hz=self.config.pebs.frequency_hz,
-        ))
-
-        heap = FreeListHeap(
-            name="profiling-heap",
-            base=_PROFILING_HEAP_BASE,
-            capacity=max(wl.heap_high_water() * 4, 1 << 20),
-        )
-        table = LiveObjectTable()
+        instances = wl.instances()
+        sink = sink_cls(self, process, rank, instances)
         sampler = PEBSSampler(self.config.pebs)
 
-        # Timeline of alloc/free edges, processed in time order so the live
-        # table is correct at every sampling window.
-        instances = wl.instances()
-        edges: List[Tuple[float, int, InstanceSpan]] = []
-        for inst in instances:
-            edges.append((inst.start, 0, inst))  # 0 = alloc sorts before free
-            edges.append((inst.end, 1, inst))
+        # Timeline of alloc/free edges (by instance column), processed in
+        # time order so the live set is correct at every sampling window.
+        edges: List[Tuple[float, int, int]] = []
+        for col, inst in enumerate(instances):
+            edges.append((inst.start, 0, col))  # 0 = alloc sorts before free
+            edges.append((inst.end, 1, col))
         edges.sort(key=lambda e: (e[0], e[1]))
 
-        duration = wl.nominal_duration
-        win_lo, win_hi = self._window_edges(duration)
+        win_lo, win_hi = self._window_edges(wl.nominal_duration)
         geometry = None
         if vectorized:
             geometry = self._event_matrices(win_lo, win_hi, instances)
 
-        addr_of: Dict[Tuple[str, int], int] = {}  # (site, instance) -> address
+        # instance column -> instance, in allocation order (the per-key
+        # draw order)
+        live: Dict[int, InstanceSpan] = {}
         edge_i = 0
-        live: Dict[Tuple[str, int], InstanceSpan] = {}
-
+        n_edges = len(edges)
         for wi in range(len(win_lo)):
             lo, hi = win_lo[wi], win_hi[wi]
             # apply all edges up to the *start* of the window, then sample,
             # then apply intra-window edges at window end (coarse but keeps
-            # the live table consistent with overlap-based counts below)
-            while edge_i < len(edges) and edges[edge_i][0] <= lo:
-                self._apply_edge(edges[edge_i], heap, table, trace, process,
-                                 addr_of, live, fmt, rank)
+            # the live set consistent with overlap-based counts below)
+            while edge_i < n_edges and edges[edge_i][0] <= lo:
+                self._apply_edge(edges[edge_i], instances, live, sink)
                 edge_i += 1
             if vectorized:
-                self._sample_window_vec(wi, lo, hi, live, addr_of, table,
-                                        sampler, trace, rank, geometry)
+                self._sample_window_vec(wi, lo, hi, live, sampler, sink,
+                                        geometry)
             else:
-                self._sample_window(lo, hi, live, addr_of, table, sampler,
-                                    trace, rank)
+                self._sample_window(lo, hi, live, sampler, sink)
             # edges strictly inside the window
-            while edge_i < len(edges) and edges[edge_i][0] < hi:
-                self._apply_edge(edges[edge_i], heap, table, trace, process,
-                                 addr_of, live, fmt, rank)
+            while edge_i < n_edges and edges[edge_i][0] < hi:
+                self._apply_edge(edges[edge_i], instances, live, sink)
                 edge_i += 1
         # drain remaining frees at the end of the run
-        while edge_i < len(edges):
-            self._apply_edge(edges[edge_i], heap, table, trace, process,
-                             addr_of, live, fmt, rank)
+        while edge_i < n_edges:
+            self._apply_edge(edges[edge_i], instances, live, sink)
             edge_i += 1
-
-        trace.sort()
-        return trace
+        return sink.finish()
 
     # -- internals ------------------------------------------------------------
 
@@ -195,28 +226,19 @@ class ExtraeTracer:
             t = w_end
         return lo, hi
 
-    def _apply_edge(self, edge, heap, table, trace, process, addr_of, live,
-                    fmt, rank) -> None:
-        time_, kind, inst = edge
-        key = (inst.spec.site.name, inst.index)
+    @staticmethod
+    def _apply_edge(edge, instances, live, sink) -> None:
+        time_, kind, col = edge
+        inst = instances[col]
         if kind == 0:
-            alloc = heap.allocate(inst.spec.size)
-            site_key = process.site_key(inst.spec.site, fmt)
-            table.insert(alloc.address, inst.spec.size, site_key, time_)
-            addr_of[key] = alloc.address
-            live[key] = inst
-            trace.add_alloc(AllocEvent(
-                time=time_, address=alloc.address, size=inst.spec.size,
-                site_key=site_key, rank=rank,
-            ))
+            live[col] = inst
+            sink.alloc(time_, col, inst)
         else:
-            address = addr_of.pop(key, None)
-            if address is None:
-                raise TraceError(f"free of never-allocated instance {key}")
-            heap.free(address)
-            table.remove(address)
-            live.pop(key, None)
-            trace.add_free(FreeEvent(time=time_, address=address, rank=rank))
+            if live.pop(col, None) is None:
+                raise TraceError(
+                    f"free of never-allocated instance "
+                    f"{(inst.spec.site.name, inst.index)}")
+            sink.free(time_, col, inst)
 
     # -- vectorized window geometry -------------------------------------------
 
@@ -270,34 +292,26 @@ class ExtraeTracer:
         vis = np.array([i.spec.sampling_visibility for i in instances])
         sizes = np.fromiter((i.spec.size for i in instances),
                             dtype=np.int64, count=n_i)
-        col_of = {
-            (inst.spec.site.name, inst.index): i
-            for i, inst in enumerate(instances)
-        }
         return {"load": e_load, "store": e_store, "vis": vis,
-                "starts": starts, "ends": ends, "sizes": sizes,
-                "col_of": col_of}
+                "starts": starts, "ends": ends, "sizes": sizes}
 
-    def _sample_window_vec(self, wi, lo, hi, live, addr_of, table, sampler,
-                           trace, rank, geometry) -> None:
+    def _sample_window_vec(self, wi, lo, hi, live, sampler, sink,
+                           geometry) -> None:
         if not live:
             return
-        col_of = geometry["col_of"]
-        keys = list(live.keys())
-        n = len(keys)
-        idx = np.fromiter((col_of[k] for k in keys), dtype=np.intp, count=n)
+        n = len(live)
+        idx = np.fromiter(live, dtype=np.intp, count=n)
         vis = geometry["vis"][idx]
         # clip each key's live span to the window: a sample on a freed
         # object would be unmatchable
         t_lo = np.maximum(lo, geometry["starts"][idx])
         t_hi = np.minimum(hi, geometry["ends"][idx])
         highs = np.maximum(geometry["sizes"][idx] - 8, 1)
-        bases = np.fromiter((addr_of[k] for k in keys), dtype=np.int64,
-                            count=n)
         span = hi - lo
         rng = self._sample_rng
-        for counter, matrix in ((HardwareCounter.LLC_LOAD_MISS, geometry["load"]),
-                                (HardwareCounter.ALL_STORES, geometry["store"])):
+        offset_draws = self._offset_draws
+        for counter, matrix in ((_LOAD, geometry["load"]),
+                                (_STORE, geometry["store"])):
             events = matrix[wi, idx] * vis
             if self.config.rank_jitter > 0.0:
                 events = events * self._rank_rng.lognormal(
@@ -326,33 +340,25 @@ class ExtraeTracer:
                 sel, counts, tl, th = sel[ok], counts[ok], tl[ok], th[ok]
                 if sel.size == 0:
                     continue
-            # The per-key RNG draws (offsets, then latencies) preserve the
-            # scalar call order exactly; everything else runs once per
-            # window on the concatenated batch.
-            is_load = counter is HardwareCounter.LLC_LOAD_MISS
-            off_parts: List[np.ndarray] = []
-            lat_parts: List[np.ndarray] = []
-            if is_load:
-                for h, c in zip(highs[sel].tolist(), counts.tolist()):
-                    off_parts.append(rng.integers(0, h, size=c))
-                    lat_parts.append(rng.normal(200.0, 40.0, size=c))
-            else:
-                for h, c in zip(highs[sel].tolist(), counts.tolist()):
-                    off_parts.append(rng.integers(0, h, size=c))
             seg = np.repeat(np.arange(sel.size), counts)
             times = tl[seg] + (ts_all - lo) * (th - tl)[seg] / span
-            addrs = bases[sel][seg] + np.concatenate(off_parts)
-            # the addresses must resolve through the live table, like
-            # Extrae matching PEBS linear addresses to objects
-            slots = table.lookup_batch(addrs)
-            if (slots < 0).any():
-                bad = int(addrs[slots < 0][0])
-                raise TraceError(
-                    f"sample address {bad:#x} fell outside live objects"
-                )
-            lats = np.concatenate(lat_parts) if is_load else None
-            trace.add_sample_batch(times, addrs, counter, rank=rank,
-                                   latencies=lats, weight=weight)
+            # Offsets, then (loads only) latencies, in the scalar call
+            # order.  Loads stay per key: ``normal``'s ziggurat consumes a
+            # data-dependent number of words between their offsets.
+            # Store offsets are one exact call per window.
+            if counter is _LOAD:
+                offsets = np.empty(seg.size, dtype=np.int64)
+                lats = np.empty(seg.size)
+                p = 0
+                for h, c in zip(highs[sel].tolist(), counts.tolist()):
+                    offsets[p:p + c] = offset_draws.draw_key(h, c)
+                    lats[p:p + c] = rng.normal(200.0, 40.0, size=c)
+                    p += c
+            else:
+                offsets = offset_draws.draw(highs[sel], counts)
+                lats = None
+            sink.samples(counter, idx[sel], counts, times, offsets, lats,
+                         weight)
 
     # -- scalar oracle ---------------------------------------------------------
 
@@ -373,12 +379,12 @@ class ExtraeTracer:
             stores += stats.sampled_store_rate * dt
         return loads, stores
 
-    def _sample_window(self, lo, hi, live, addr_of, table, sampler, trace, rank) -> None:
-        for counter in (HardwareCounter.LLC_LOAD_MISS, HardwareCounter.ALL_STORES):
-            true_counts: Dict[Tuple[str, int], float] = {}
+    def _sample_window(self, lo, hi, live, sampler, sink) -> None:
+        for counter in (_LOAD, _STORE):
+            true_counts: Dict[int, float] = {}
             for key, inst in live.items():
                 loads, stores = self._window_phase_rates(lo, hi, inst)
-                events = loads if counter is HardwareCounter.LLC_LOAD_MISS else stores
+                events = loads if counter is _LOAD else stores
                 events *= inst.spec.sampling_visibility
                 if self.config.rank_jitter > 0.0:
                     events *= float(self._rank_rng.lognormal(
@@ -402,22 +408,177 @@ class ExtraeTracer:
                 if t_hi <= t_lo:
                     continue
                 ts = t_lo + (ts - lo) * (t_hi - t_lo) / (hi - lo)
-                base = addr_of[key]
+                base = int(sink.addr[key])
                 size = live[key].spec.size
                 offsets = self._sample_rng.integers(0, max(size - 8, 1), size=len(ts))
                 for time_, off in zip(ts, offsets):
                     addr = base + int(off)
                     # the address must resolve through the live table, like
                     # Extrae matching PEBS linear addresses to objects
-                    iv = table.lookup(addr)
+                    iv = sink.table.lookup(addr)
                     if iv is None:
                         raise TraceError(
                             f"sample address {addr:#x} fell outside live objects"
                         )
                     lat = None
-                    if counter is HardwareCounter.LLC_LOAD_MISS:
+                    if counter is _LOAD:
                         lat = float(self._sample_rng.normal(200.0, 40.0))
-                    trace.add_sample(SampleEvent(
+                    sink.trace.add_sample(SampleEvent(
                         time=float(time_), counter=counter, data_address=addr,
-                        rank=rank, latency_ns=lat, weight=weight,
+                        rank=sink.rank, latency_ns=lat, weight=weight,
                     ))
+
+
+# -- sinks ----------------------------------------------------------------------
+
+
+class _TraceSink:
+    """Builds the :class:`Trace`: a real profiling heap and live table, so
+    every sample address is checked against the live objects."""
+
+    def __init__(self, tracer: ExtraeTracer, process: ProcessImage, rank: int,
+                 instances: List[InstanceSpan]):
+        wl = tracer.workload
+        self.process = process
+        self.fmt = tracer.config.stack_format
+        self.rank = rank
+        self.trace = Trace(TraceMeta(
+            workload=wl.name,
+            ranks=wl.ranks,
+            duration=wl.nominal_duration,
+            stack_format=self.fmt,
+            sampling_hz=tracer.config.pebs.frequency_hz,
+        ))
+        self.heap = FreeListHeap(
+            name="profiling-heap",
+            base=_PROFILING_HEAP_BASE,
+            capacity=max(wl.heap_high_water() * 4, 1 << 20),
+        )
+        self.table = LiveObjectTable()
+        #: instance column -> base address while live
+        self.addr = np.zeros(len(instances), dtype=np.int64)
+
+    def alloc(self, time_: float, col: int, inst: InstanceSpan) -> None:
+        alloc = self.heap.allocate(inst.spec.size)
+        site_key = self.process.site_key(inst.spec.site, self.fmt)
+        self.table.insert(alloc.address, inst.spec.size, site_key, time_)
+        self.addr[col] = alloc.address
+        self.trace.add_alloc(AllocEvent(
+            time=time_, address=alloc.address, size=inst.spec.size,
+            site_key=site_key, rank=self.rank,
+        ))
+
+    def free(self, time_: float, col: int, inst: InstanceSpan) -> None:
+        address = int(self.addr[col])
+        self.heap.free(address)
+        self.table.remove(address)
+        self.trace.add_free(FreeEvent(time=time_, address=address,
+                                      rank=self.rank))
+
+    def samples(self, counter, cols, counts, times, offsets, lats,
+                weight) -> None:
+        addrs = np.repeat(self.addr[cols], counts) + offsets
+        # the addresses must resolve through the live table, like
+        # Extrae matching PEBS linear addresses to objects
+        slots = self.table.lookup_batch(addrs)
+        if (slots < 0).any():
+            bad = int(addrs[slots < 0][0])
+            raise TraceError(
+                f"sample address {bad:#x} fell outside live objects"
+            )
+        self.trace.add_sample_batch(times, addrs, counter, rank=self.rank,
+                                    latencies=lats, weight=weight)
+
+    def finish(self) -> Trace:
+        self.trace.sort()
+        return self.trace
+
+
+class _ProfileSink:
+    """Keeps :meth:`Paramedir.analyze`'s per-site sums directly.
+
+    Alloc/free edges arrive in the order ``analyze`` replays them (time,
+    allocs before frees, ties in timeline order), so the structural
+    fields and the profile dict order match field for field.  Samples are
+    attributed to the instance they were drawn from, which is the object
+    ``analyze`` finds at their address as long as the sample time lies
+    inside the instance's live span.
+
+    ``analyze`` adds samples in time order (a stable sort of the append
+    order), and only the order *within* one counter matters to its sums.
+    Windows arrive in time order, so one stable sort per window and
+    counter gives that order, provided no sample time crosses into an
+    earlier window's range (checked per counter).  ``finish`` returns
+    ``None`` when either condition fails (a time rounded past its free or
+    its window), and the caller falls back to the trace path.
+    """
+
+    def __init__(self, tracer: ExtraeTracer, process: ProcessImage, rank: int,
+                 instances: List[InstanceSpan]):
+        del rank  # profiles carry no rank
+        self.process = process
+        self.fmt = tracer.config.stack_format
+        self.ends = np.array([inst.end for inst in instances])
+        #: instance column -> site index while live
+        self.site_of = np.zeros(len(instances), dtype=np.int64)
+        self.site_idx: Dict[SiteKey, int] = {}
+        self.profiles: Dict[SiteKey, SiteProfile] = {}
+        self.open: Dict[int, Tuple[SiteKey, float]] = {}
+        #: per counter: time-sorted batches of (sites, codes, weights,
+        #: latencies), and the latest sample time so far
+        self.parts: Dict[HardwareCounter, List[Tuple[np.ndarray, ...]]] = {
+            _LOAD: [], _STORE: []}
+        self.t_max = {_LOAD: -np.inf, _STORE: -np.inf}
+        self.exact = True
+
+    def alloc(self, time_: float, col: int, inst: InstanceSpan) -> None:
+        site_key = self.process.site_key(inst.spec.site, self.fmt)
+        prof = self.profiles.get(site_key)
+        if prof is None:
+            self.site_idx[site_key] = len(self.site_idx)
+            prof = self.profiles[site_key] = SiteProfile(site_key=site_key)
+        prof.largest_alloc = max(prof.largest_alloc, inst.spec.size)
+        prof.alloc_count += 1
+        prof.first_alloc = min(prof.first_alloc, time_)
+        self.site_of[col] = self.site_idx[site_key]
+        self.open[col] = (site_key, time_)
+
+    def free(self, time_: float, col: int, inst: InstanceSpan) -> None:
+        site_key, t_alloc = self.open.pop(col)
+        prof = self.profiles[site_key]
+        prof.free_count += 1
+        prof.last_free = max(prof.last_free, time_)
+        prof.total_live_time += time_ - t_alloc
+        prof.spans.append((t_alloc, time_))
+
+    def samples(self, counter, cols, counts, times, offsets, lats,
+                weight) -> None:
+        del offsets  # drawn only to keep the RNG stream in step
+        inst_of = np.repeat(cols, counts)
+        if ((times > self.ends[inst_of]).any()
+                or times.min() < self.t_max[counter]):
+            self.exact = False
+        self.t_max[counter] = max(self.t_max[counter], times.max())
+        order = np.argsort(times, kind="stable")
+        n = times.size
+        self.parts[counter].append((
+            self.site_of[inst_of[order]],
+            np.full(n, COUNTER_CODE[counter], dtype=np.uint8),
+            np.full(n, weight),
+            np.full(n, np.nan) if lats is None else lats[order],
+        ))
+
+    def finish(self) -> Optional[Dict[SiteKey, SiteProfile]]:
+        if not self.exact:
+            return None
+        parts = self.parts[_LOAD] + self.parts[_STORE]
+        if parts:
+            sites, codes, weights, lats = (
+                np.concatenate(col) for col in zip(*parts))
+        else:
+            weights = lats = np.empty(0)
+            sites = np.empty(0, dtype=np.int64)
+            codes = np.empty(0, dtype=np.uint8)
+        add_sample_sums(self.profiles, self.site_idx, sites, codes, weights,
+                        lats)
+        return self.profiles

@@ -4,6 +4,7 @@ A typo'd ``--section`` that silently benches nothing is how performance
 floors rot: CI would keep passing while the guarded section never runs.
 """
 
+import json
 import sys
 from pathlib import Path
 
@@ -36,3 +37,17 @@ def test_unknown_section_among_known_still_exits(capsys):
         perf_bench.main(["--quick", "--section", "kernel",
                          "--section", "not-a-section"])
     assert "not-a-section" in capsys.readouterr().err
+
+
+def test_profiling_section_times_the_direct_profile(tmp_path):
+    """The profiling section checks ``ExtraeTracer.profile`` against
+    ``run`` + ``analyze`` at the production 100 Hz (it asserts
+    identical profiles) and reports both times, which the full-mode
+    floor reads."""
+    out = tmp_path / "bench.json"
+    assert perf_bench.main(
+        ["--quick", "--section", "profiling", "-o", str(out)]) == 0
+    direct = json.loads(out.read_text())["profiling"]["direct"]
+    assert direct["pebs_hz"] == 100.0
+    assert direct["run_analyze_s"] > 0 and direct["profile_s"] > 0
+    assert direct["speedup"] > 0
