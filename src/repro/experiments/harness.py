@@ -17,11 +17,12 @@
 The stages themselves live in :mod:`repro.pipeline.stages` — this module
 wires them into the paper's workflow and keeps the public entry points
 (:func:`run_ecohmem`, :func:`run_profdp_best`, :func:`profile_workload`)
-where they have always been.  Profiles are memoized in process by the
-``ProfileStore``; with ``REPRO_ARTIFACT_DIR`` set (or an explicit
-``artifact_store``), stage outputs are also content-addressed and reused
-across processes — the only on-disk cache.  Results are bit-identical
-either way.
+where they have always been.  The profile is the only cached stage:
+it is memoized in process by the ``ProfileStore``, and with
+``REPRO_ARTIFACT_DIR`` set (or an explicit ``artifact_store``) it is
+also stored as a content-addressed profile artifact and reused across
+processes — the only on-disk cache.  Placements and production runs are
+recomputed for every cell.  Results are bit-identical either way.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from repro.baselines.profdp import ALL_VARIANTS, ProfDPVariant, profdp_placement
 from repro.binary.callstack import StackFormat
 from repro.errors import SimulationError
 from repro.memsim.subsystem import MemorySystem
-from repro.pipeline.artifacts import ArtifactStore, resolve_artifact_store
+from repro.pipeline.artifacts import ArtifactStore
 from repro.pipeline.stages import (
     PlacementOutcome,
     PreparedRun,
@@ -107,8 +108,6 @@ def _place_cell(
     *,
     stack_format: StackFormat,
     seed: int,
-    artifact_store: "ArtifactStore | None" = None,
-    upstream: "tuple[str, ...]" = (),
 ) -> Tuple[PlacementOutcome, str]:
     """One cell's placement (config, observer, placement stage) and run label."""
     config = cell_config(system, cell.dram_limit, ranks=workload.ranks,
@@ -123,8 +122,6 @@ def _place_cell(
         algorithm=cell.algorithm,
         stack_format=stack_format,
         observe=observe,
-        artifact_store=artifact_store,
-        upstream=upstream,
     )
     label = f"ecohmem-{cell.algorithm}" + ("" if cell.use_stores else "-loads")
     return outcome, label
@@ -178,40 +175,33 @@ def run_ecohmem(
     way a real multi-process Extrae trace is aggregated.  The profiling
     stage is memoized (see :func:`profile_workload`); ``profile_store``
     overrides the process-wide default store and ``artifact_store`` the
-    content-addressed stage cache (``REPRO_ARTIFACT_DIR``).
+    on-disk profile artifacts (``REPRO_ARTIFACT_DIR``).
     """
     if algorithm not in ("density", "bw-aware"):
         raise SimulationError(f"unknown algorithm {algorithm!r}")
 
-    custom_registry = registry
-    registry = registry or SiteRegistry(workload)
-    astore = resolve_artifact_store(artifact_store)
-    profiles, profile_key = profile_stage(
+    profiles, _, _ = profile_stage(
         workload,
         seed=seed,
         stack_format=stack_format,
         pebs_hz=pebs_hz,
         profile_ranks=profile_ranks,
         rank_jitter=rank_jitter,
-        registry=custom_registry,
+        registry=registry,
         profile_store=profile_store,
-        artifact_store=astore,
+        artifact_store=artifact_store,
     )
+    registry = registry or SiteRegistry(workload)
     outcome, label = _place_cell(
         workload, system, registry, profiles,
         EcoCell(dram_limit=dram_limit, use_stores=use_stores,
                 algorithm=algorithm, config=config),
-        stack_format=stack_format, seed=seed, artifact_store=astore,
-        upstream=(profile_key,) if profile_key else (),
+        stack_format=stack_format, seed=seed,
     )
-    run, prepared, _ = run_stage(
+    run, prepared = run_stage(
         production_workload or workload, system, registry, outcome.report,
         dram_limit=dram_limit, stack_format=stack_format,
         aslr_seed=4000 + seed, label=label,
-        # a custom registry changes the run but is not part of the run
-        # key, so it bypasses provenance publishing like the other stages
-        artifact_store=astore if custom_registry is None else None,
-        upstream=(outcome.artifact_key,) if outcome.artifact_key else (),
     )
     return _eco_result(outcome, run, prepared)
 
@@ -247,22 +237,21 @@ def run_ecohmem_batch(
 
     Profiles go through :func:`profile_stage`, so with
     ``REPRO_ARTIFACT_DIR`` set the worker processes of a parallel sweep
-    share them as profile artifacts; placements and runs are not
-    artifact-cached here.
+    share them as profile artifacts, as :func:`run_ecohmem` does.
     """
     registry = SiteRegistry(workload)
 
     profiles_by_hz: Dict[float, dict] = {}
 
     def profiles_for(hz: float) -> dict:
-        cached = profiles_by_hz.get(hz)
-        if cached is None:
-            cached, _ = profile_stage(
+        profiles = profiles_by_hz.get(hz)
+        if profiles is None:
+            profiles, _, _ = profile_stage(
                 workload, seed=seed, stack_format=stack_format,
                 pebs_hz=hz, profile_store=profile_store,
             )
-            profiles_by_hz[hz] = cached
-        return cached
+            profiles_by_hz[hz] = profiles
+        return profiles
 
     prepared = []
     outcomes = []
@@ -323,14 +312,13 @@ def run_profdp_best(
         return None, None
 
     registry = SiteRegistry(workload)
-    astore = resolve_artifact_store(artifact_store)
-    profiles, profile_key = profile_stage(
+    profiles, _, _ = profile_stage(
         workload,
         seed=seed,
         stack_format=stack_format,
         pebs_hz=pebs_hz,
         profile_store=profile_store,
-        artifact_store=astore,
+        artifact_store=artifact_store,
     )
     advisor = HMemAdvisor(system, default_config(dram_limit, ranks=workload.ranks))
     objects = advisor.objects_from_profiles(profiles)
@@ -341,12 +329,10 @@ def run_profdp_best(
             objects, system, variant, dram_limit, ranks=workload.ranks, seed=seed
         )
         report = advisor.to_report(placement, stack_format)
-        run, _, _ = run_stage(
+        run, _ = run_stage(
             workload, system, registry, report,
             dram_limit=dram_limit, stack_format=stack_format,
             aslr_seed=5000 + seed, label=variant.label,
-            artifact_store=astore,
-            upstream=(profile_key,) if profile_key else (),
         )
         if best[1] is None or run.total_time < best[1].total_time:
             best = (variant, run)

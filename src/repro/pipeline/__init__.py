@@ -1,21 +1,20 @@
-"""The staged ecoHMEM pipeline: trace → profile → placement → run.
+"""The staged ecoHMEM pipeline: profile → placement → run.
 
-Each stage is an individually addressable function whose output is keyed
-by a content address — a sha256 over the upstream artifacts' keys plus
-the canonical encoding of the stage's own spec (the exact JSON codec
-from :mod:`repro.experiments.sweep.codec`).  Keys are computed the same
-way everywhere, so the CLI, the experiment harness
-(:func:`repro.experiments.harness.run_ecohmem` delegates here), and the
-placement service (:mod:`repro.service`) all share one engine and one
-cache.
+Each stage is an individually callable function
+(:mod:`repro.pipeline.stages`).  The CLI, the experiment harness
+(:func:`repro.experiments.harness.run_ecohmem` delegates here) and the
+placement service (:mod:`repro.service`) all build their cells from the
+same stages, so they share one engine and one profile cache.
 
-The :class:`~repro.pipeline.artifacts.ArtifactStore` is the pipeline's
-only on-disk cache: sharded directories, atomic tmpdir-rename publish (a
-SIGKILL mid-publish can never leave a torn artifact visible to readers).
-Profile artifacts shortcut the tracer + analyzer (behind the in-memory
-``ProfileStore`` LRU), placement artifacts shortcut the advisor, and run
-artifacts record provenance (run results embed timelines that are not
-codec-serializable, so they are summaries, never read back).
+Only profiles are cached.  The in-memory ``ProfileStore`` LRU sits in
+front of the :class:`~repro.pipeline.artifacts.ArtifactStore`, the
+pipeline's only on-disk cache: profile artifacts keyed by a content
+address (a sha256 over the canonical encoding of the profile's spec,
+with the exact JSON codec from :mod:`repro.experiments.sweep.codec`),
+in sharded directories with an atomic tmpdir-rename publish (a SIGKILL
+mid-publish can never leave a torn artifact visible to readers).  A
+profile artifact shortcuts the tracer + analyzer; placements and runs
+are recomputed every time.
 """
 
 from repro.pipeline.artifacts import (
@@ -26,9 +25,7 @@ from repro.pipeline.artifacts import (
 )
 from repro.pipeline.stages import (
     PlacementOutcome,
-    PlacementSpec,
     PreparedRun,
-    RunSpec,
     bandwidth_observer,
     placement_stage,
     prepare_production,
@@ -49,9 +46,7 @@ __all__ = [
     "reset_default_artifact_store",
     "resolve_artifact_store",
     "PlacementOutcome",
-    "PlacementSpec",
     "PreparedRun",
-    "RunSpec",
     "bandwidth_observer",
     "placement_stage",
     "prepare_production",

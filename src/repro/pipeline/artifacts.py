@@ -1,10 +1,13 @@
-"""Content-addressed artifact storage for pipeline stage outputs.
+"""Content-addressed artifact storage for pipeline profiles.
 
-An artifact key is ``sha256(canonical({stage, spec, upstream}))`` — the
-stage name, the stage's spec (any codec-encodable structure: primitives,
-tuples, string-keyed dicts, dataclasses), and the keys of the upstream
-artifacts it consumed.  Two runs that would compute the same bytes land
-on the same key; anything that could change the output changes the key.
+An artifact key is ``sha256(canonical({stage, spec}))`` — the stage
+name and the stage's spec (any codec-encodable structure: primitives,
+tuples, string-keyed dicts, dataclasses).  Two runs that would compute
+the same bytes land on the same key; anything that could change the
+output changes the key.  The profile is the only stage whose output is
+stored: the profile stage keys it by its
+:class:`~repro.profiling.cache.ProfileKey`, the placement server by the
+content digest of a trace file.
 
 Layout: ``root/<key[:2]>/<key>/payload.json`` — sharded two levels deep
 so a million artifacts never pile into one directory.  Publish is a
@@ -31,24 +34,22 @@ import tempfile
 from pathlib import Path
 from typing import Any, Optional, Union
 
+from repro.errors import ConfigError
 from repro.experiments.sweep.codec import canonical, decode, encode
 
 #: bump when the payload layout or key material changes; old entries
 #: then read as misses and are recomputed
-_ARTIFACT_VERSION = 1
+_ARTIFACT_VERSION = 2
 
 
-def artifact_key(stage: str, spec: Any, upstream: "tuple[str, ...]" = ()) -> str:
+def artifact_key(stage: str, spec: Any) -> str:
     """The content address of one stage output.
 
-    ``spec`` must be codec-encodable (the encoder raises loudly if not);
-    ``upstream`` lists the keys of the artifacts the stage consumed, so
-    a change anywhere upstream reflows through every downstream key.
+    ``spec`` must be codec-encodable (the encoder raises loudly if not).
     """
     material = canonical({
         "stage": stage,
         "spec": spec,
-        "upstream": list(upstream),
         "version": _ARTIFACT_VERSION,
     })
     return hashlib.sha256(material.encode()).hexdigest()[:32]
@@ -157,10 +158,15 @@ def resolve_artifact_store(
 
     Explicit store wins; a path builds a store over it; otherwise
     ``REPRO_ARTIFACT_DIR`` selects the process-wide default (one shared
-    instance per root, so hit counters accumulate across calls).
+    instance per root, so hit counters accumulate across calls).  An
+    empty explicit path raises :class:`ConfigError` — it would root the
+    store at the working directory; an empty ``REPRO_ARTIFACT_DIR``
+    means off.
     """
     if isinstance(store, ArtifactStore):
         return store
+    if isinstance(store, str) and not store.strip():
+        raise ConfigError(f"artifact_store={store!r} is an empty path")
     if store is not None:
         return ArtifactStore(store)
     root = os.environ.get("REPRO_ARTIFACT_DIR")

@@ -1,29 +1,26 @@
-"""The pipeline stages: profile → placement → run, individually keyed.
+"""The pipeline stages: profile → placement → run.
 
 The harness entry points and the placement server build their cells
 from these functions: :func:`cell_config` is the one advisor-config rule,
 :func:`placement_stage` the one density / bandwidth-aware placement
-sequence.  Every stage can consult an
-:class:`~repro.pipeline.artifacts.ArtifactStore`, the pipeline's only
-on-disk cache:
+sequence, :func:`run_stage` the one production run.
 
-- **profile** artifacts persist the per-site profiles
-  (:func:`~repro.profiling.cache.encode_profiles`), shortcutting tracer
-  + analyzer; the in-memory :class:`~repro.profiling.cache.ProfileStore`
-  sits in front, so a profile is looked up memory → artifact → compute;
-- **placement** artifacts persist density placements (assignment order
-  included — report row order depends on it), shortcutting the advisor;
-- **run** artifacts are provenance summaries only (run results embed
-  timelines the codec cannot represent), never read back.
+Only the profile stage is cached.  It is the one expensive, reusable
+step of the paper's workflow (profile once, place many times), so
+:func:`profile_stage` looks a profile up memory → artifact → compute:
+the in-memory :class:`~repro.profiling.cache.ProfileStore` LRU first,
+then the profile artifact in an
+:class:`~repro.pipeline.artifacts.ArtifactStore` (the pipeline's only
+on-disk cache), and only then the tracer + analyzer.  A placement is
+cheaper to recompute than to read back, and a run result embeds
+timelines the codec cannot represent, so neither is stored.
 
 A custom :class:`~repro.apps.sites.SiteRegistry` changes the address
-spaces behind the site keys, so it bypasses the artifact layer the same
-way it bypasses the profile cache.
+spaces behind the site keys, so it bypasses both profile caches.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
@@ -49,12 +46,9 @@ from repro.pipeline.artifacts import (
 from repro.profiling.cache import (
     ProfileKey,
     ProfileStore,
-    _decode_site_key,
-    _encode_site_key,
     decode_profiles,
     encode_profiles,
     resolve_store,
-    workload_fingerprint,
 )
 from repro.profiling.paramedir import Paramedir, SiteProfile
 from repro.profiling.pebs import PEBSConfig
@@ -65,44 +59,6 @@ from repro.runtime.stats import RunResult
 from repro.runtime.traffic import PlacementTraffic
 
 Profiles = Dict[Tuple, SiteProfile]
-
-
-# -- stage specs ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PlacementSpec:
-    """What a density placement depends on: profile + system + policy.
-
-    The profile enters through the upstream artifact key, not the spec;
-    ``config`` already folds in the DRAM limit, rank count and the
-    loads-only policy, so (system, config, stack format) is complete.
-    """
-
-    system: MemorySystem
-    config: AdvisorConfig
-    stack_format: str
-
-    def key(self, upstream: "tuple[str, ...]") -> str:
-        return artifact_key("placement", self, upstream)
-
-
-@dataclass(frozen=True)
-class RunSpec:
-    """Provenance identity of one production run (summaries only)."""
-
-    workload: str
-    fingerprint: str
-    system: MemorySystem
-    dram_limit: int
-    stack_format: str
-    aslr_seed: int
-    label: str
-    charge_overhead: bool
-    report_digest: str
-
-    def key(self, upstream: "tuple[str, ...]") -> str:
-        return artifact_key("run", self, upstream)
 
 
 # -- profiling ----------------------------------------------------------------
@@ -186,37 +142,20 @@ def profile_stage(
     registry: Optional[SiteRegistry] = None,
     profile_store: Optional[ProfileStore] = None,
     artifact_store: "ArtifactStore | str | None" = None,
-) -> Tuple[Profiles, Optional[str]]:
-    """:func:`profile_workload` with the artifact layer behind the memory LRU.
-
-    Returns ``(profiles, artifact_key)``; the key is ``None`` when the
-    artifact layer is off or bypassed (custom registry).  A stored
-    profile artifact decodes bit-identically to a fresh computation.
-    """
-    profiles, key, _ = _staged_profiles(
-        workload, seed=seed, stack_format=stack_format, pebs_hz=pebs_hz,
-        profile_ranks=profile_ranks, rank_jitter=rank_jitter,
-        registry=registry, profile_store=profile_store,
-        artifact_store=artifact_store,
-    )
-    return profiles, key
-
-
-def _staged_profiles(
-    workload: Workload,
-    *,
-    registry: Optional[SiteRegistry] = None,
-    profile_store: Optional[ProfileStore] = None,
-    artifact_store: "ArtifactStore | str | None" = None,
-    **knobs,
 ) -> Tuple[Profiles, Optional[str], bool]:
-    """:func:`profile_stage`, plus whether the profile came from a cache.
+    """:func:`profile_workload` with the profile artifact behind the memory LRU.
 
-    ``knobs`` are the five profiling keywords of :func:`profile_workload`
-    (the :class:`~repro.profiling.cache.ProfileKey` fields).  Lookup
-    order: the memory LRU, then the profile artifact (a hit fills the
-    LRU), then :func:`profile_workload`, whose result is published.
+    Returns ``(profiles, key, cached)``.  ``key`` is the profile artifact
+    key, ``None`` when the artifact layer is off or bypassed (custom
+    registry); ``cached`` says whether the memory LRU or the artifact
+    served the profile (it is ``False`` whenever ``key`` is ``None``).
+    Lookup order: the memory LRU, then the profile artifact (a hit fills
+    the LRU), then :func:`profile_workload`, whose result is published.
+    A stored profile artifact decodes bit-identically to a fresh
+    computation.
     """
+    knobs = dict(seed=seed, stack_format=stack_format, pebs_hz=pebs_hz,
+                 profile_ranks=profile_ranks, rank_jitter=rank_jitter)
     store = resolve_artifact_store(artifact_store)
     if store is None or registry is not None:
         profiles = profile_workload(workload, registry=registry,
@@ -291,7 +230,7 @@ def bandwidth_observer(
         from repro.advisor.model import BandwidthObservation
 
         density_report = advisor.to_report(placement, stack_format)
-        density_run, _ = _production_run(
+        density_run, _ = run_stage(
             workload, system, registry, density_report,
             dram_limit=dram_limit, stack_format=stack_format,
             aslr_seed=2000 + seed, label="density-observation",
@@ -328,26 +267,6 @@ class PlacementOutcome:
     base_placement: Optional[Placement] = None
     categories: Optional[dict] = None
     swaps: Optional[list] = None
-    artifact_key: Optional[str] = None
-    cached: bool = False
-
-
-def _encode_placement(placement: Placement) -> dict:
-    return {
-        "subsystems": list(placement.subsystems),
-        "fallback": placement.fallback,
-        # assignment order is part of the contract: it fixes report row order
-        "assignment": [[_encode_site_key(key), name]
-                       for key, name in placement.items()],
-    }
-
-
-def _decode_placement(data: dict) -> Placement:
-    placement = Placement(subsystems=list(data["subsystems"]),
-                          fallback=data["fallback"])
-    for frames, name in data["assignment"]:
-        placement.assign(_decode_site_key(frames), name)
-    return placement
 
 
 def placement_stage(
@@ -358,8 +277,6 @@ def placement_stage(
     algorithm: str = "density",
     stack_format: StackFormat = StackFormat.BOM,
     observe: Optional[ObserveFn] = None,
-    artifact_store: "ArtifactStore | str | None" = None,
-    upstream: "tuple[str, ...]" = (),
 ) -> PlacementOutcome:
     """Profiles in, placement + FlexMalloc-ready report out.
 
@@ -368,39 +285,13 @@ def placement_stage(
     ``observe`` callback supplies the Section VII bandwidth observations
     for the density base placement — the harness and the service both
     pass :func:`bandwidth_observer`'s density-observation run.
-
-    The density placement is artifact-cached when ``upstream`` carries
-    the profile artifact key; the bandwidth-aware refinement is not (it
-    embeds an engine run), but its density base still hits the cache.
     """
     if algorithm not in ("density", "bw-aware"):
         raise SimulationError(f"unknown algorithm {algorithm!r}")
 
     advisor = HMemAdvisor(system, config)
     objects = advisor.objects_from_profiles(profiles)
-
-    store = resolve_artifact_store(artifact_store)
-    key = None
-    cached = False
-    placement = None
-    if store is not None and upstream:
-        key = PlacementSpec(system=system, config=config,
-                            stack_format=stack_format.value).key(upstream)
-        payload = store.get(key)
-        if payload is not None:
-            try:
-                placement = _decode_placement(payload)
-                cached = True
-            except Exception:
-                placement = None
-    if placement is None:
-        placement = advisor.advise_density(objects)
-        if store is not None and key is not None:
-            store.put(key, _encode_placement(placement))
-    else:
-        # the cached assignment skipped validation; re-check cheaply so a
-        # cache hit can never mask an infeasible profile
-        advisor.validate_feasible(objects)
+    placement = advisor.advise_density(objects)
 
     base_placement = None
     categories = None
@@ -418,7 +309,6 @@ def placement_stage(
         placement = result.placement
         categories = result.categories
         swaps = result.swaps
-        key = None  # refined placements are not cached
 
     report = advisor.to_report(placement, stack_format)
     # serialize + parse round trip: run exactly what FlexMalloc would read
@@ -429,8 +319,6 @@ def placement_stage(
         base_placement=base_placement,
         categories=categories,
         swaps=swaps,
-        artifact_key=key,
-        cached=cached,
     )
 
 
@@ -502,7 +390,7 @@ def prepare_production(
     )
 
 
-def _production_run(
+def run_stage(
     workload: Workload,
     system: MemorySystem,
     registry: SiteRegistry,
@@ -514,7 +402,11 @@ def _production_run(
     label: str,
     charge_overhead: bool = True,
 ) -> Tuple[RunResult, PreparedRun]:
-    """Match + replay + time one production execution."""
+    """Match + replay + time one production execution.
+
+    Returns the timed run and the :class:`PreparedRun` behind it (replay
+    and fallback-completed site placement).
+    """
     prepared = prepare_production(
         workload, system, registry, report,
         dram_limit=dram_limit, stack_format=stack_format,
@@ -528,56 +420,3 @@ def _production_run(
         interposer_stats=prepared.replay.flexmalloc.stats,
     )
     return run, prepared
-
-
-def run_stage(
-    workload: Workload,
-    system: MemorySystem,
-    registry: SiteRegistry,
-    report: PlacementReport,
-    *,
-    dram_limit: int,
-    stack_format: StackFormat,
-    aslr_seed: int,
-    label: str,
-    charge_overhead: bool = True,
-    artifact_store: "ArtifactStore | str | None" = None,
-    upstream: "tuple[str, ...]" = (),
-) -> Tuple[RunResult, PreparedRun, Optional[str]]:
-    """The production run, with a provenance artifact published.
-
-    Returns the timed run, the :class:`PreparedRun` behind it (replay and
-    fallback-completed site placement) and the run artifact key.
-
-    Run results embed bandwidth timelines the codec cannot represent, so
-    the artifact is a distilled summary (label, total time, key upstream
-    links) — a ledger entry for "which placement produced which run",
-    never read back to shortcut an execution.
-    """
-    run, prepared = _production_run(
-        workload, system, registry, report,
-        dram_limit=dram_limit, stack_format=stack_format,
-        aslr_seed=aslr_seed, label=label, charge_overhead=charge_overhead,
-    )
-    store = resolve_artifact_store(artifact_store)
-    key = None
-    if store is not None:
-        spec = RunSpec(
-            workload=workload.name,
-            fingerprint=workload_fingerprint(workload),
-            system=system,
-            dram_limit=dram_limit,
-            stack_format=stack_format.value,
-            aslr_seed=aslr_seed,
-            label=label,
-            charge_overhead=charge_overhead,
-            report_digest=hashlib.sha256(
-                report.dumps().encode()).hexdigest()[:32],
-        )
-        key = spec.key(upstream)
-        store.put(key, {
-            "label": run.config_label,
-            "total_time": run.total_time,
-            "upstream": list(upstream),
-        })
-    return run, prepared, key

@@ -25,7 +25,8 @@ class AdvisoryRequest:
     The profile source is either ``workload`` (a registered workload
     name, profiled through the shared pipeline stages) or ``trace`` (a
     path to a ``.jsonl``/``.npz`` trace file, analyzed on first use and
-    keyed by content digest).  Exactly one must be set.
+    again whenever its modification time or size changes; the profile
+    artifact is keyed by content digest).  Exactly one must be set.
     """
 
     dram_limit: int

@@ -7,7 +7,8 @@ Architecture (stdlib only):
   short **batch window** (``REPRO_SERVICE_BATCH_WINDOW_MS``) so
   concurrent arrivals coalesce, up to ``REPRO_SERVICE_MAX_BATCH``;
 - the batch is split into groups by **profile identity** (the profile
-  artifact key for workload requests, the file path for trace requests)
+  artifact key for workload requests; the file path, modification time
+  and size for trace requests, so a rewritten trace is reloaded)
   and each group runs on a ``ThreadPoolExecutor`` worker
   (``REPRO_SERVICE_WORKERS``);
 - a group pays one profile load (profile store → artifact store →
@@ -30,7 +31,7 @@ import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.advisor import AdvisorConfig, HMemAdvisor, Placement, density_batch
 from repro.advisor.density import density_placement_scalar
@@ -46,7 +47,6 @@ from repro.pipeline.artifacts import (
 )
 from repro.pipeline.online import run_online_pipeline
 from repro.pipeline.stages import (
-    _staged_profiles,
     bandwidth_observer,
     cell_config,
     placement_stage,
@@ -225,7 +225,7 @@ class PlacementServer:
         self._executor: Optional[ThreadPoolExecutor] = None
         self._dispatcher: Optional[threading.Thread] = None
         self._stopping = threading.Event()
-        self._profile_memo: Dict[str, _LoadedProfile] = {}
+        self._profile_memo: Dict[Hashable, _LoadedProfile] = {}
         #: (workload, system) -> (engine, per-engine lock) for what-if
         #: scoring; the lock serializes fused passes sharing one engine
         self._engine_memo: Dict[Tuple[str, str],
@@ -363,9 +363,12 @@ class PlacementServer:
         # reuses the engine and its cached pack base
         return f"{request.workload}:{request.system}"
 
-    def _profile_key(self, request: AdvisoryRequest) -> str:
+    def _profile_key(self, request: AdvisoryRequest) -> Hashable:
         if request.trace is not None:
-            return f"trace:{request.trace}"
+            # a trace rewritten in place changes mtime or size, so it
+            # misses the memo and is re-read (then re-digested)
+            st = os.stat(request.trace)
+            return ("trace", request.trace, st.st_mtime_ns, st.st_size)
         # the spec key hashes the workload fingerprint — too slow to
         # recompute per request on the dispatcher thread, and a pure
         # function of these fields, so memoized (dispatcher-only state)
@@ -378,7 +381,7 @@ class PlacementServer:
             self._gkey_memo[ident] = key
         return key
 
-    def _load_profiles(self, gkey: str, request: AdvisoryRequest) -> _LoadedProfile:
+    def _load_profiles(self, gkey: Hashable, request: AdvisoryRequest) -> _LoadedProfile:
         with self._memo_lock:
             memo = self._profile_memo.get(gkey)
         if memo is not None:
@@ -391,7 +394,7 @@ class PlacementServer:
             wl = get_workload(request.workload)
             # `cached` reports the read that actually served the profile:
             # an artifact that exists but does not decode is recomputed
-            profiles, key, cached = _staged_profiles(
+            profiles, key, cached = profile_stage(
                 wl, profile_store=self.profile_store,
                 artifact_store=self.artifact_store, **_profile_knobs(request),
             )
@@ -437,7 +440,7 @@ class PlacementServer:
 
     # -- batch execution -------------------------------------------------------
 
-    def _run_group(self, gkey: str, items: List[Tuple[AdvisoryRequest, Future]]) -> None:
+    def _run_group(self, gkey: Hashable, items: List[Tuple[AdvisoryRequest, Future]]) -> None:
         try:
             loaded = self._load_profiles(gkey, items[0][0])
         except Exception as exc:
@@ -655,7 +658,7 @@ def sequential_advisory(
             key = None
         else:
             wl = get_workload(request.workload)
-            profiles, key = profile_stage(
+            profiles, key, _ = profile_stage(
                 wl, profile_store=profile_store,
                 artifact_store=artifact_store, **_profile_knobs(request),
             )

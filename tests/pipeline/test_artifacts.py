@@ -47,14 +47,11 @@ class TestKeys:
         store.put(key, {"x": 1})
         assert (store.root / key[:2] / key / "payload.json").exists()
 
-    def test_key_varies_with_stage_spec_upstream(self):
+    def test_key_varies_with_stage_and_spec(self):
         spec = DemoSpec(name="minife", limit=12, rate=100.0)
         base = artifact_key("profile", spec)
-        assert artifact_key("placement", spec) != base
+        assert artifact_key("trace-profile", spec) != base
         assert artifact_key("profile", DemoSpec("minife", 13, 100.0)) != base
-        assert artifact_key("profile", spec, upstream=("abc",)) != base
-        assert artifact_key("profile", spec, upstream=("abc",)) == \
-            artifact_key("profile", spec, upstream=("abc",))
 
     def test_unencodable_spec_rejected(self):
         with pytest.raises(ConfigError):
@@ -174,6 +171,13 @@ class TestResolve:
         explicit = ArtifactStore(tmp_path / "mine")
         assert resolve_artifact_store(explicit) is explicit
         assert resolve_artifact_store(tmp_path / "p").root == tmp_path / "p"
+        # an empty explicit path would root the store at the cwd
+        for empty in ("", "  "):
+            with pytest.raises(ConfigError, match="empty path"):
+                resolve_artifact_store(empty)
+        # ...while an empty environment variable means off
+        monkeypatch.setenv("REPRO_ARTIFACT_DIR", "")
+        assert resolve_artifact_store(None) is None
         monkeypatch.setenv("REPRO_ARTIFACT_DIR", str(tmp_path / "env"))
         via_env = resolve_artifact_store(None)
         assert via_env is not None

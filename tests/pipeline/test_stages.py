@@ -2,8 +2,8 @@
 
 The artifact layer is a cache, never a semantic: ``run_ecohmem`` and
 ``run_profdp_best`` must produce bit-identical results with the layer
-off, cold, and warm — including the bandwidth-aware algorithm, whose
-density base is the cached piece.
+off, cold, and warm — including the bandwidth-aware algorithm.  The
+profile is the only artifact they publish.
 """
 
 import pytest
@@ -15,10 +15,11 @@ from repro.experiments import profile_workload, run_ecohmem, run_profdp_best
 from repro.memsim.subsystem import pmem6_system
 from repro.pipeline import (
     ArtifactStore,
+    artifact_key,
     placement_stage,
     profile_stage,
 )
-from repro.profiling.cache import ProfileStore
+from repro.profiling.cache import ProfileKey, ProfileStore
 from repro.runtime.stats import run_results_identical
 from repro.units import GiB
 
@@ -26,6 +27,18 @@ from repro.units import GiB
 @pytest.fixture(autouse=True)
 def no_env_stores(monkeypatch):
     monkeypatch.delenv("REPRO_ARTIFACT_DIR", raising=False)
+
+
+def published(store):
+    """The keys of every artifact in ``store``."""
+    return {p.parent.name for p in store.root.glob("*/*/payload.json")}
+
+
+def profile_key(wl, seed=11):
+    """The artifact key of ``wl``'s default profile."""
+    return artifact_key("profile", ProfileKey.for_workload(
+        wl, seed=seed, stack_format=StackFormat.BOM, pebs_hz=100.0,
+        profile_ranks=1, rank_jitter=0.0))
 
 
 def assert_results_identical(a, b):
@@ -51,7 +64,8 @@ class TestHarnessIdentity:
         off = run_ecohmem(wl, system, profile_store=ProfileStore(), **kw)
         cold = run_ecohmem(wl, system, profile_store=ProfileStore(),
                            artifact_store=store, **kw)
-        assert store.puts > 0
+        # the profile is the only artifact: no placement or run entries
+        assert published(store) == {profile_key(wl)}
         warm = run_ecohmem(wl, system, profile_store=ProfileStore(),
                            artifact_store=store, **kw)
         assert store.hits > 0
@@ -79,6 +93,7 @@ class TestHarnessIdentity:
                                        profile_store=ProfileStore(), **kw)
         v_cold, r_cold = run_profdp_best(wl, system, artifact_store=store,
                                          profile_store=ProfileStore(), **kw)
+        assert published(store) == {profile_key(wl)}
         v_warm, r_warm = run_profdp_best(wl, system, artifact_store=store,
                                          profile_store=ProfileStore(), **kw)
         assert v_off == v_cold == v_warm
@@ -123,33 +138,18 @@ class TestStageFunctions:
         wl = get_workload("minife")
         store = ArtifactStore(tmp_path / "artifacts")
         fresh = profile_workload(wl, seed=11, profile_store=ProfileStore())
-        cold, key1 = profile_stage(wl, seed=11, artifact_store=store,
-                                   profile_store=ProfileStore())
-        warm, key2 = profile_stage(wl, seed=11, artifact_store=store,
-                                   profile_store=ProfileStore())
-        assert key1 == key2 and key1 is not None
+        cold, key1, cold_cached = profile_stage(
+            wl, seed=11, artifact_store=store, profile_store=ProfileStore())
+        warm, key2, warm_cached = profile_stage(
+            wl, seed=11, artifact_store=store, profile_store=ProfileStore())
+        assert key1 == key2 == profile_key(wl)
+        assert not cold_cached and warm_cached
         assert set(fresh) == set(cold) == set(warm)
         for site in fresh:
             for name in ("load_misses", "store_misses", "largest_alloc",
                          "alloc_count", "first_alloc", "last_free"):
                 assert getattr(warm[site], name) == getattr(fresh[site], name)
             assert warm[site].spans == fresh[site].spans
-
-    def test_placement_stage_cached_flag_and_identity(self, tmp_path):
-        wl = get_workload("minife")
-        system = pmem6_system()
-        store = ArtifactStore(tmp_path / "artifacts")
-        profiles, pkey = profile_stage(wl, seed=11, artifact_store=store,
-                                       profile_store=ProfileStore())
-        cfg = config_for_system(system, 12 * GiB, ranks=wl.ranks)
-        cold = placement_stage(profiles, system, cfg,
-                               artifact_store=store, upstream=(pkey,))
-        warm = placement_stage(profiles, system, cfg,
-                               artifact_store=store, upstream=(pkey,))
-        assert not cold.cached and warm.cached
-        assert cold.artifact_key == warm.artifact_key is not None
-        assert list(cold.placement.items()) == list(warm.placement.items())
-        assert cold.report.dumps() == warm.report.dumps()
 
     def test_placement_stage_unknown_algorithm(self):
         wl = get_workload("minife")
@@ -159,20 +159,3 @@ class TestStageFunctions:
         cfg = config_for_system(system, 12 * GiB, ranks=wl.ranks)
         with pytest.raises(SimulationError):
             placement_stage(profiles, system, cfg, algorithm="nope")
-
-    def test_different_config_misses_placement_cache(self, tmp_path):
-        wl = get_workload("minife")
-        system = pmem6_system()
-        store = ArtifactStore(tmp_path / "artifacts")
-        profiles, pkey = profile_stage(wl, seed=11, artifact_store=store,
-                                       profile_store=ProfileStore())
-        a = placement_stage(
-            profiles, system,
-            config_for_system(system, 12 * GiB, ranks=wl.ranks),
-            artifact_store=store, upstream=(pkey,))
-        b = placement_stage(
-            profiles, system,
-            config_for_system(system, 2 * GiB, ranks=wl.ranks),
-            artifact_store=store, upstream=(pkey,))
-        assert a.artifact_key != b.artifact_key
-        assert not b.cached

@@ -88,8 +88,9 @@ def _staged(root, profile_store=None):
     """Profile the toy workload through memory LRU -> artifact -> compute."""
     memory = ProfileStore() if profile_store is None else profile_store
     store = ArtifactStore(root)
-    profiles, key = profile_stage(make_toy_workload(), profile_store=memory,
-                                  artifact_store=store)
+    profiles, key, _ = profile_stage(make_toy_workload(),
+                                     profile_store=memory,
+                                     artifact_store=store)
     return profiles, key, memory, store
 
 
@@ -130,8 +131,10 @@ class TestProfileStoreDisk:
         _staged(tmp_path)
         memory = ProfileStore()
         first, _, _, store = _staged(tmp_path, memory)
-        second, _ = profile_stage(make_toy_workload(), profile_store=memory,
-                                  artifact_store=store)
+        second, _, cached = profile_stage(make_toy_workload(),
+                                          profile_store=memory,
+                                          artifact_store=store)
+        assert cached
         assert store.hits == 1  # unchanged by the second call
         assert (memory.hits, memory.misses) == (1, 0)
         assert second == first

@@ -137,18 +137,28 @@ class TestEndToEnd:
         from repro.profiling.pebs import PEBSConfig
         from repro.profiling.tracer import ExtraeTracer, TracerConfig
 
-        wl = get_workload("minife")
-        tracer = ExtraeTracer(
-            wl, TracerConfig(seed=11, pebs=PEBSConfig(frequency_hz=100.0)))
-        trace = tracer.run(rank=0, aslr_seed=1011)
-        path = tmp_path / "minife.jsonl"
-        trace.dump(str(path))
+        path = tmp_path / "app.jsonl"
+
+        def dump(workload):
+            tracer = ExtraeTracer(
+                get_workload(workload),
+                TracerConfig(seed=11, pebs=PEBSConfig(frequency_hz=100.0)))
+            tracer.run(rank=0, aslr_seed=1011).dump(str(path))
 
         req = AdvisoryRequest(trace=str(path), dram_limit=8 * GiB)
+        dump("minife")
         with PlacementServer(workers=2) as srv:
             batched = srv.query(req)
-        assert batched.ok
-        assert batched == sequential_advisory(req)
+            assert batched.ok
+            assert batched == sequential_advisory(req)
+            # a trace rewritten in place is read again, not answered
+            # from the old trace's memoized profile
+            dump("hpcg")
+            rewritten = srv.query(req)
+            assert srv.stats.profile_loads == 2
+        assert rewritten.ok
+        assert rewritten == sequential_advisory(req)
+        assert rewritten.objects_placed != batched.objects_placed
 
     def test_submit_requires_running_server(self):
         from repro.errors import ReproError

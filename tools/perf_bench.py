@@ -9,7 +9,10 @@ Three sections, mirroring the three optimisation layers:
     LLC-sized cache, asserting identical hit masks and counters.
 ``profile_cache``
     One ``run_ecohmem`` with a cold :class:`ProfileStore` vs the same run
-    served from the warm store, asserting identical results.
+    served from the warm store, then a cold run into a fresh
+    :class:`ArtifactStore` vs a warm one that reads the profile artifact
+    back (a fresh ``ProfileStore``, so the one disk read is timed),
+    asserting identical results and a single published artifact.
 ``fig6_sweep``
     A reduced Figure 6 sweep, serial + memoization off vs parallel +
     profiles shared through the artifact store, asserting bit-identical
@@ -92,7 +95,7 @@ from repro.experiments.parallel import add_jobs_argument, resolve_jobs
 from repro.experiments.tab8_full_apps import compute_tab8
 from repro.memsim.cache import SetAssociativeCache
 from repro.memsim.subsystem import pmem6_system
-from repro.pipeline import reset_default_artifact_store
+from repro.pipeline import ArtifactStore, reset_default_artifact_store
 from repro.profiling.cache import ProfileStore, reset_default_store
 from repro.profiling.paramedir import Paramedir
 from repro.profiling.pebs import PEBSConfig
@@ -175,11 +178,32 @@ def bench_profile_cache(quick: bool) -> dict:
     assert store.hits == 1, "warm run did not hit the profile cache"
     assert warm.run.total_time == cold.run.total_time
     assert warm.site_placement == cold.site_placement
+
+    # the one disk read left: the profile artifact, behind an empty LRU
+    with tempfile.TemporaryDirectory(prefix="repro-bench-") as root:
+        astore = ArtifactStore(root)
+        t0 = time.perf_counter()
+        a_cold = run_ecohmem(get_workload(wl_name), system,
+                             dram_limit=12 * GiB, profile_store=ProfileStore(),
+                             artifact_store=astore)
+        t_a_cold = time.perf_counter() - t0
+        assert astore.puts == 1, "cold run published more than the profile"
+        t0 = time.perf_counter()
+        a_warm = run_ecohmem(get_workload(wl_name), system,
+                             dram_limit=12 * GiB, profile_store=ProfileStore(),
+                             artifact_store=astore)
+        t_a_warm = time.perf_counter() - t0
+        assert astore.puts == 1, "warm run published an artifact"
+    for result in (a_cold, a_warm):
+        assert result.run.total_time == cold.run.total_time
+        assert result.site_placement == cold.site_placement
     return {
         "workload": wl_name,
         "cold_s": round(t_cold, 4),
         "warm_s": round(t_warm, 4),
         "speedup": round(t_cold / t_warm, 2),
+        "artifact_cold_s": round(t_a_cold, 4),
+        "artifact_warm_s": round(t_a_warm, 4),
     }
 
 
@@ -817,9 +841,10 @@ def main(argv=None) -> int:
     if "profile_cache" in want:
         print("profile memoization ...", flush=True)
         results["profile_cache"] = bench_profile_cache(args.quick)
-        print(f"  cold {results['profile_cache']['cold_s']}s -> warm "
-              f"{results['profile_cache']['warm_s']}s "
-              f"({results['profile_cache']['speedup']}x)")
+        pc = results["profile_cache"]
+        print(f"  cold {pc['cold_s']}s -> warm {pc['warm_s']}s "
+              f"({pc['speedup']}x); artifact cold {pc['artifact_cold_s']}s "
+              f"-> warm {pc['artifact_warm_s']}s")
 
     if "fig6_sweep" in want:
         print("fig6 sweep ...", flush=True)
