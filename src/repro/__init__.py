@@ -30,33 +30,40 @@ The main subpackages:
 - :mod:`repro.experiments` -- one module per paper table/figure.
 """
 
-from repro.units import GiB, GB, MiB, MB, KiB, KB
-from repro.errors import ReproError
-from repro.memsim import (
-    MemorySystem,
-    MemorySubsystem,
-    pmem2_system,
-    pmem6_system,
-)
-from repro.apps import get_workload, list_workloads, Workload
-from repro.advisor import AdvisorConfig, HMemAdvisor, Placement
-from repro.alloc import FlexMalloc, PlacementReport
-from repro.binary import StackFormat
-from repro.baselines import run_memory_mode, run_tiering
-from repro.runtime import ExecutionEngine, PlacementTraffic, RunResult
-from repro.experiments import run_ecohmem, run_profdp_best
+from importlib import import_module
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "GiB", "GB", "MiB", "MB", "KiB", "KB",
-    "ReproError",
-    "MemorySystem", "MemorySubsystem", "pmem2_system", "pmem6_system",
-    "get_workload", "list_workloads", "Workload",
-    "AdvisorConfig", "HMemAdvisor", "Placement",
-    "FlexMalloc", "PlacementReport", "StackFormat",
-    "run_memory_mode", "run_tiering",
-    "ExecutionEngine", "PlacementTraffic", "RunResult",
-    "run_ecohmem", "run_profdp_best",
-    "__version__",
-]
+#: each top-level export and the module it lives in; imported on first
+#: access (PEP 562), so ``import repro`` does not load the whole package
+_EXPORTS = {
+    **dict.fromkeys(("GiB", "GB", "MiB", "MB", "KiB", "KB"), "repro.units"),
+    "ReproError": "repro.errors",
+    **dict.fromkeys(("MemorySystem", "MemorySubsystem", "pmem2_system",
+                     "pmem6_system"), "repro.memsim"),
+    **dict.fromkeys(("get_workload", "list_workloads", "Workload"),
+                    "repro.apps"),
+    **dict.fromkeys(("AdvisorConfig", "HMemAdvisor", "Placement"),
+                    "repro.advisor"),
+    **dict.fromkeys(("FlexMalloc", "PlacementReport"), "repro.alloc"),
+    "StackFormat": "repro.binary",
+    **dict.fromkeys(("run_memory_mode", "run_tiering"), "repro.baselines"),
+    **dict.fromkeys(("ExecutionEngine", "PlacementTraffic", "RunResult"),
+                    "repro.runtime"),
+    **dict.fromkeys(("run_ecohmem", "run_profdp_best"), "repro.experiments"),
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    value = getattr(import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS})

@@ -22,6 +22,7 @@ from repro.apps.workload import (
     Phase,
     PhaseSpan,
     Workload,
+    workload_fingerprint,
 )
 from repro.apps.sites import SiteRegistry, ProcessImage
 from repro.apps.registry import get_workload, list_workloads, register_workload
@@ -39,4 +40,5 @@ __all__ = [
     "get_workload",
     "list_workloads",
     "register_workload",
+    "workload_fingerprint",
 ]

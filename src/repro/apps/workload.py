@@ -19,6 +19,7 @@ Conventions
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -401,3 +402,28 @@ class Workload:
             f"Workload({self.name!r}, {len(self.objects)} sites, "
             f"{len(self._spans)} phase spans, {self.ranks}x{self.threads})"
         )
+
+
+def workload_fingerprint(workload: Workload) -> str:
+    """A stable content hash of a workload definition.
+
+    Phase, site, object-spec and access-stat dataclasses carry only
+    primitives, so their ``repr`` is canonical; ``Workload`` itself is a
+    plain class, so its scalar fields are hashed explicitly.  The hash
+    distinguishes same-named workloads with different content (e.g. the
+    scaled variants the input-sensitivity ablation builds).  It keys the
+    profile cache and the engine's workload plans.
+    """
+    canon = (
+        workload.name,
+        tuple(repr(p) for p in workload.phases),
+        tuple(repr(o) for o in workload.objects),
+        workload.ranks,
+        workload.threads,
+        repr(workload.mlp),
+        repr(workload.locality),
+        repr(workload.conflict_pressure),
+        repr(workload.ws_factor),
+        workload.non_heap_bytes,
+    )
+    return hashlib.sha256(repr(canon).encode()).hexdigest()[:16]

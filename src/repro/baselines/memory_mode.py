@@ -20,13 +20,13 @@ from repro.baselines.packing import builtin_sum, segment_sums, two_tier_batch
 from repro.memsim.dram_cache import memory_mode_hit_ratio
 from repro.memsim.subsystem import MemorySystem
 from repro.runtime.engine import ExecutionEngine
-from repro.runtime.segments import SegmentArrays
+from repro.runtime.plan import WorkloadPlan
 from repro.runtime.stats import RunResult
 from repro.runtime.traffic import (
     SegmentTraffic,
     TrafficBatch,
+    _build_placement_pack_base,
     check_traffic_adds,
-    pair_rates,
 )
 
 #: extra per-load penalty of a DRAM-cache miss: the fill round-trip the
@@ -168,7 +168,7 @@ class MemoryModeTraffic:
         return traffic
 
     def traffic_batch(
-        self, segments: SegmentArrays, subsystem_names: Sequence[str]
+        self, plan: WorkloadPlan, subsystem_names: Sequence[str]
     ) -> TrafficBatch:
         """All segments' traffic at once, field-identical to the scalar path.
 
@@ -178,31 +178,43 @@ class MemoryModeTraffic:
         contributions in stable descending density (every segment's
         ``j``-th step at once), and the thrash term's rate totals are the
         builtin ``sum`` over each segment in contribution order.
+
+        The scalar rule keeps a contribution with stats and not both rates
+        zero.  That is the plan's pack base, and its load, store and serial
+        columns are this pack's, unless some rate underflowed to zero
+        traffic; only then are the pairs re-kept with this rule.  Each
+        per-pair temporary is dropped once consumed, so the pack's peak
+        stays a few columns above the plan.
         """
         wl = self.workload
         ranks = wl.ranks
+        segments = plan.segments
         S = segments.num_segments
-        rates = pair_rates(wl, segments)
-        # the scalar rule: stats present and not both rates zero
-        k = np.flatnonzero(rates.has & ((rates.lr != 0) | (rates.sr != 0)))
-        kseg = segments.pair_seg[k]
-        kinst = segments.pair_inst[k]
-        lr, sr = rates.lr[k], rates.sr[k]
-        size = rates.inst_size[kinst]
-        rate = lr + sr
+        rates = plan.rates
+        base = plan.pack_base
+        if base.n_rated != base.kseg.size:
+            base = _build_placement_pack_base(
+                wl, segments, rates,
+                lambda has, lr, sr, pl, ps: has & ((lr != 0) | (sr != 0)))
+        kseg, kinst = base.kseg, base.kinst
+        row, col = rates.at(kseg, kinst)
+        rate = rates.lr_tab[row, col] + rates.sr_tab[row, col]
+        del row, col
         inst_fp = rates.inst_size * ranks * wl.ws_factor
         footprint = inst_fp[kinst]
 
-        order = np.lexsort((-(rate / size), kseg))
-        residency = np.empty(k.size)
+        order = np.lexsort((-(rate / rates.inst_size[kinst]), kseg))
+        residency = np.empty(kseg.size)
         residency[order] = _greedy_residency(
             kseg[order], footprint[order],
             self.dram_cache_bytes * (1.0 - wl.conflict_pressure),
         )
+        del order
 
         bounds = np.searchsorted(kseg, np.arange(S + 1))
         total_rate = segment_sums(rate, bounds)
         stream_rate = segment_sums(rate * (1.0 - residency), bounds)
+        del rate
         stream_share = np.divide(stream_rate, total_rate, out=np.zeros(S),
                                  where=total_rate > 0)
         thrash = 1.0 - 2.0 * wl.conflict_pressure * stream_share
@@ -219,27 +231,28 @@ class MemoryModeTraffic:
             )
             for f in uniq.tolist()
         ])[np.searchsorted(uniq, footprint)]
+        del footprint
         x = (residency * wl.locality * thrash[kseg]
              + (1.0 - residency) * streaming)
+        del residency, streaming
         hit = np.where(0.0 > x, 0.0, x)  # max(x, 0.0), NaN and -0.0 kept
+        del x
 
-        dt = segments.durations_nominal[kseg]
-        loads = lr * dt * ranks
-        stores = sr * dt * ranks
-        serial = loads * rates.inst_sf[kinst]
+        loads, stores, serial = base.pl, base.ps, base.pser
         miss = 1.0 - hit
         fill_stores = 0.5 * (loads + stores) * miss
         pmem_stores = stores * miss * WRITEBACK_COALESCING
         dram = (loads, stores + fill_stores, serial)
+        del fill_stores
         pmem = (loads * miss, pmem_stores, serial * miss)
+        del miss
         check_traffic_adds(dram, pmem)
         self._hit_ratios.append((loads + stores, hit))
 
         touched = bounds[1:] > bounds[:-1]
-        recorded = np.ones(k.size, dtype=bool)
+        recorded = np.ones(kseg.size, dtype=bool)
         return two_tier_batch(
-            segments, subsystem_names, rates.site_names,
-            kseg, rates.inst_site[kinst],
+            segments, subsystem_names, base,
             dram=(kseg,) + dram, pmem=(kseg,) + pmem,
             dram_present=touched, pmem_present=touched, dram_first=touched,
             obj_dram=(recorded, loads * hit, stores * hit),

@@ -25,7 +25,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from repro.runtime.segments import SegmentArrays
-from repro.runtime.traffic import TrafficBatch
+from repro.runtime.traffic import TrafficBatch, _PlacementPackBase
 
 #: one bucket's additions: (segment, loads, stores, serial_loads) columns
 Adds = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
@@ -52,9 +52,7 @@ def segment_sums(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
 def two_tier_batch(
     segments: SegmentArrays,
     subsystem_names: Sequence[str],
-    site_names: Sequence[str],
-    kseg: np.ndarray,
-    ksite: np.ndarray,
+    pairs: _PlacementPackBase,
     *,
     dram: Adds,
     pmem: Adds,
@@ -67,11 +65,12 @@ def two_tier_batch(
 ) -> TrafficBatch:
     """Assemble a ``TrafficBatch`` from per-pair DRAM/PMem columns.
 
-    ``kseg``/``ksite`` are the kept pairs' segments and sites (indices
-    into ``site_names``), in scalar order.  ``dram``/``pmem`` are each
-    bucket's additions in call order.  The presence masks and
-    ``dram_first`` (the ``dram`` bucket was created before ``pmem``) are
-    per segment.  ``obj_dram``/``obj_pmem`` are ``(recorded, loads,
+    ``pairs`` holds the kept pairs in scalar order and their
+    (segment, site) groups: the plan's pack base, or one built with the
+    model's own keep rule.  Only its groups and site names are read.
+    ``dram``/``pmem`` are each bucket's additions in call order.  The
+    presence masks and ``dram_first`` (the ``dram`` bucket was created
+    before ``pmem``) are per segment.  ``obj_dram``/``obj_pmem`` are ``(recorded, loads,
     stores)`` per kept pair: whether the pair records that row, and its
     values; a (segment, site) group records the same rows for every
     member.  ``extra_latency_ns`` is set on present cells.
@@ -103,17 +102,9 @@ def two_tier_batch(
         order_pos[:, col] = np.where(here, row_pos + rank, np.inf)
 
     # (segment, site) groups in first-touch order
-    nsites = max(len(site_names), 1)
-    uniq, first, inv = np.unique(kseg * nsites + ksite, return_index=True,
-                                 return_inverse=True)
-    gorder = np.argsort(first, kind="stable")
-    rank_of = np.empty_like(gorder)
-    rank_of[gorder] = np.arange(gorder.size)
-    ginv = rank_of[inv]
-    gfirst = first[gorder]
-    gseg = (uniq // nsites)[gorder]
-    gsite = (uniq % nsites)[gorder]
-    G = gorder.size
+    ginv, gfirst = pairs.ginv, pairs.gfirst
+    gseg, gsite = pairs.obj_seg_ord, pairs.obj_site_ord
+    G = gfirst.size
 
     def group_sum(w: np.ndarray) -> np.ndarray:
         return np.bincount(ginv, weights=w, minlength=G)
@@ -137,18 +128,17 @@ def two_tier_batch(
 
     # sites numbered by first appearance (rows list groups in first-touch
     # order, so a site's first row is its first kept pair)
-    used_sites, site_first = np.unique(ksite, return_index=True)
-    site_order = used_sites[np.argsort(site_first, kind="stable")]
-    renum = np.zeros(nsites, dtype=np.int64)
+    site_order = pairs.site_order
+    renum = np.zeros(max(len(pairs.site_names), 1), dtype=np.int64)
     renum[site_order] = np.arange(site_order.size)
 
     return TrafficBatch(
         subsystems=list(subsystem_names),
         loads=loads, stores=stores, serial_loads=serial,
         extra_latency_ns=extra, present=present, order_pos=order_pos,
-        site_names=[site_names[i] for i in site_order.tolist()],
+        site_names=[pairs.site_names[i] for i in site_order.tolist()],
         obj_sub_names=sub_names,
-        obj_seg=gseg[row_g].astype(np.int64),
+        obj_seg=gseg[row_g],
         obj_site=renum[gsite[row_g]],
         obj_sub=obj_sub,
         obj_loads=obj_loads,

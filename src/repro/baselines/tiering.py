@@ -28,13 +28,13 @@ from repro.apps.workload import InstanceSpan, Workload
 from repro.baselines.packing import two_tier_batch
 from repro.memsim.subsystem import MemorySystem
 from repro.runtime.engine import ExecutionEngine
-from repro.runtime.segments import SegmentArrays
+from repro.runtime.plan import WorkloadPlan
 from repro.runtime.stats import RunResult
 from repro.runtime.traffic import (
     SegmentTraffic,
     TrafficBatch,
+    _build_placement_pack_base,
     check_traffic_adds,
-    pair_rates,
 )
 from repro.units import GiB
 
@@ -179,14 +179,14 @@ class TieringTraffic:
         return traffic
 
     def traffic_batch(
-        self, segments: SegmentArrays, subsystem_names: Sequence[str]
+        self, plan: WorkloadPlan, subsystem_names: Sequence[str]
     ) -> TrafficBatch:
         """All segments' traffic at once, field-identical to the scalar path."""
-        return self._columnar_batch(segments, subsystem_names)
+        return self._columnar_batch(plan, subsystem_names)
 
     def _columnar_batch(
         self,
-        segments: SegmentArrays,
+        plan: WorkloadPlan,
         subsystem_names: Sequence[str],
         static_dram: Optional[Set[str]] = None,
     ) -> TrafficBatch:
@@ -207,8 +207,9 @@ class TieringTraffic:
         wl = self.workload
         ranks = wl.ranks
         spans = wl.spans
+        segments = plan.segments
         S = segments.num_segments
-        rates = pair_rates(wl, segments)
+        rates = plan.rates
         pseg, pinst = segments.pair_seg, segments.pair_inst
         bounds = np.searchsorted(pseg, np.arange(S + 1))
 
@@ -232,28 +233,34 @@ class TieringTraffic:
             for name in self._promoted_set((span.name, span.iteration),
                                            live, span.name):
                 promoted[sp[s], site_idx[name]] = True
-        psite = rates.inst_site[pinst]
-        pprom = promoted[sp[pseg], psite]
 
+        # The scalar rule keeps a pair with stats whose scaled traffic is
+        # not all zero.  A scale in [1, inf) maps zero to zero and nothing
+        # else to zero, so that is the plan's pack base (stats are implied
+        # by nonzero traffic); any other scale re-keeps the pairs.
         scale = 1.0 + self.scan_overhead
-        dtp = dt[pseg]
-        loads = rates.lr * dtp * ranks * scale
-        stores = rates.sr * dtp * ranks * scale
-        k = np.flatnonzero(rates.has & ~((loads == 0.0) & (stores == 0.0)))
-        kseg = pseg[k]
-        ksite = psite[k]
-        loads, stores = loads[k], stores[k]
-        serial = loads * rates.inst_sf[pinst[k]]
-        prom = pprom[k]
+        base = plan.pack_base
+        if not 1.0 <= scale < np.inf:
+            base = _build_placement_pack_base(
+                wl, segments, rates,
+                lambda has, lr, sr, pl, ps: has & ~((pl * scale == 0.0)
+                                                    & (ps * scale == 0.0)))
+        kseg, kinst = base.kseg, base.kinst
+        ksite = rates.inst_site[kinst]
+        loads = base.pl * scale
+        stores = base.ps * scale
+        serial = loads * rates.inst_sf[kinst]
+        prom = promoted[sp[kseg], ksite]
         kcold = cold[kseg]
         if static_dram is None:
-            to_dram = np.zeros(k.size, dtype=bool)
+            to_dram = np.zeros(kseg.size, dtype=bool)
         else:
             static = np.array([name in static_dram
                                for name in rates.site_names], dtype=bool)
             to_dram = static[ksite] | (prom & (kcold == 0.0))
         split = prom & ~to_dram
         to_pmem = ~prom & ~to_dram
+        del prom
 
         def route(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> Tuple:
             """Per-pair (loads, stores, serial) where ``a`` takes all of
@@ -263,21 +270,30 @@ class TieringTraffic:
 
         pmem_adds = route(to_pmem, split, kcold)
         dram_adds = route(to_dram, split, 1 - kcold)
+        del loads, stores, serial, kcold
         check_traffic_adds(pmem_adds, dram_adds)
 
         # migration: promoted bytes cross both devices once per occurrence
         if static_dram is None:
-            live_bytes = np.where(rates.has & pprom,
-                                  rates.inst_size[pinst] * ranks, 0)
+            # every live promoted instance with stats, kept or not
+            row, col = rates.at(pseg, pinst)
+            moving = rates.has_tab[row, col]
+            del row, col
+            moving &= promoted[sp[pseg], rates.inst_site[pinst]]
+            live_bytes = np.where(moving, rates.inst_size[pinst] * ranks, 0)
+            del moving
             csum = np.r_[0, np.cumsum(live_bytes)]
+            del live_bytes
             moved_bytes = csum[bounds[1:]] - csum[bounds[:-1]]
+            del csum
             migrates = cold > 0.0
         else:
             moved_bytes = np.bincount(
-                kseg[split], weights=rates.inst_size[pinst[k][split]] * ranks,
+                kseg[split], weights=rates.inst_size[kinst[split]] * ranks,
                 minlength=S,
             )
             migrates = (cold > 0.0) & (moved_bytes > 0)
+        del split
         window = warm_end - phase_start
         window = np.where(1e-9 > window, 1e-9, window)
         mseg = np.flatnonzero(migrates)
@@ -292,7 +308,7 @@ class TieringTraffic:
         dram_first = kb[1:] > kb[:-1]
         dram_first[dram_first] = to_dram[kb[:-1][dram_first]]
         return two_tier_batch(
-            segments, subsystem_names, rates.site_names, kseg, ksite,
+            segments, subsystem_names, base,
             dram=(np.r_[kseg, mseg], np.r_[dram_adds[0], zeros],
                   np.r_[dram_adds[1], moved / 128.0],
                   np.r_[dram_adds[2], zeros]),
@@ -349,13 +365,13 @@ class CombinedTraffic(TieringTraffic):
         return "combined-proactive-reactive"
 
     def traffic_batch(
-        self, segments: SegmentArrays, subsystem_names: Sequence[str]
+        self, plan: WorkloadPlan, subsystem_names: Sequence[str]
     ) -> TrafficBatch:
         """All segments' traffic at once, field-identical to the scalar
         path: the tiering pack with the statically placed DRAM sites."""
         static_dram = {name for name, sub in self.initial_placement.items()
                        if sub == "dram"}
-        return self._columnar_batch(segments, subsystem_names, static_dram)
+        return self._columnar_batch(plan, subsystem_names, static_dram)
 
     def segment_traffic(self, lo, hi, phase_name, live):
         wl = self.workload

@@ -12,36 +12,35 @@ function returning plain data structures and a ``format_*`` function
 rendering the paper-style rows.
 """
 
-from repro.experiments.harness import (
-    EcoHMEMResult,
-    profile_workload,
-    run_ecohmem,
-    run_profdp_best,
-    speedup_table,
-)
-from repro.experiments.parallel import (
-    add_jobs_argument,
-    resolve_jobs,
-)
-from repro.experiments.sweep import (
-    ResultDB,
-    SweepManifest,
-    resolve_manifest,
-    resolve_result_db,
-    run_scheduled,
-)
+from importlib import import_module
 
-__all__ = [
-    "EcoHMEMResult",
-    "ResultDB",
-    "SweepManifest",
-    "add_jobs_argument",
-    "profile_workload",
-    "resolve_jobs",
-    "resolve_manifest",
-    "resolve_result_db",
-    "run_ecohmem",
-    "run_profdp_best",
-    "run_scheduled",
-    "speedup_table",
-]
+#: each export and the module it lives in, imported on first access
+#: (PEP 562): the sweep codec is imported by :mod:`repro.pipeline`, which
+#: the harness imports, so this package must not import the harness
+#: eagerly
+_EXPORTS = {
+    **dict.fromkeys(("EcoHMEMResult", "profile_workload", "run_ecohmem",
+                     "run_profdp_best", "speedup_table"),
+                    "repro.experiments.harness"),
+    **dict.fromkeys(("add_jobs_argument", "resolve_jobs"),
+                    "repro.experiments.parallel"),
+    **dict.fromkeys(("ResultDB", "SweepManifest", "resolve_manifest",
+                     "resolve_result_db", "run_scheduled"),
+                    "repro.experiments.sweep"),
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(
+            f"module 'repro.experiments' has no attribute {name!r}")
+    value = getattr(import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS})

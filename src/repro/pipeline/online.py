@@ -77,7 +77,7 @@ def static_placement(
     """
     if engine is None:
         engine = ExecutionEngine(workload, system)
-    traffic = suffix_site_traffic(workload, engine._segment_arrays, 0)
+    traffic = suffix_site_traffic(engine._plan.pack_base, 0)
     return advise_placement(workload, system, dram_limit, traffic)
 
 

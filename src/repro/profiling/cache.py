@@ -30,40 +30,16 @@ Environment knob (read by :func:`resolve_store`):
 
 from __future__ import annotations
 
-import hashlib
 import os
 from collections import OrderedDict
 from copy import deepcopy
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
+from repro.apps.workload import workload_fingerprint  # re-exported
 from repro.binary.callstack import BOMFrame, HumanFrame, StackFormat
 from repro.errors import ConfigError
 from repro.profiling.paramedir import SiteKey, SiteProfile
-
-
-def workload_fingerprint(workload) -> str:
-    """A stable content hash of a workload definition.
-
-    Phase, site, object-spec and access-stat dataclasses carry only
-    primitives, so their ``repr`` is canonical; ``Workload`` itself is a
-    plain class, so its scalar fields are hashed explicitly.  The hash
-    distinguishes same-named workloads with different content (e.g. the
-    scaled variants the input-sensitivity ablation builds).
-    """
-    canon = (
-        workload.name,
-        tuple(repr(p) for p in workload.phases),
-        tuple(repr(o) for o in workload.objects),
-        workload.ranks,
-        workload.threads,
-        repr(workload.mlp),
-        repr(workload.locality),
-        repr(workload.conflict_pressure),
-        repr(workload.ws_factor),
-        workload.non_heap_bytes,
-    )
-    return hashlib.sha256(repr(canon).encode()).hexdigest()[:16]
 
 
 @dataclass(frozen=True)

@@ -27,11 +27,11 @@ draws) feeds one of two sinks:
   sample sums from each window's batch, stable-sorted by time.  No heap,
   no live-object table, no event objects.
 
-The window loop is vectorized: per-window x per-instance true event
-counts are precomputed as NumPy matrices (span overlap geometry via
-``searchsorted``/broadcasting); per-key load offsets and latencies are
-drawn in the scalar RNG call order, and store offsets in one exact call
-per window (:meth:`~repro.profiling.offsets.OffsetDraws.draw`).
+The window loop is vectorized: the true event counts of every live
+(window, instance) pair are precomputed as flat NumPy columns (span
+overlap geometry via ``searchsorted``); per-key load offsets and
+latencies are drawn in the scalar RNG call order, and store offsets in
+one exact call per window (:meth:`~repro.profiling.offsets.OffsetDraws.draw`).
 :meth:`ExtraeTracer.run_scalar` — the original per-event loop — is kept
 as the equivalence oracle (same pattern as
 ``SetAssociativeCache.access_stream_scalar``).
@@ -180,7 +180,7 @@ class ExtraeTracer:
         win_lo, win_hi = self._window_edges(wl.nominal_duration)
         geometry = None
         if vectorized:
-            geometry = self._event_matrices(win_lo, win_hi, instances)
+            geometry = self._live_event_counts(win_lo, win_hi, instances)
 
         # instance column -> instance, in allocation order (the per-key
         # draw order)
@@ -242,26 +242,42 @@ class ExtraeTracer:
 
     # -- vectorized window geometry -------------------------------------------
 
-    def _event_matrices(self, win_lo: List[float], win_hi: List[float],
-                        instances: List[InstanceSpan]) -> dict:
-        """Precompute per-window x per-instance true event counts.
+    def _live_event_counts(self, win_lo: List[float], win_hi: List[float],
+                           instances: List[InstanceSpan]) -> dict:
+        """Precompute the true event counts of every live (window, instance).
 
         Replaces the O(windows * live * spans) scalar accumulation of
         ``_window_phase_rates``: for each phase span (in timeline order,
         preserving the scalar accumulation order and therefore the exact
-        float results), the overlap of every (window, instance) pair is a
-        broadcasted min/max, and only the window range the span covers
-        (found with ``searchsorted``) is touched.  Adding a zero overlap
-        contribution is a float no-op, so skipped vs added-zero spans
-        produce bit-identical sums.
+        float results), the overlap of every pair in the windows the span
+        covers (found with ``searchsorted``) is one vectorized min/max.
+        Adding a zero overlap contribution is a float no-op, so skipped vs
+        added-zero spans produce bit-identical sums.
+
+        The window loop samples an instance in window ``w`` exactly when
+        ``start <= lo[w] < end`` (its alloc edge is applied and its free
+        edge is not), so only those pairs are kept: flat, window-major,
+        instances ascending within a window (``pair_bounds[w]`` is window
+        ``w``'s first pair).  Each pair receives the same additions, in the
+        same order, as a dense (windows x instances) matrix would, whose
+        other entries are never read.
         """
         lo = np.asarray(win_lo)
         hi = np.asarray(win_hi)
         starts = np.array([i.start for i in instances])
         ends = np.array([i.end for i in instances])
         n_w, n_i = lo.size, len(instances)
-        e_load = np.zeros((n_w, n_i))
-        e_store = np.zeros((n_w, n_i))
+        first = np.searchsorted(lo, starts, side="left")
+        counts = np.maximum(np.searchsorted(lo, ends, side="left") - first, 0)
+        pair_inst = np.repeat(np.arange(n_i), counts)
+        pair_win = np.arange(pair_inst.size) + np.repeat(
+            first - (np.cumsum(counts) - counts), counts)
+        order = np.lexsort((pair_inst, pair_win))
+        pair_inst, pair_win = pair_inst[order], pair_win[order]
+        del order
+        pair_bounds = np.searchsorted(pair_win, np.arange(n_w + 1))
+        e_load = np.zeros(pair_inst.size)
+        e_store = np.zeros(pair_inst.size)
         rates: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
         for span in self.workload.spans:
             pair = rates.get(span.name)
@@ -281,18 +297,19 @@ class ExtraeTracer:
             w1 = int(np.searchsorted(lo, span.end, side="left"))
             if w1 <= w0:
                 continue
-            seg_lo = np.maximum(np.maximum(lo[w0:w1, None], span.start),
-                                starts[None, :])
-            seg_hi = np.minimum(np.minimum(hi[w0:w1, None], span.end),
-                                ends[None, :])
+            p0, p1 = pair_bounds[w0], pair_bounds[w1]
+            w, i = pair_win[p0:p1], pair_inst[p0:p1]
+            seg_lo = np.maximum(np.maximum(lo[w], span.start), starts[i])
+            seg_hi = np.minimum(np.minimum(hi[w], span.end), ends[i])
             dt = seg_hi - seg_lo
             np.maximum(dt, 0.0, out=dt)
-            e_load[w0:w1] += rl * dt
-            e_store[w0:w1] += rs * dt
+            e_load[p0:p1] += rl[i] * dt
+            e_store[p0:p1] += rs[i] * dt
         vis = np.array([i.spec.sampling_visibility for i in instances])
         sizes = np.fromiter((i.spec.size for i in instances),
                             dtype=np.int64, count=n_i)
-        return {"load": e_load, "store": e_store, "vis": vis,
+        return {"load": e_load, "store": e_store, "pair_inst": pair_inst,
+                "pair_bounds": pair_bounds, "vis": vis,
                 "starts": starts, "ends": ends, "sizes": sizes}
 
     def _sample_window_vec(self, wi, lo, hi, live, sampler, sink,
@@ -310,9 +327,12 @@ class ExtraeTracer:
         span = hi - lo
         rng = self._sample_rng
         offset_draws = self._offset_draws
-        for counter, matrix in ((_LOAD, geometry["load"]),
-                                (_STORE, geometry["store"])):
-            events = matrix[wi, idx] * vis
+        # the live keys' pairs of this window
+        p0, p1 = geometry["pair_bounds"][wi:wi + 2]
+        pos = p0 + np.searchsorted(geometry["pair_inst"][p0:p1], idx)
+        for counter, counts_of in ((_LOAD, geometry["load"]),
+                                   (_STORE, geometry["store"])):
+            events = counts_of[pos] * vis
             if self.config.rank_jitter > 0.0:
                 events = events * self._rank_rng.lognormal(
                     0.0, self.config.rank_jitter, size=n)

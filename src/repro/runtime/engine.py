@@ -19,6 +19,12 @@ Every entry point — :meth:`~ExecutionEngine.run`, ``run_batch``,
   its per-object/per-phase/timeline accumulators are scatter-adds that
   replay the scalar accumulation order exactly.
 
+An engine owns no workload-derived state of its own: the segmentation,
+the app-direct pack base and the assembly's scatter targets depend on
+neither the placement nor the system, so they live in the workload's
+shared :class:`~repro.runtime.plan.WorkloadPlan`, which every engine over
+equal workload content reads (:func:`~repro.runtime.plan.plan_for`).
+
 :meth:`ExecutionEngine.run_scalar` keeps the original per-segment Python
 loop as the reference oracle; the two are bit-identical (see
 ``tests/runtime/test_engine_vectorized.py``).
@@ -43,7 +49,7 @@ from repro.runtime.delta import (
     changed_suffix_rows,
     compose_batches,
 )
-from repro.runtime.segments import SegmentArrays, build_segment_arrays
+from repro.runtime.plan import object_rows, plan_for, site_slots
 from repro.runtime.stats import ObjectRunStats, PhaseResult, RunResult
 from repro.runtime.traffic import (
     PlacementTraffic,
@@ -86,34 +92,6 @@ class _Segment:
     @property
     def nominal(self) -> float:
         return self.hi - self.lo
-
-
-@dataclass
-class _AssemblyPlan:
-    """Placement-independent accumulation state, shared by every run.
-
-    Site identities, pair->slot scatter targets, alloc/dealloc event
-    positions and the phase grouping depend only on the workload's
-    segmentation — not on where a placement routes traffic — so they are
-    computed once per engine and reused by :meth:`ExecutionEngine.run`
-    and every lane of :meth:`ExecutionEngine.run_batch`.
-    """
-
-    sid_of_name: Dict[str, int]
-    slot_of_sid: np.ndarray        # site id -> live slot (or -1)
-    n_live: int
-    pair_slot: np.ndarray          # (P,) live-pair -> slot
-    rep_of_slot: List[InstanceSpan]
-    a_seg: np.ndarray              # alloc events: segment, in pair order
-    a_order: np.ndarray            # stable argsort of alloc-event slots
-    a_bounds: np.ndarray           # (n_live + 1,) group boundaries
-    d_seg: np.ndarray              # dealloc events: segment, in pair order
-    d_order: np.ndarray
-    d_bounds: np.ndarray
-    gseg: np.ndarray               # (S,) segment -> phase group id
-    used_gids: np.ndarray          # group ids in first-segment order
-    gfirst: np.ndarray             # first segment of each used group
-    num_gids: int
 
 
 def _majority_subsystem(byte_totals: "Dict[str, float]") -> str:
@@ -183,7 +161,9 @@ class ExecutionEngine:
     def __init__(self, workload: Workload, system: MemorySystem):
         self.workload = workload
         self.system = system
-        self._segment_arrays = build_segment_arrays(workload)
+        #: the shared placement-independent state of ``workload``'s content
+        self._plan = plan_for(workload)
+        self._segment_arrays = self._plan.segments
 
     # -- segmentation -----------------------------------------------------------
 
@@ -368,7 +348,7 @@ class ExecutionEngine:
             for m in models
         ]
         batches = pack_traffic_multi(
-            resolved, self.workload, self._segment_arrays, self.system.names
+            resolved, self.workload, self._plan, self.system.names
         )
         return resolved, batches
 
@@ -636,84 +616,6 @@ class ExecutionEngine:
 
     # -- result assembly -----------------------------------------------------------
 
-    @cached_property
-    def _assembly_plan(self) -> _AssemblyPlan:
-        sa = self._segment_arrays
-        instances = sa.instances
-
-        # per-site identity, in first-live order
-        sid_of_name: Dict[str, int] = {}
-        inst_sid = np.empty(len(instances), dtype=np.int64)
-        for n, inst in enumerate(instances):
-            nm = inst.spec.site.name
-            if nm not in sid_of_name:
-                sid_of_name[nm] = len(sid_of_name)
-            inst_sid[n] = sid_of_name[nm]
-
-        pair_sid = inst_sid[sa.pair_inst] if sa.pair_inst.size else inst_sid[:0]
-        uniq_sid, first_pair = np.unique(pair_sid, return_index=True)
-        live_order = uniq_sid[np.argsort(first_pair, kind="stable")]
-        slot_of_sid = np.full(len(sid_of_name) + 1, -1, dtype=np.int64)
-        for slot, sid in enumerate(live_order):
-            slot_of_sid[sid] = slot
-        n_live = live_order.size
-        pair_slot = slot_of_sid[pair_sid]
-
-        first_pair_of_sid = {int(s): int(f) for s, f in zip(uniq_sid, first_pair)}
-        rep_of_slot = [
-            instances[int(sa.pair_inst[first_pair_of_sid[int(sid)]])]
-            for sid in live_order
-        ]
-
-        # alloc/dealloc events: an instance allocates in its first live
-        # segment when that segment starts exactly at the instance's start
-        # (the scalar ``inst.start == seg.lo`` test), symmetrically for ends
-        inst_start = np.array([i.start for i in instances])
-        inst_end = np.array([i.end for i in instances])
-        p_inst = sa.pair_inst
-        p_seg = sa.pair_seg
-        is_alloc = (p_seg == sa.inst_first_seg[p_inst]) & (
-            sa.seg_lo[p_seg] == inst_start[p_inst]
-        )
-        is_dealloc = (p_seg == sa.inst_last_seg[p_inst] - 1) & (
-            sa.seg_hi[p_seg] == inst_end[p_inst]
-        )
-        a_pairs = np.flatnonzero(is_alloc)
-        d_pairs = np.flatnonzero(is_dealloc)
-        a_slot = pair_slot[a_pairs]
-        d_slot = pair_slot[d_pairs]
-        a_order = np.argsort(a_slot, kind="stable")
-        d_order = np.argsort(d_slot, kind="stable")
-        a_bounds = np.searchsorted(a_slot[a_order], np.arange(n_live + 1))
-        d_bounds = np.searchsorted(d_slot[d_order], np.arange(n_live + 1))
-
-        # group phase spans by (name, iteration) — the scalar dict key
-        wl = self.workload
-        gid_of_key: Dict[Tuple[str, int], int] = {}
-        gid_of_span = np.empty(len(wl.spans), dtype=np.int64)
-        for i, span in enumerate(wl.spans):
-            key = (span.name, span.iteration)
-            if key not in gid_of_key:
-                gid_of_key[key] = len(gid_of_key)
-            gid_of_span[i] = gid_of_key[key]
-        gseg = gid_of_span[sa.span_idx]
-        used_gids, gfirst = np.unique(gseg, return_index=True)
-        order = np.argsort(gfirst, kind="stable")
-
-        return _AssemblyPlan(
-            sid_of_name=sid_of_name,
-            slot_of_sid=slot_of_sid,
-            n_live=n_live,
-            pair_slot=pair_slot,
-            rep_of_slot=rep_of_slot,
-            a_seg=p_seg[a_pairs], a_order=a_order, a_bounds=a_bounds,
-            d_seg=p_seg[d_pairs], d_order=d_order, d_bounds=d_bounds,
-            gseg=gseg,
-            used_gids=used_gids[order],
-            gfirst=gfirst[order],
-            num_gids=int(gid_of_span.max()) + 1,
-        )
-
     def _assemble(
         self,
         model: TrafficModel,
@@ -735,8 +637,8 @@ class ExecutionEngine:
         """
         wl = self.workload
         sa = self._segment_arrays
-        plan = self._assembly_plan
-        n_live = plan.n_live
+        asm = self._plan.assembly
+        n_live = asm.n_live
 
         stalls = durations - sa.durations_nominal
         starts = np.concatenate(([0.0], np.cumsum(durations)[:-1]))
@@ -748,7 +650,7 @@ class ExecutionEngine:
             pmem_bw_seg[mask] = batch.total_bytes[mask, pc] / durations[mask]
 
         objects: Dict[str, ObjectRunStats] = {}
-        for rep in plan.rep_of_slot:
+        for rep in asm.rep_of_slot:
             nm = rep.spec.site.name
             objects[nm] = ObjectRunStats(
                 site_name=nm,
@@ -760,111 +662,61 @@ class ExecutionEngine:
 
         # -- live-pair accumulators (scatter-add in scalar pair order) -----------
         pair_dur = durations[sa.pair_seg]
-        live_time = np.bincount(plan.pair_slot, weights=pair_dur,
+        live_time = np.bincount(asm.pair_slot, weights=pair_dur,
                                 minlength=n_live)
-        exec_bw_w = np.bincount(plan.pair_slot,
-                                weights=pmem_bw_seg[sa.pair_seg] * pair_dur,
+        exec_bw_w = np.bincount(asm.pair_slot,
+                                weights=(pmem_bw_seg * durations)[sa.pair_seg],
                                 minlength=n_live)
         exec_tw = live_time
 
         # alloc/dealloc events, grouped per slot in pair order
         ends = starts + durations
-        a_segs = plan.a_seg[plan.a_order]
-        d_segs = plan.d_seg[plan.d_order]
+        a_segs = asm.a_seg[asm.a_order]
+        d_segs = asm.d_seg[asm.d_order]
         a_bw = pmem_bw_seg[a_segs]
         a_t = starts[a_segs]
         d_t = ends[d_segs]
         alloc_bws: List[List[float]] = []
         for slot, st in enumerate(stats_list):
-            lo, hi = plan.a_bounds[slot], plan.a_bounds[slot + 1]
+            lo, hi = asm.a_bounds[slot], asm.a_bounds[slot + 1]
             alloc_bws.append(a_bw[lo:hi].tolist())
             st.alloc_times = a_t[lo:hi].tolist()
-            lo, hi = plan.d_bounds[slot], plan.d_bounds[slot + 1]
+            lo, hi = asm.d_bounds[slot], asm.d_bounds[slot + 1]
             st.dealloc_times = d_t[lo:hi].tolist()
 
         # -- per-object traffic accumulators -------------------------------------
-        # K candidate lanes over one pack base share the same obj_* arrays
-        # (the placement only picks obj_sub), so everything derived from
-        # the placement-independent columns is memoized keyed on array
-        # identity — the held references pin the ids for the cache's life.
+        # A uniform app-direct pack's object rows are the plan's pack base
+        # rows (the placement only picks obj_sub), so their slots and
+        # placement-independent sums come with the plan.
         n_subn = max(len(batch.obj_sub_names), 1)
         n_cols = len(batch.subsystems)
-        ckey = (
-            id(batch.obj_site), id(batch.obj_seg),
-            id(batch.obj_loads), id(batch.obj_stores),
-            tuple(batch.site_names), n_subn, n_cols,
-        )
-        cached = getattr(self, "_obj_traffic_cache", None)
-        if cached is not None and cached["key"] != ckey:
-            cached = None
-        if cached is None:
-            slot_of_batch_site = np.array(
-                [plan.sid_of_name.get(nm, -1) for nm in batch.site_names],
-                dtype=np.int64,
-            )
-            slot_of_batch_site = np.where(
-                slot_of_batch_site >= 0,
-                plan.slot_of_sid[slot_of_batch_site], -1,
-            )
-            oslot_all = (
-                slot_of_batch_site[batch.obj_site] if batch.obj_site.size
-                else batch.obj_site
-            )
-            ovalid = oslot_all >= 0
-            if ovalid.all():
-                obj_bytes = (batch.obj_loads + 2.0 * batch.obj_stores) * 64.0
-                cached = {
-                    "key": ckey,
-                    "refs": (batch.obj_site, batch.obj_seg,
-                             batch.obj_loads, batch.obj_stores),
-                    "oslot": oslot_all,
-                    "obj_bytes": obj_bytes,
-                    "load_misses": np.bincount(
-                        oslot_all, weights=batch.obj_loads,
-                        minlength=n_live),
-                    "store_misses": np.bincount(
-                        oslot_all, weights=batch.obj_stores,
-                        minlength=n_live),
-                    "bytes_total": np.bincount(
-                        oslot_all, weights=obj_bytes, minlength=n_live),
-                    "mkey_base": oslot_all * n_subn,
-                    "lin_base": batch.obj_seg * n_cols,
-                }
-                self._obj_traffic_cache = cached
-        if cached is not None:
-            oslot = cached["oslot"]
-            oseg = batch.obj_seg
-            osub = batch.obj_sub
-            oloads = batch.obj_loads
-            ostores = batch.obj_stores
-            obj_bytes = cached["obj_bytes"]
-            load_misses = cached["load_misses"]
-            store_misses = cached["store_misses"]
-            bytes_total = cached["bytes_total"]
-            mkey = cached["mkey_base"] + osub
-            lin_base = cached["lin_base"]
+        base = self._plan.pack_base
+        oseg, osub = batch.obj_seg, batch.obj_sub
+        oloads, ostores = batch.obj_loads, batch.obj_stores
+        if (oseg is base.obj_seg_ord and batch.obj_site is base.obj_site_ord
+                and oloads is base.obj_loads_ord
+                and ostores is base.obj_stores_ord):
+            rows = self._plan.object_rows
         else:
-            # some batch sites are unknown to the plan: filter them out
-            oslot = oslot_all[ovalid]
-            oseg = batch.obj_seg[ovalid]
-            osub = batch.obj_sub[ovalid]
-            oloads = batch.obj_loads[ovalid]
-            ostores = batch.obj_stores[ovalid]
-            obj_bytes = (oloads + 2.0 * ostores) * 64.0
-            load_misses = np.bincount(oslot, weights=oloads, minlength=n_live)
-            store_misses = np.bincount(oslot, weights=ostores,
-                                       minlength=n_live)
-            bytes_total = np.bincount(oslot, weights=obj_bytes,
-                                      minlength=n_live)
-            mkey = oslot * n_subn + osub
-            lin_base = oseg * n_cols
+            oslot = site_slots(asm, batch.site_names)[batch.obj_site]
+            ovalid = oslot >= 0
+            if not ovalid.all():
+                # some batch sites are unknown to the plan: filter them out
+                oslot, oseg, osub, oloads, ostores = (
+                    col[ovalid] for col in (oslot, oseg, osub, oloads, ostores))
+            rows = object_rows(oslot, oloads, ostores, n_live)
+        oslot, obj_bytes = rows.slot, rows.nbytes
+        load_misses = rows.load_misses
+        store_misses = rows.store_misses
+        bytes_total = rows.bytes_total
+        mkey = oslot * n_subn + osub
 
         # per-row load latency: when the object columns are exactly the
         # system's subsystem columns (every PlacementTraffic pack), the
         # column lookup is the identity and the (seg, col) gathers flatten
         # to one linear index over the contiguous (S, cols) matrices
         if list(batch.obj_sub_names) == list(batch.subsystems):
-            lin = lin_base + osub
+            lin = oseg * n_cols + osub
             olat = np.where(
                 batch.present.ravel()[lin], lat_final.ravel()[lin], 0.0
             )
@@ -1057,10 +909,10 @@ class ExecutionEngine:
         wl = self.workload
         sa = self._segment_arrays
         S, K = batch.loads.shape
-        plan = self._assembly_plan
-        gseg = plan.gseg
-        used_gids, gfirst = plan.used_gids, plan.gfirst
-        G = plan.num_gids
+        asm = self._plan.assembly
+        gseg = asm.gseg
+        used_gids, gfirst = asm.used_gids, asm.gfirst
+        G = asm.num_gids
 
         actual_dur = np.bincount(gseg, weights=durations, minlength=G)
         compute_t = np.bincount(gseg, weights=sa.durations_nominal,

@@ -25,9 +25,9 @@ when ``saving > cost``, the online total — engine time plus all charged
 migration costs — can never exceed the static placement's total.
 
 Everything here is deterministic and placement-independent where it can
-be: phase detection and suffix traffic read the cached
-placement-independent pack base, so the detector sees *application*
-behavior, not the current placement.
+be: phase detection and suffix traffic read the placement-independent
+pack base of the workload's shared plan, so the detector sees
+*application* behavior, not the current placement.
 """
 
 from __future__ import annotations
@@ -47,7 +47,8 @@ from repro.profiling.metrics import LINE_BYTES
 from repro.runtime.delta import DeltaState, PatchedPlacementTraffic
 from repro.runtime.engine import ExecutionEngine
 from repro.runtime.segments import SegmentArrays
-from repro.runtime.traffic import PlacementTraffic, _placement_pack_base
+from repro.runtime.plan import WorkloadPlan
+from repro.runtime.traffic import PlacementTraffic, _PlacementPackBase
 
 __all__ = [
     "OnlineParams",
@@ -168,17 +169,18 @@ def epoch_boundaries(
 
 
 def _epoch_byte_distributions(
-    workload: Workload, segments: SegmentArrays, epochs: int
+    workload: Workload, plan: WorkloadPlan, epochs: int
 ) -> np.ndarray:
     """(epochs, sites) per-epoch byte share per site, placement-independent."""
-    base = _placement_pack_base(workload, segments)
+    base = plan.pack_base
     duration = workload.nominal_duration
     nsites = len(base.site_names)
     seg_epoch = np.minimum(
-        (segments.seg_lo * epochs / duration).astype(np.int64), epochs - 1
+        (plan.segments.seg_lo * epochs / duration).astype(np.int64),
+        epochs - 1,
     )
     ep = seg_epoch[base.kseg]
-    key = ep * nsites + base.ksite
+    key = ep * nsites + base.inst_site[base.kinst]
     traffic_bytes = base.pl * LINE_BYTES + base.ps * (2.0 * LINE_BYTES)
     mat = np.bincount(
         key, weights=traffic_bytes, minlength=epochs * nsites
@@ -191,10 +193,14 @@ def _epoch_byte_distributions(
 
 def detect_phase_shifts(
     workload: Workload,
-    segments: SegmentArrays,
+    plan: WorkloadPlan,
     params: OnlineParams,
 ) -> Tuple[List[int], List[Tuple[int, int]]]:
     """Epoch boundaries, and the subset where the traffic mix shifted.
+
+    ``plan`` is the workload's plan (:func:`~repro.runtime.plan.plan_for`):
+    its segmentation places the boundaries and its pack base gives the
+    per-site traffic.
 
     Returns ``(all_boundaries, shifted)`` where ``shifted`` pairs each
     shifted boundary's epoch index with its segment index.  A boundary
@@ -202,9 +208,9 @@ def detect_phase_shifts(
     total-variation distance ``0.5 * sum(|p_e - p_{e-1}|)`` between the
     consecutive per-site byte distributions exceeds the threshold.
     """
-    dist = _epoch_byte_distributions(workload, segments, params.epochs)
+    dist = _epoch_byte_distributions(workload, plan, params.epochs)
     tv = 0.5 * np.abs(np.diff(dist, axis=0)).sum(axis=1)
-    pairs = _epoch_boundary_pairs(workload, segments, params.epochs)
+    pairs = _epoch_boundary_pairs(workload, plan.segments, params.epochs)
     shifted = [(e, s) for e, s in pairs if tv[e - 1] > params.shift_threshold]
     return [s for _, s in pairs], shifted
 
@@ -213,22 +219,19 @@ def detect_phase_shifts(
 
 
 def suffix_site_traffic(
-    workload: Workload, segments: SegmentArrays, boundary_seg: int
+    base: _PlacementPackBase, boundary_seg: int
 ) -> Dict[str, Tuple[float, float]]:
     """Per-site (loads, stores) totals for segments ``>= boundary_seg``.
 
-    Aggregate over all ranks, read straight off the cached
-    placement-independent pack base (kept pairs are sorted by segment).
+    Aggregate over all ranks, read straight off a workload plan's
+    placement-independent pack base (``plan_for(workload).pack_base``;
+    kept pairs are sorted by segment).
     """
-    base = _placement_pack_base(workload, segments)
     k0 = int(np.searchsorted(base.kseg, boundary_seg, side="left"))
     nsites = len(base.site_names)
-    loads = np.bincount(
-        base.ksite[k0:], weights=base.pl[k0:], minlength=nsites
-    )
-    stores = np.bincount(
-        base.ksite[k0:], weights=base.ps[k0:], minlength=nsites
-    )
+    ksite = base.inst_site[base.kinst[k0:]]
+    loads = np.bincount(ksite, weights=base.pl[k0:], minlength=nsites)
+    stores = np.bincount(ksite, weights=base.ps[k0:], minlength=nsites)
     return {
         name: (float(loads[i]), float(stores[i]))
         for i, name in enumerate(base.site_names)
@@ -358,13 +361,13 @@ def run_online(
     static_time = float(state.result.total_time)
     current = dict(initial_placement)
 
-    bounds, shifted = detect_phase_shifts(workload, sa, params)
+    bounds, shifted = detect_phase_shifts(workload, engine._plan, params)
     events: List[MigrationEvent] = []
     migration_total = 0.0
     evaluations = 0
 
     for epoch, s0 in shifted:
-        traffic = suffix_site_traffic(workload, sa, s0)
+        traffic = suffix_site_traffic(engine._plan.pack_base, s0)
         candidates: List[Dict[str, str]] = []
         for frac in CANDIDATE_FRACS:
             cand = advise_placement(

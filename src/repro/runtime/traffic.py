@@ -12,7 +12,17 @@ compares.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Protocol, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Protocol,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -20,6 +30,9 @@ from repro.errors import SimulationError
 from repro.apps.workload import InstanceSpan, Workload
 from repro.profiling.metrics import LINE_BYTES
 from repro.runtime.segments import SegmentArrays
+
+if TYPE_CHECKING:  # pragma: no cover - the plan module imports this one
+    from repro.runtime.plan import WorkloadPlan
 
 
 @dataclass
@@ -315,7 +328,7 @@ class PlacementTraffic:
         return traffic
 
     def traffic_batch(
-        self, segments: SegmentArrays, subsystem_names: Sequence[str]
+        self, plan: "WorkloadPlan", subsystem_names: Sequence[str]
     ) -> TrafficBatch:
         """All segments' traffic at once (bit-identical to the scalar path).
 
@@ -323,13 +336,13 @@ class PlacementTraffic:
         sequence the scalar path uses, so every accumulated float sees the
         same sequence of additions.  Everything that does not depend on the
         placement — the kept (segment, instance) pairs and their load/store
-        contributions — is computed once per (workload, segmentation) and
-        shared across placements (see :class:`_PlacementPackBase`), which
-        is what makes packing K candidate placements nearly free.
+        contributions — is the workload plan's :class:`_PlacementPackBase`,
+        shared by every placement of every engine over the plan, which is
+        what makes packing K candidate placements nearly free.
         """
-        base = _placement_pack_base(self.workload, segments)
+        base = plan.pack_base
         K = len(subsystem_names)
-        S = segments.num_segments
+        S = plan.segments.num_segments
         colmap = {name: k for k, name in enumerate(subsystem_names)}
 
         # the only placement-dependent input: each instance's target column
@@ -353,12 +366,14 @@ class PlacementTraffic:
                              minlength=S * K).reshape(S, K)
         serial = np.bincount(flat, weights=base.pser,
                              minlength=S * K).reshape(S, K)
-        # first-touch position per (segment, column): kpos_f is strictly
-        # increasing, so "min kpos per bucket" == "kpos of the first
-        # occurrence" == the value left standing after a reverse-order
-        # scatter store (fancy assignment keeps the last write).
+        # first-touch position per (segment, column): kept pairs are in
+        # scalar order, so "min kept index per bucket" == "index of the
+        # first occurrence" == the value left standing after a
+        # reverse-order scatter store (fancy assignment keeps the last
+        # write); only the order of these positions matters below
         flat_op = np.full(S * K, np.inf)
-        flat_op[flat[::-1]] = base.kpos_f[::-1]
+        flat_op[flat[::-1]] = np.arange(float(flat.size))[::-1]
+        del flat
         first = flat_op.reshape(S, K)
         present = np.isfinite(first)
         # the scalar pack's canonical position s*K + rank, where rank
@@ -369,46 +384,45 @@ class PlacementTraffic:
 
         # Per-(segment, site, subsystem) sums in first-touch order.  The
         # (segment, site) grouping is placement-independent and precomputed
-        # in the base; a placement only assigns each group a column.  When
-        # every pair in a group lands on the same column (always true
-        # without per-instance overrides), the grouped sums and their
-        # first-touch order are exactly the base's, so the per-placement
-        # work is two small gathers.  Overrides that split a group across
-        # columns fall back to grouping by the combined key.
-        gcol = (kcol[base.bfirst] if base.bfirst.size
+        # in the base; a placement only assigns each group a column.  A
+        # group whose pairs all land on its first pair's column (always,
+        # without per-instance overrides) is one row whose sums are the
+        # base's, so without split groups the per-placement work is one
+        # small gather.  Overrides that split a group give it one row per
+        # column, first touch first, summed over its own pairs in pair
+        # order, and those rows are merged into the base rows by first
+        # touch.
+        gcol = (kcol[base.gfirst] if base.gfirst.size
                 else np.zeros(0, dtype=np.int64))
-        uniform = True
+        obj_seg = base.obj_seg_ord
+        obj_site = base.obj_site_ord
+        obj_sub = gcol
+        obj_loads = base.obj_loads_ord
+        obj_stores = base.obj_stores_ord
         if self.instance_placement:
-            kcol_f = kcol.astype(float)
-            gsum = np.bincount(base.binv, weights=kcol_f,
-                               minlength=gcol.size)
-            gsq = np.bincount(base.binv, weights=kcol_f * kcol_f,
-                              minlength=gcol.size)
-            gc = gcol.astype(float)
-            # zero variance around the first member's column <=> uniform
-            # (columns are small ints, so the float sums are exact)
-            uniform = bool(np.all(gsum == base.gcount_f * gc)
-                           and np.all(gsq == base.gcount_f * gc * gc))
-        nsites = max(len(base.site_names), 1)
-        if uniform:
-            obj_seg = base.obj_seg_ord
-            obj_site = base.obj_site_ord
-            obj_sub = gcol[base.gorder]
-            obj_loads = base.obj_loads_ord
-            obj_stores = base.obj_stores_ord
-        else:
-            key = (kseg * nsites + base.ksite) * K + kcol
-            uniq, first_pos, inv = np.unique(key, return_index=True,
-                                             return_inverse=True)
-            gl = np.bincount(inv, weights=base.pl, minlength=uniq.size)
-            gs = np.bincount(inv, weights=base.ps, minlength=uniq.size)
-            order = np.argsort(first_pos, kind="stable")
-            uniq = uniq[order]
-            obj_seg = (uniq // (nsites * K)).astype(np.int64)
-            obj_site = ((uniq // K) % nsites).astype(np.int64)
-            obj_sub = (uniq % K).astype(np.int64)
-            obj_loads = gl[order]
-            obj_stores = gs[order]
+            off = base.ginv[kcol != gcol[base.ginv]]
+            if off.size:
+                split = np.zeros(gcol.size, dtype=bool)
+                split[off] = True
+                members = np.flatnonzero(split[base.ginv])
+                key, key_first, inv = np.unique(
+                    base.ginv[members] * K + kcol[members],
+                    return_index=True, return_inverse=True)
+                lead = members[key_first]  # each new row's first pair
+                by_pos = np.argsort(lead, kind="stable")
+                kept = np.flatnonzero(~split)
+                at = np.searchsorted(base.gfirst[kept], lead[by_pos])
+
+                def merge(whole: np.ndarray, new: np.ndarray) -> np.ndarray:
+                    return np.insert(whole[kept], at, new[by_pos])
+
+                obj_seg = merge(obj_seg, kseg[lead])
+                obj_site = merge(obj_site, base.inst_site[base.kinst[lead]])
+                obj_sub = merge(obj_sub, key % K)
+                obj_loads = merge(obj_loads, np.bincount(
+                    inv, weights=base.pl[members], minlength=key.size))
+                obj_stores = merge(obj_stores, np.bincount(
+                    inv, weights=base.ps[members], minlength=key.size))
         return TrafficBatch(
             subsystems=list(subsystem_names),
             loads=loads, stores=stores, serial_loads=serial,
@@ -431,10 +445,14 @@ class _PlacementPackBase:
     Which (segment, instance) pairs contribute traffic, and how much, is
     fixed by the workload and the segmentation; a placement only routes
     those contributions to subsystem columns.  One base therefore serves
-    every candidate placement over the same segmentation — cached on the
-    :class:`SegmentArrays` instance, keyed by workload identity (the
-    workload reference is held alongside, so the id can never be reused
-    while the cache entry is alive).
+    every candidate placement of every engine over the same workload
+    content: it is built once, as part of the workload's
+    :class:`~repro.runtime.plan.WorkloadPlan`, and read-only after that.
+    The Memory Mode and tiering packs read its kept pairs too, wherever
+    their own keep rule provably selects the same pairs.
+
+    Groups are the kept pairs' distinct (segment, site) keys, numbered in
+    first-touch order (the order of their first member).
     """
 
     site_names: List[str]
@@ -442,41 +460,32 @@ class _PlacementPackBase:
     slot_of_instance: Dict[Tuple[str, int], int]
     kseg: np.ndarray                  # kept pairs: segment index
     kinst: np.ndarray                 # kept pairs: instance index
-    ksite: np.ndarray                 # kept pairs: site index
-    kpos_f: np.ndarray                # kept pairs: global first-touch pos
     pl: np.ndarray                    # kept pairs: load contribution
     ps: np.ndarray                    # kept pairs: store contribution
     pser: np.ndarray                  # kept pairs: serialized loads
+    #: pairs with stats and a nonzero rate (the Memory Mode keep rule);
+    #: equal to the kept count unless a rate underflowed to zero traffic
+    n_rated: int
     # (segment, site) grouping of the kept pairs — placement-independent
-    binv: np.ndarray                  # kept pairs -> group index
-    bfirst: np.ndarray                # group -> kept index of first member
-    gorder: np.ndarray                # groups in first-touch order
-    gcount_f: np.ndarray              # group sizes (float, for exact sums)
-    obj_seg_ord: np.ndarray           # group segment, first-touch order
-    obj_site_ord: np.ndarray          # group site, first-touch order
-    obj_loads_ord: np.ndarray         # group load sums, first-touch order
-    obj_stores_ord: np.ndarray        # group store sums, first-touch order
-
-
-def _placement_pack_base(
-    workload: Workload, segments: SegmentArrays
-) -> _PlacementPackBase:
-    cached = getattr(segments, "_pack_base", None)
-    if cached is not None and cached[0] is workload:
-        return cached[1]
-    base = _build_placement_pack_base(workload, segments)
-    segments._pack_base = (workload, base)
-    return base
+    ginv: np.ndarray                  # kept pairs -> group
+    gfirst: np.ndarray                # group -> kept index of first member
+    obj_seg_ord: np.ndarray           # group segment
+    obj_site_ord: np.ndarray          # group site
+    obj_loads_ord: np.ndarray         # group load sums
+    obj_stores_ord: np.ndarray        # group store sums
+    site_order: np.ndarray            # sites of kept pairs, first-touch order
 
 
 @dataclass
 class PairRates:
-    """Every (segment, live instance) pair's access rates, in scalar order.
+    """The access rates of a workload's (segment, live instance) pairs.
 
-    The placement-independent input every columnar pack starts from: for
-    each pair of :attr:`SegmentArrays.pair_seg`/``pair_inst``, whether the
-    instance's spec has stats for the segment's phase, and its per-rank
-    load/store rates (zero where it has none).
+    The placement-independent input every columnar pack starts from.  A
+    pair's rates depend only on its instance's spec and its segment's
+    phase name, so they are kept as small (spec, phase-name) tables:
+    ``has_tab`` says whether the spec has stats for the phase, and
+    ``lr_tab``/``sr_tab`` hold its per-rank load/store rates (zero where
+    it has none).  :meth:`at` gives the table cells of any pairs.
     """
 
     site_names: List[str]             # sites in workload instance order
@@ -484,9 +493,16 @@ class PairRates:
     inst_size: np.ndarray             # (N,) int64 bytes per rank
     inst_sf: np.ndarray               # (N,) serial fraction
     slot_of_instance: Dict[Tuple[str, int], int]
-    has: np.ndarray                   # (P,) bool: stats exist
-    lr: np.ndarray                    # (P,) load rate
-    sr: np.ndarray                    # (P,) store rate
+    inst_row: np.ndarray              # (N,) instance -> table row
+    seg_col: np.ndarray               # (S,) segment -> table column
+    has_tab: np.ndarray               # (rows, phase names) bool
+    lr_tab: np.ndarray                # (rows, phase names) load rate
+    sr_tab: np.ndarray                # (rows, phase names) store rate
+
+    def at(self, seg: np.ndarray,
+           inst: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The (row, column) table cells of pairs ``(seg[i], inst[i])``."""
+        return self.inst_row[inst], self.seg_col[seg]
 
 
 def pair_rates(wl: Workload, segments: SegmentArrays) -> PairRates:
@@ -544,17 +560,17 @@ def pair_rates(wl: Workload, segments: SegmentArrays) -> PairRates:
     def table(rows: List[np.ndarray], dtype=float) -> np.ndarray:
         return np.array(rows) if rows else np.zeros((0, U), dtype=dtype)
 
-    prow = inst_row[segments.pair_inst]
-    pcol = pname_of_span[segments.span_idx][segments.pair_seg]
     return PairRates(
         site_names=site_names,
         inst_site=inst_site,
         inst_size=inst_size,
         inst_sf=inst_sf,
         slot_of_instance=slot_of_instance,
-        has=table(has_rows, bool)[prow, pcol],
-        lr=table(rate_load_rows)[prow, pcol],
-        sr=table(rate_store_rows)[prow, pcol],
+        inst_row=inst_row,
+        seg_col=pname_of_span[segments.span_idx],
+        has_tab=table(has_rows, bool),
+        lr_tab=table(rate_load_rows),
+        sr_tab=table(rate_store_rows),
     )
 
 
@@ -579,81 +595,104 @@ def check_traffic_adds(*adds: Tuple[np.ndarray, ...]) -> None:
             raise SimulationError("serial_loads cannot exceed loads")
 
 
+#: a pack's keep rule over all pairs: ``(has, lr, sr, pl, ps) -> mask``,
+#: where ``pl``/``ps`` are the pairs' load/store contributions
+KeepRule = Callable[..., np.ndarray]
+
+
 def _build_placement_pack_base(
-    wl: Workload, segments: SegmentArrays
+    wl: Workload,
+    segments: SegmentArrays,
+    rates: PairRates,
+    keep_rule: Optional[KeepRule] = None,
 ) -> _PlacementPackBase:
-    rates = pair_rates(wl, segments)
-    site_names = rates.site_names
-    inst_site = rates.inst_site
-    inst_sf = rates.inst_sf
-    slot_of_instance = rates.slot_of_instance
+    """Kept pairs, their traffic and their (segment, site) groups.
+
+    The app-direct rule keeps the pairs with nonzero traffic; a baseline
+    pack whose own rule keeps other pairs passes it as ``keep_rule``.
+    """
     pseg = segments.pair_seg
     pinst = segments.pair_inst
+    row, col = rates.at(pseg, pinst)
+    has = rates.has_tab[row, col]
+    lr = rates.lr_tab[row, col]
+    sr = rates.sr_tab[row, col]
+    del row, col
     dt = segments.durations_nominal
     ranks = wl.ranks
-    pl = rates.lr * dt[pseg] * ranks
-    ps = rates.sr * dt[pseg] * ranks
-    del rates  # free the per-pair rate columns before the grouping below
-    keep = (pl != 0.0) | (ps != 0.0)
+    pl = lr * dt[pseg] * ranks
+    ps = sr * dt[pseg] * ranks
+    rated = has & ((lr != 0) | (sr != 0))
+    if keep_rule is None:
+        keep = (pl != 0.0) | (ps != 0.0)
+    else:
+        keep = keep_rule(has, lr, sr, pl, ps)
+    del has, lr, sr  # free the per-pair columns before the grouping below
+    n_rated = int(np.count_nonzero(rated))
+    del rated
     kpos = np.flatnonzero(keep)
+    del keep
     pl, ps = pl[kpos], ps[kpos]
     if pl.size and (pl.min() < 0 or ps.min() < 0):
         raise SimulationError("negative traffic contribution")
     kinst = pinst[kpos]
     kseg = pseg[kpos]
-    ksite = inst_site[kinst]
-    nsites = max(len(site_names), 1)
-    bkey = kseg * nsites + ksite
-    buniq, bfirst, binv = np.unique(bkey, return_index=True,
-                                    return_inverse=True)
+    del kpos
+    ksite = rates.inst_site[kinst]
+    nsites = max(len(rates.site_names), 1)
+    buniq, bfirst, binv = np.unique(kseg * nsites + ksite,
+                                    return_index=True, return_inverse=True)
+    # renumber the groups in first-touch order
     gorder = np.argsort(bfirst, kind="stable")
-    gl = np.bincount(binv, weights=pl, minlength=buniq.size)
-    gs = np.bincount(binv, weights=ps, minlength=buniq.size)
+    rank_of = np.empty_like(gorder)
+    rank_of[gorder] = np.arange(gorder.size)
+    ginv = rank_of[binv]
+    del buniq, binv, rank_of
+    gfirst = bfirst[gorder]
+    G = gfirst.size
+    used_sites, site_first = np.unique(ksite, return_index=True)
     return _PlacementPackBase(
-        site_names=site_names,
-        inst_site=inst_site,
-        slot_of_instance=slot_of_instance,
+        site_names=rates.site_names,
+        inst_site=rates.inst_site,
+        slot_of_instance=rates.slot_of_instance,
         kseg=kseg,
         kinst=kinst,
-        ksite=ksite,
-        kpos_f=kpos.astype(float),
         pl=pl,
         ps=ps,
-        pser=pl * inst_sf[kinst],
-        binv=binv,
-        bfirst=bfirst,
-        gorder=gorder,
-        gcount_f=np.bincount(binv, minlength=buniq.size).astype(float),
-        obj_seg_ord=(buniq // nsites)[gorder].astype(np.int64),
-        obj_site_ord=(buniq % nsites)[gorder].astype(np.int64),
-        obj_loads_ord=gl[gorder],
-        obj_stores_ord=gs[gorder],
+        pser=pl * rates.inst_sf[kinst],
+        n_rated=n_rated,
+        ginv=ginv,
+        gfirst=gfirst,
+        obj_seg_ord=kseg[gfirst],
+        obj_site_ord=ksite[gfirst],
+        obj_loads_ord=np.bincount(ginv, weights=pl, minlength=G),
+        obj_stores_ord=np.bincount(ginv, weights=ps, minlength=G),
+        site_order=used_sites[np.argsort(site_first, kind="stable")],
     )
 
 
 def pack_traffic_multi(
     models: Sequence["TrafficModel"],
     workload: Workload,
-    segments: SegmentArrays,
+    plan: "WorkloadPlan",
     subsystem_names: Sequence[str],
 ) -> List[TrafficBatch]:
-    """Pack several models' traffic over one shared segmentation.
+    """Pack several models' traffic over one workload plan.
 
     Models are packed strictly in call order, so stateful models (the
     baselines' hit-ratio and promotion caches) accumulate exactly as a
     sequential loop would.  Models with a ``traffic_batch`` (app-direct,
-    Memory Mode, tiering, combined) pack natively; the rest are replayed
-    per segment through :func:`pack_traffic_batch`.
-    ``PlacementTraffic`` models share one :class:`_PlacementPackBase`
-    through the cache on ``segments``, so K placements of the same
-    workload re-walk the (segment, instance) pairs exactly once.
+    Memory Mode, tiering, combined) pack natively from the plan; the rest
+    are replayed per segment through :func:`pack_traffic_batch`.
+    ``PlacementTraffic`` models all read the plan's
+    :class:`_PlacementPackBase`, so no placement re-walks the
+    (segment, instance) pairs.
     """
     batches: List[TrafficBatch] = []
     for model in models:
         if hasattr(model, "traffic_batch"):
-            batches.append(model.traffic_batch(segments, subsystem_names))
+            batches.append(model.traffic_batch(plan, subsystem_names))
         else:
-            batches.append(
-                pack_traffic_batch(model, workload, segments, subsystem_names)
-            )
+            batches.append(pack_traffic_batch(
+                model, workload, plan.segments, subsystem_names))
     return batches

