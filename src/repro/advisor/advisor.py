@@ -8,16 +8,12 @@ paper's Figure 1 workflow.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional
 
 from repro.errors import ConfigError, PlacementError
 from repro.advisor.bandwidth_aware import BandwidthAwareResult, bandwidth_aware_placement
 from repro.advisor.config import AdvisorConfig
-from repro.advisor.density import (
-    density_batch,
-    density_placement,
-    density_placement_scalar,
-)
+from repro.advisor.density import density_placement, density_placement_scalar
 from repro.advisor.model import BandwidthObservation, MemObject, Placement, SiteKey
 from repro.alloc.report import PlacementEntry, PlacementReport
 from repro.binary.callstack import StackFormat
@@ -80,26 +76,6 @@ class HMemAdvisor:
         """The retained per-object oracle for :meth:`advise_density`."""
         self.validate_feasible(objects)
         return density_placement_scalar(objects, self.system, self.config)
-
-    @staticmethod
-    def advise_batch(
-        objects: Dict[SiteKey, MemObject],
-        queries: Sequence[Tuple[MemorySystem, AdvisorConfig]],
-    ) -> List[Placement]:
-        """Density placements for many (system, config) queries at once.
-
-        One feature-array extraction and one broadcast value pass serve
-        the whole batch; each result is bit-identical to what an advisor
-        built from that query's system/config would return from
-        :meth:`advise_density`.  Feasibility is validated per query with
-        the same check (and error text) as the single-query path.
-        """
-        placements = []
-        for system, config in queries:
-            HMemAdvisor(system, config).validate_feasible(objects)
-        for placement in density_batch(objects, queries):
-            placements.append(placement)
-        return placements
 
     def advise_bandwidth_aware(
         self,

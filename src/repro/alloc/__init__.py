@@ -13,9 +13,8 @@ info) and :class:`~repro.alloc.matching.HumanReadableMatcher` (addr2line
 translation + string comparisons), each with an explicit cost account.
 """
 
-from repro.alloc.heap import Allocation, FreeListHeap, HeapManager, HeapStats
+from repro.alloc.heap import Allocation, FreeListHeap, HeapStats
 from repro.alloc.freeindex import FreeIndex
-from repro.alloc.arenas import SizeClassArena
 from repro.alloc.memkind import (
     HeapRegistry,
     MemkindPmemHeap,
@@ -36,9 +35,7 @@ __all__ = [
     "Allocation",
     "FreeIndex",
     "FreeListHeap",
-    "HeapManager",
     "HeapStats",
-    "SizeClassArena",
     "HeapRegistry",
     "MemkindPmemHeap",
     "PosixHeap",

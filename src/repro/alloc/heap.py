@@ -53,39 +53,7 @@ class HeapStats:
         return self.allocations - self.frees
 
 
-class HeapManager:
-    """Interface all subsystem heaps implement."""
-
-    name: str = "heap"
-    subsystem: str = ""
-    #: simulated cost of one allocate/free call in nanoseconds
-    alloc_cost_ns: float = 90.0
-    free_cost_ns: float = 60.0
-
-    def allocate(self, size: int) -> Allocation:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def allocate_scalar(self, size: int) -> Allocation:
-        """Reference-path allocation; heaps without a fast path share one."""
-        return self.allocate(size)
-
-    def free(self, address: int) -> int:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    @property
-    def used(self) -> int:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    @property
-    def capacity(self) -> int:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    @property
-    def available(self) -> int:
-        return self.capacity - self.used
-
-
-class FreeListHeap(HeapManager):
+class FreeListHeap:
     """First-fit free-list allocator over ``[base, base + capacity)``.
 
     Free blocks are kept sorted by address; adjacent blocks are coalesced
@@ -220,6 +188,10 @@ class FreeListHeap(HeapManager):
     @property
     def capacity(self) -> int:
         return self._capacity
+
+    @property
+    def available(self) -> int:
+        return self._capacity - self._used
 
     def owns(self, address: int) -> bool:
         """Whether an address falls inside this heap's range."""

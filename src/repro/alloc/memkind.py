@@ -1,16 +1,13 @@
 """Concrete heap kinds and the per-subsystem heap registry.
 
 FlexMalloc "sits on top of a number of heap managers (each targeting a
-specific memory subsystem)" (Section IV-C).  In the paper's experiments:
-POSIX malloc serves DRAM and memkind serves PMem.  We model both, plus the
-libnuma-style page allocator, with distinct call-cost and granularity
-characteristics:
+specific memory subsystem)" (Section IV-C).  In the paper's experiments
+POSIX malloc serves DRAM and memkind serves PMem; both are modelled, with
+distinct call costs:
 
 - :class:`PosixHeap` — glibc-like, 16 B alignment, cheap calls.
 - :class:`MemkindPmemHeap` — memkind PMEM kind: jemalloc-style arenas over
-  a DAX file; calls cost more and NUMA affinity is fixed for the whole
-  object at allocation time (the paper's first-touch caveat).
-- :class:`NumaAllocHeap` — ``numa_alloc_onnode``: page-granular.
+  a DAX file, so calls cost more.
 """
 
 from __future__ import annotations
@@ -18,7 +15,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional
 
 from repro.errors import ConfigError
-from repro.alloc.heap import Allocation, FreeListHeap
+from repro.alloc.heap import FreeListHeap
 from repro.binary.aslr import HEAP_BASE
 from repro.memsim.subsystem import MemorySystem
 
@@ -43,14 +40,8 @@ class PosixHeap(FreeListHeap):
 class MemkindPmemHeap(FreeListHeap):
     """PMem heap behaving like ``memkind`` with a PMEM kind.
 
-    Calls are costlier than glibc (jemalloc arena over an fsdax mapping),
-    and the NUMA placement of the whole object is determined at the
-    allocation call rather than by first touch — modelled by the
-    ``affinity_fixed_at_alloc`` flag which the engine consults when
-    deciding whether traffic can spill to another node.
+    Calls are costlier than glibc (jemalloc arena over an fsdax mapping).
     """
-
-    affinity_fixed_at_alloc = True
 
     def __init__(self, base: int, capacity: int, subsystem: str = "pmem"):
         # the kind name carries the subsystem ("memkind-pmem",
@@ -63,40 +54,6 @@ class MemkindPmemHeap(FreeListHeap):
             subsystem=subsystem,
             alloc_cost_ns=260.0,
             free_cost_ns=140.0,
-        )
-
-
-class NumaAllocHeap(FreeListHeap):
-    """libnuma-style allocator: page granular, expensive per call."""
-
-    PAGE = 4096
-
-    def __init__(self, base: int, capacity: int, subsystem: str):
-        super().__init__(
-            name=f"numa-alloc-{subsystem}",
-            base=base,
-            capacity=capacity,
-            subsystem=subsystem,
-            alloc_cost_ns=1100.0,
-            free_cost_ns=800.0,
-        )
-
-    def allocate(self, size: int) -> Allocation:
-        return self._allocate_pages(size, super().allocate)
-
-    def allocate_scalar(self, size: int) -> Allocation:
-        return self._allocate_pages(size, super().allocate_scalar)
-
-    def _allocate_pages(self, size: int, allocate) -> Allocation:
-        # round requests to whole pages like numa_alloc_onnode does
-        pages = (size + self.PAGE - 1) // self.PAGE * self.PAGE
-        alloc = allocate(pages)
-        # keep the caller-visible size, but reserve whole pages
-        return Allocation(
-            address=alloc.address,
-            size=size,
-            padded_size=alloc.padded_size,
-            heap_name=self.name,
         )
 
 

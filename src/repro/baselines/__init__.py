@@ -23,7 +23,6 @@ from repro.baselines.profdp import (
     ProfDPAggregation,
     ProfDPVariant,
     profdp_placement,
-    profdp_all_variants,
 )
 
 __all__ = [
@@ -38,5 +37,4 @@ __all__ = [
     "ProfDPAggregation",
     "ProfDPVariant",
     "profdp_placement",
-    "profdp_all_variants",
 ]

@@ -149,18 +149,3 @@ def profdp_placement(
         else:
             placement.assign(key, "pmem")
     return placement
-
-
-def profdp_all_variants(
-    objects: Dict[SiteKey, MemObject],
-    system: MemorySystem,
-    dram_limit: int,
-    *,
-    ranks: int = 1,
-    seed: int = 99,
-) -> Dict[ProfDPVariant, Placement]:
-    """All four rankings (the experiments pick the best-performing one)."""
-    return {
-        v: profdp_placement(objects, system, v, dram_limit, ranks=ranks, seed=seed)
-        for v in ALL_VARIANTS
-    }

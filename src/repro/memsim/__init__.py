@@ -9,10 +9,13 @@ This package models the memory hardware the paper's testbed provides:
   PMem-2 machine configurations.
 - :mod:`repro.memsim.cache` — a vectorised set-associative cache simulator
   used by microbenchmarks and to validate the analytic miss-rate models.
-- :mod:`repro.memsim.dram_cache` — the direct-mapped, write-back DRAM cache
-  that Optane *memory mode* implements in hardware.
+- :mod:`repro.memsim.dram_cache` — the analytic hit ratio of the
+  direct-mapped, write-back DRAM cache that Optane *memory mode*
+  implements in hardware.
 - :mod:`repro.memsim.bandwidth` — per-subsystem bandwidth timelines.
-- :mod:`repro.memsim.numa` — NUMA topology and pinning.
+
+The paper pins every run to one NUMA node (Sections IV-C and VIII), so
+no NUMA topology is modelled.
 """
 
 from repro.memsim.latency import (
@@ -34,10 +37,7 @@ from repro.memsim.subsystem import (
     pmem2_system,
 )
 from repro.memsim.cache import SetAssociativeCache, CacheStats
-from repro.memsim.hierarchy import CacheHierarchy, cascade_lake_hierarchy
-from repro.memsim.dram_cache import DirectMappedDRAMCache
 from repro.memsim.bandwidth import BandwidthTimeline
-from repro.memsim.numa import NumaNode, NumaTopology
 
 __all__ = [
     "LoadedLatencyCurve",
@@ -56,10 +56,5 @@ __all__ = [
     "pmem2_system",
     "SetAssociativeCache",
     "CacheStats",
-    "CacheHierarchy",
-    "cascade_lake_hierarchy",
-    "DirectMappedDRAMCache",
     "BandwidthTimeline",
-    "NumaNode",
-    "NumaTopology",
 ]

@@ -7,17 +7,12 @@ structure).  Applications see only the PMem capacity; DRAM hits cost DRAM
 latency, misses cost PMem latency plus the fill (and a writeback for dirty
 victims).
 
-Two models are provided:
-
-- :class:`DirectMappedDRAMCache` — an exact direct-mapped simulator reusing
-  :class:`~repro.memsim.cache.SetAssociativeCache` with ``ways=1``, for
-  microbenchmark streams.
-- :func:`memory_mode_hit_ratio` — the analytic hit-ratio model the engine
-  uses for the large application workloads, combining capacity pressure
-  (working set vs DRAM size) with a conflict-miss term characteristic of
-  direct-mapped caches.  Its constants were tuned so the five miniapps
-  land on their Table VI measured hit ratios given their model parameters;
-  tests assert both the Table VI targets and the model's monotonicity.
+:func:`memory_mode_hit_ratio` is the analytic hit-ratio model the engine
+uses for the application workloads, combining capacity pressure (working
+set vs DRAM size) with a conflict-miss term characteristic of
+direct-mapped caches.  Its constants were tuned so the five miniapps land
+on their Table VI measured hit ratios given their model parameters; tests
+assert both the Table VI targets and the model's monotonicity.
 """
 
 from __future__ import annotations
@@ -25,17 +20,6 @@ from __future__ import annotations
 import math
 
 from repro.errors import ConfigError
-from repro.memsim.cache import SetAssociativeCache
-
-
-class DirectMappedDRAMCache(SetAssociativeCache):
-    """Exact direct-mapped DRAM cache (memory mode) at 64 B granularity."""
-
-    def __init__(self, dram_bytes: int, line_size: int = 64):
-        # Memory-mode DRAM caches operate at cache-line granularity with a
-        # direct-mapped organisation; dram_bytes must be a power of two for
-        # the index math (hardware interleaves similarly).
-        super().__init__(size=dram_bytes, line_size=line_size, ways=1, name="dram-cache")
 
 
 def memory_mode_hit_ratio(

@@ -7,8 +7,7 @@ its convergence iteration, its frozen final-latency row — depends only
 on that row's traffic and nominal compute.  A placement change that
 takes effect at segment boundary ``s`` therefore cannot perturb any
 row ``< s`` (segmentation, traffic rows, and convergence masks are all
-per-segment), and among rows ``>= s`` only the rows whose traffic
-actually differs need to be re-solved.
+per-segment); only rows ``>= s`` need to be re-solved.
 
 Every pack path emits the same canonical first-touch positions
 (``order_pos[s, k] = s*K + rank``), so rows packed by different paths
@@ -23,12 +22,11 @@ composes:
   baseline for the perf floor and a genuine differential oracle for
   :meth:`ExecutionEngine.run_incremental` (a different code path from
   the composed fast path).
-- :func:`compose_batches` / :func:`changed_suffix_rows` — splice
-  prefix and suffix batches at a segment boundary and find the suffix
-  rows whose fixed point must actually re-run.
+- :func:`compose_batches` — splice prefix and suffix batches at a
+  segment boundary.
 - :class:`DeltaState` — the frozen per-segment solution of a converged
   run, carried between re-advisory epochs so each patch pays only for
-  the rows it changes.
+  the rows after its boundary.
 """
 
 from __future__ import annotations
@@ -45,7 +43,6 @@ __all__ = [
     "PatchedPlacementTraffic",
     "DeltaState",
     "compose_batches",
-    "changed_suffix_rows",
 ]
 
 
@@ -160,26 +157,6 @@ def compose_batches(prefix: TrafficBatch, suffix: TrafficBatch, s0: int) -> Traf
         obj_loads=np.concatenate([prefix.obj_loads[pre], suffix.obj_loads[suf]]),
         obj_stores=np.concatenate([prefix.obj_stores[pre], suffix.obj_stores[suf]]),
     )
-
-
-def changed_suffix_rows(prefix: TrafficBatch, suffix: TrafficBatch, s0: int) -> np.ndarray:
-    """Suffix-row indices whose fixed point must re-run.
-
-    A row ``>= s0`` is unchanged when every input the fixed point reads
-    — loads, stores, serial loads, extra latency, and the canonical
-    first-touch order — is identical between the cached batch and the
-    new placement's pack.  (``present`` marks empty scalar buckets and
-    is never read by the fixed point, so it does not gate reuse.)
-    Unchanged rows keep their frozen duration/latency rows verbatim.
-    """
-    same = (
-        np.all(prefix.loads[s0:] == suffix.loads[s0:], axis=1)
-        & np.all(prefix.stores[s0:] == suffix.stores[s0:], axis=1)
-        & np.all(prefix.serial_loads[s0:] == suffix.serial_loads[s0:], axis=1)
-        & np.all(prefix.extra_latency_ns[s0:] == suffix.extra_latency_ns[s0:], axis=1)
-        & np.all(prefix.order_pos[s0:] == suffix.order_pos[s0:], axis=1)
-    )
-    return np.nonzero(~same)[0] + s0
 
 
 @dataclass

@@ -12,9 +12,9 @@ Every entry point — :meth:`~ExecutionEngine.run`, ``run_batch``,
 - ``_pack`` resolves plain ``{site: subsystem}`` mappings and packs each
   model into a ``TrafficBatch`` (every segment's per-subsystem traffic
   as (segments x subsystems) matrices);
-- ``_solve`` fuses the batches' rows — all of them, or a gathered subset
-  — and runs the damped fixed point over every row at once, with a
-  boolean active mask for per-row convergence;
+- ``_solve`` fuses the batches' rows — all of them, or the suffix from
+  a boundary segment on — and runs the damped fixed point over every row
+  at once, with a boolean active mask for per-row convergence;
 - ``_assemble`` turns one lane's converged rows into a ``RunResult``;
   its per-object/per-phase/timeline accumulators are scatter-adds that
   replay the scalar accumulation order exactly.
@@ -46,7 +46,6 @@ from repro.memsim.subsystem import MemorySystem
 from repro.runtime.delta import (
     DeltaState,
     PatchedPlacementTraffic,
-    changed_suffix_rows,
     compose_batches,
 )
 from repro.runtime.plan import object_rows, plan_for, site_slots
@@ -113,17 +112,15 @@ _EMPTY_I = np.empty(0, dtype=np.int64)
 _EMPTY_F = np.empty(0, dtype=float)
 
 
-def _fuse(
-    batches: Sequence[TrafficBatch], rows: Sequence["np.ndarray | slice"]
-) -> TrafficBatch:
-    """Stack rows ``rows[i]`` of each batch ``i`` into one fixed-point batch.
+def _fuse(batches: Sequence[TrafficBatch], start: int = 0) -> TrafficBatch:
+    """Stack rows ``start:`` of every batch into one fixed-point batch.
 
     Only the per-row matrices the fixed point reads are stacked; object
     rows are left empty (the fixed point never touches them).
     """
     def stack(field: str) -> np.ndarray:
         return np.concatenate(
-            [getattr(b, field)[r] for b, r in zip(batches, rows)]
+            [getattr(b, field)[start:] for b in batches]
         )
 
     return TrafficBatch(
@@ -281,8 +278,8 @@ class ExecutionEngine:
         Every operation is per-row (elementwise, or a reduction along the
         subsystem axis), so a row's trajectory — its convergence iteration
         and frozen latency row — is independent of which other rows share
-        the arrays: K placements' rows, or a gathered subset of rows, solve
-        exactly as they would alone.
+        the arrays: K placements' rows, or their suffix rows, solve exactly
+        as they would alone.
         """
         wl = self.workload
         S, K = batch.loads.shape
@@ -353,20 +350,13 @@ class ExecutionEngine:
         return resolved, batches
 
     def _solve(
-        self,
-        batches: Sequence[TrafficBatch],
-        rows: Optional[Sequence[np.ndarray]] = None,
+        self, batches: Sequence[TrafficBatch], start: int = 0
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """One fused fixed point over ``batches``' rows, stacked in order.
-
-        All rows of every batch by default; with ``rows``, only the rows
-        ``rows[i]`` of batch ``i`` (the delta engine's changed suffix).
-        """
-        if rows is None:
-            rows = [slice(None)] * len(batches)
-        nominal = self._segment_arrays.durations_nominal
+        """One fused fixed point over rows ``start:`` of every batch,
+        stacked in order (``start > 0`` is the delta engine's suffix)."""
+        nominal = self._segment_arrays.durations_nominal[start:]
         return self._fixed_point_batch(
-            _fuse(batches, rows), np.concatenate([nominal[r] for r in rows])
+            _fuse(batches, start), np.tile(nominal, len(batches))
         )
 
     def _lanes(
@@ -526,28 +516,21 @@ class ExecutionEngine:
     ) -> List[Tuple[TrafficBatch, np.ndarray, np.ndarray]]:
         """Solve K suffix re-placements of ``state`` in one fused pass.
 
-        Each placement is packed over the shared grid; only its suffix
-        rows whose fixed-point inputs differ from ``state.batch`` are
-        gathered and re-solved.  Returns, per placement, its pack and the
-        patched full-length (durations, latencies): ``state``'s frozen rows
-        with the changed rows replaced.
+        Each placement is packed over the shared grid and its rows
+        ``>= boundary_seg`` are solved.  Returns, per placement, its pack
+        and the patched full-length (durations, latencies): ``state``'s
+        frozen prefix rows joined to the solved suffix.
         """
         _, suffixes = self._pack(placements)
-        changed = [
-            changed_suffix_rows(state.batch, suf, boundary_seg)
-            for suf in suffixes
+        s0 = boundary_seg
+        solved, lat_solved = self._solve(suffixes, start=s0)
+        K = len(suffixes)
+        return [
+            (suf, np.concatenate([state.durations[:s0], d]),
+             np.concatenate([state.lat_final[:s0], lat]))
+            for suf, d, lat in zip(
+                suffixes, np.split(solved, K), np.split(lat_solved, K))
         ]
-        solved, lat_solved = self._solve(suffixes, rows=changed)
-        lanes = []
-        at = 0
-        for suf, ch in zip(suffixes, changed):
-            durations = state.durations.copy()
-            lat_final = state.lat_final.copy()
-            durations[ch] = solved[at:at + ch.size]
-            lat_final[ch] = lat_solved[at:at + ch.size]
-            at += ch.size
-            lanes.append((suf, durations, lat_final))
-        return lanes
 
     def run_incremental(
         self,
@@ -564,8 +547,7 @@ class ExecutionEngine:
         the start of segment ``boundary_seg``.  Rows ``< boundary_seg``
         are provably unaffected (segmentation, traffic rows, and
         convergence masks are all per-segment) and are reused verbatim;
-        among suffix rows only those whose traffic actually changed are
-        re-solved, as a gathered sub-batch through the same masked damped
+        the suffix rows are re-solved through the same masked damped
         fixed point.  The assembled result — and the returned state — is
         **bit-identical** to a from-scratch :meth:`run` of the equivalent
         :class:`~repro.runtime.delta.PatchedPlacementTraffic` model
@@ -597,13 +579,13 @@ class ExecutionEngine:
         """Total times of K candidate re-placements effective at a boundary.
 
         The online what-if path: all K candidates share ``state``'s
-        frozen prefix rows, their changed suffix rows are gathered into
-        **one** fused fixed-point tensor, and each lane reduces to
+        frozen prefix rows, their suffix rows are stacked into **one**
+        fused fixed-point tensor, and each lane reduces to
         :func:`_total_time` with ``state``'s interposer overhead — the
         exact total-time expression of :meth:`run_incremental` (and hence
         of a from-scratch :meth:`run` of the patched model).  No scalar
-        packing, no assembly: cost scales with the number of *changed
-        suffix rows*, not with ``K * segments``.
+        packing, no assembly: cost scales with ``K * suffix rows``, not
+        with ``K * segments``.
         """
         self._check_boundary(boundary_seg, "predict_times_incremental")
         if not placements:

@@ -9,9 +9,10 @@ queries* can be answered against *few profiles*:
 - :mod:`~repro.service.server` — :class:`PlacementServer`: a stdlib
   ``ThreadPoolExecutor`` + ``queue`` server whose dispatcher coalesces
   concurrent requests into batches keyed by profile artifact — N queries
-  against one workload pay one profile load and one vectorized
-  ``advise_batch`` pass, with results bit-identical to serving each
-  query alone (the retained scalar path is the oracle);
+  against one workload pay one profile load, a per-request feasibility
+  check and one vectorized :func:`~repro.advisor.density.density_batch`
+  pass, with results bit-identical to serving each query alone (the
+  retained scalar path is the oracle);
 - :mod:`~repro.service.reports` — the persistent report store keyed by
   (workload, config, seed).
 

@@ -115,18 +115,6 @@ class TestBatch:
             assert_same_placement(
                 placement, density_placement_scalar(objects, system, cfg))
 
-    def test_facade_batch_validates_each_query(self, workload_objects):
-        wl, objects = workload_objects["minife"]
-        system = pmem6_system()
-        queries = [
-            (system, config_for_system(system, limit, ranks=wl.ranks))
-            for limit in DRAM_LIMITS
-        ]
-        batch = HMemAdvisor.advise_batch(objects, queries)
-        for (system, cfg), placement in zip(queries, batch):
-            assert_same_placement(
-                placement, density_placement_scalar(objects, system, cfg))
-
     def test_empty_batch(self, workload_objects):
         _, objects = workload_objects["minife"]
         assert density_batch(objects, []) == []

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.alloc.memkind import (
-    HeapRegistry, MemkindPmemHeap, NumaAllocHeap, PosixHeap, build_heaps,
+    HeapRegistry, MemkindPmemHeap, PosixHeap, build_heaps,
 )
 from repro.memsim.subsystem import pmem6_system
 from repro.units import GiB, MiB
@@ -15,15 +15,6 @@ class TestHeapKinds:
         p = PosixHeap(base=0, capacity=1 * MiB)
         m = MemkindPmemHeap(base=1 * MiB, capacity=1 * MiB)
         assert p.alloc_cost_ns < m.alloc_cost_ns
-
-    def test_memkind_fixes_affinity_at_alloc(self):
-        assert MemkindPmemHeap(base=0, capacity=1 * MiB).affinity_fixed_at_alloc
-
-    def test_numa_heap_page_granular(self):
-        h = NumaAllocHeap(base=0, capacity=1 * MiB, subsystem="pmem")
-        a = h.allocate(100)
-        assert a.size == 100
-        assert a.padded_size % NumaAllocHeap.PAGE == 0
 
 
 class TestRegistry:

@@ -1,13 +1,9 @@
-"""Heap registry with mixed allocator kinds and three-tier systems."""
+"""Heap registry over three-tier systems."""
 
-import pytest
-
-from repro.alloc import FlexMalloc, SizeClassArena, build_heaps
-from repro.alloc.heap import FreeListHeap
-from repro.alloc.memkind import HeapRegistry
+from repro.alloc import FlexMalloc, build_heaps
 from repro.binary.callstack import CallStack
 from repro.memsim.subsystem import hbm_dram_pmem_system
-from repro.units import GiB, MiB
+from repro.units import GiB
 
 STACK = CallStack.from_addresses([0xCAFE])
 
@@ -28,39 +24,3 @@ class TestThreeTierHeaps:
         allocs = [reg.get(s).allocate(64) for s in ("hbm", "dram", "pmem")]
         owners = [reg.heap_of_address(a.address).subsystem for a in allocs]
         assert owners == ["hbm", "dram", "pmem"]
-
-
-class TestMixedKinds:
-    def test_arena_in_registry(self):
-        arena = SizeClassArena("arena-pmem", base=1 << 46, capacity=64 * MiB,
-                               subsystem="pmem")
-        posix = FreeListHeap("posix", base=0x1000, capacity=16 * MiB,
-                             subsystem="dram")
-        reg = HeapRegistry([posix, arena])
-        fm = FlexMalloc(reg, matcher=None, fallback="pmem")
-        a = fm.malloc(100, STACK)
-        assert fm.subsystem_of(a.address) == "pmem"
-        assert a.heap_name == "arena-pmem"
-        assert fm.free(a.address) == 100
-
-    def test_arena_capacity_fallback(self):
-        """A full arena bounces the interposer to the other heap."""
-        arena = SizeClassArena("arena-dram", base=0x1000,
-                               capacity=2 * MiB, slab_size=1 * MiB,
-                               subsystem="dram")
-        big = FreeListHeap("pmem-heap", base=1 << 46, capacity=64 * MiB,
-                           subsystem="pmem")
-
-        class AlwaysDram:
-            def __init__(self):
-                from repro.alloc.matching import MatcherStats
-                self.stats = MatcherStats()
-            def match(self, stack):
-                self.stats.lookups += 1
-                self.stats.matches += 1
-                return "dram"
-
-        fm = FlexMalloc(HeapRegistry([arena, big]), AlwaysDram())
-        fm.malloc(int(1.5 * MiB), STACK)   # large block in the arena
-        fm.malloc(64, STACK)               # would need a fresh 1 MiB slab
-        assert fm.stats.fallback_capacity == 1

@@ -5,7 +5,7 @@ import pytest
 from repro.advisor.model import MemObject
 from repro.baselines.profdp import (
     ALL_VARIANTS, ProfDPAggregation, ProfDPMetric, ProfDPVariant,
-    profdp_all_variants, profdp_placement, profdp_scores,
+    profdp_placement, profdp_scores,
 )
 from repro.errors import PlacementError
 from repro.memsim.subsystem import pmem6_system
@@ -79,8 +79,10 @@ class TestPlacement:
         objects = {(f"o{i}",): obj(f"o{i}", 50, loads=1e6 * (i + 1),
                                    stores=1e5 * (5 - i), alloc_count=1 + i * 3)
                    for i in range(5)}
-        placements = profdp_all_variants(objects, system, dram_limit=1 * GiB,
-                                         ranks=4)
+        placements = {
+            v: profdp_placement(objects, system, v, dram_limit=1 * GiB, ranks=4)
+            for v in ALL_VARIANTS
+        }
         assert len(placements) == 4
 
     def test_sum_vs_average_can_differ(self, system):

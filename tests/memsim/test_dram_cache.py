@@ -1,24 +1,11 @@
-"""Tests for the memory-mode DRAM cache models."""
+"""Tests for the memory-mode DRAM cache hit-ratio model."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import ConfigError
-from repro.memsim.dram_cache import DirectMappedDRAMCache, memory_mode_hit_ratio
-from repro.units import GiB, MiB
-
-
-class TestDirectMappedSimulator:
-    def test_is_direct_mapped(self):
-        c = DirectMappedDRAMCache(1 * MiB)
-        assert c.ways == 1
-
-    def test_conflict_on_same_index(self):
-        c = DirectMappedDRAMCache(1 * MiB)
-        a, b = 0, c.size  # same index, different tag
-        c.access(a)
-        c.access(b)
-        assert c.access(a) is False  # b evicted a
+from repro.memsim.dram_cache import memory_mode_hit_ratio
+from repro.units import GiB
 
 
 class TestAnalyticHitRatio:

@@ -740,8 +740,8 @@ def bench_online(quick: bool) -> dict:
     Runs the complete phase-aware loop of
     :func:`repro.runtime.online.run_online` twice on LULESH/pmem6 with a
     zero shift threshold (every epoch boundary re-advises): once through
-    the incremental path — frozen prefix rows, changed-suffix-rows-only
-    fixed point, all candidates fused — and once through the naive path
+    the incremental path — frozen prefix rows, a suffix-only fixed
+    point, all candidates fused — and once through the naive path
     every consumer would otherwise pay, a per-candidate scalar pack of
     the patched placement through the generic per-segment replay.  The
     two runs are asserted to make identical decisions and produce
