@@ -95,10 +95,6 @@ class FreeIndex:
 
     # -- queries -------------------------------------------------------------
 
-    def max_size(self) -> int:
-        """Largest free block, 0 when the index is empty (O(1))."""
-        return self._root.max_size if self._root is not None else 0
-
     def first_fit(self, need: int) -> Optional[int]:
         """Address of the lowest-address block with ``size >= need``.
 

@@ -189,10 +189,6 @@ class FreeListHeap:
     def capacity(self) -> int:
         return self._capacity
 
-    @property
-    def available(self) -> int:
-        return self._capacity - self._used
-
     def owns(self, address: int) -> bool:
         """Whether an address falls inside this heap's range."""
         return self.base <= address < self.base + self._capacity
@@ -207,13 +203,6 @@ class FreeListHeap:
     def free_blocks(self) -> List[Tuple[int, int]]:
         """The (start, size) free list in address order."""
         return list(zip(self._free_starts, self._free_sizes))
-
-    def fragmentation(self) -> float:
-        """1 - (largest free block / total free bytes); 0 when unfragmented."""
-        total_free = self._capacity - self._used
-        if total_free == 0:
-            return 0.0
-        return 1.0 - self._index.max_size() / total_free
 
     def check_index(self) -> None:
         """Assert the free index mirrors the free list exactly (tests)."""

@@ -127,9 +127,6 @@ class HeapRegistry:
             )
         return subsystem
 
-    def total_used(self) -> Dict[str, int]:
-        return {h.subsystem: h.used for h in self._heaps}
-
 
 def build_heaps(system: MemorySystem, *, dram_limit: Optional[int] = None) -> HeapRegistry:
     """Build the paper's heap stack for a memory system.

@@ -39,7 +39,7 @@ from repro.experiments.sweep.codec import canonical, decode, encode
 
 #: bump when the payload layout or key material changes; old entries
 #: then read as misses and are recomputed
-_ARTIFACT_VERSION = 2
+_ARTIFACT_VERSION = 3
 
 
 def artifact_key(stage: str, spec: Any) -> str:

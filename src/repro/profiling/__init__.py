@@ -12,8 +12,6 @@ The offline half of the ecoHMEM workflow (Section IV-A):
 - :mod:`~repro.profiling.tracer` — the Extrae-like tracer that drives a
   profiling run over a workload and emits a :class:`Trace`, or the
   per-site profiles directly (:meth:`ExtraeTracer.profile`).
-- :mod:`~repro.profiling.offsets` — exact batched draws of the sampled
-  address offsets (NumPy's bounded-integer stream, reproduced).
 - :mod:`~repro.profiling.trace` — columnar trace container with JSONL and
   binary ``.npz`` (de)serialization.
 - :mod:`~repro.profiling.paramedir` — the trace analyzer producing

@@ -14,7 +14,9 @@ The store is the in-memory LRU (per process, bounded by ``capacity``)
 in front of the profile artifact of :func:`repro.pipeline.profile_stage`:
 cross-process reuse goes through the content-addressed
 :class:`~repro.pipeline.artifacts.ArtifactStore` (``REPRO_ARTIFACT_DIR``),
-which stores the :func:`encode_profiles` payload.
+which stores the :func:`encode_profiles` payload: every
+:class:`~repro.profiling.paramedir.SiteProfile` field, by name, in
+declaration order.
 
 Stored profiles are returned as deep copies so callers may mutate their
 view freely; the cache entry stays pristine.  Cached results are
@@ -33,7 +35,7 @@ from __future__ import annotations
 import os
 from collections import OrderedDict
 from copy import deepcopy
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.apps.workload import workload_fingerprint  # re-exported
@@ -109,39 +111,17 @@ def _decode_site_key(frames: List[list]) -> SiteKey:
 
 
 def _encode_profile(prof: SiteProfile) -> dict:
-    return {
-        "site_key": _encode_site_key(prof.site_key),
-        "largest_alloc": prof.largest_alloc,
-        "alloc_count": prof.alloc_count,
-        "free_count": prof.free_count,
-        "load_misses": prof.load_misses,
-        "store_misses": prof.store_misses,
-        "load_samples": prof.load_samples,
-        "store_samples": prof.store_samples,
-        "first_alloc": prof.first_alloc,
-        "last_free": prof.last_free,
-        "total_live_time": prof.total_live_time,
-        "spans": [list(s) for s in prof.spans],
-        "mean_load_latency_ns": prof.mean_load_latency_ns,
-    }
+    data = {f.name: getattr(prof, f.name) for f in fields(SiteProfile)}
+    data["site_key"] = _encode_site_key(prof.site_key)
+    data["spans"] = [list(s) for s in prof.spans]
+    return data
 
 
 def _decode_profile(data: dict) -> SiteProfile:
-    return SiteProfile(
-        site_key=_decode_site_key(data["site_key"]),
-        largest_alloc=data["largest_alloc"],
-        alloc_count=data["alloc_count"],
-        free_count=data["free_count"],
-        load_misses=data["load_misses"],
-        store_misses=data["store_misses"],
-        load_samples=data["load_samples"],
-        store_samples=data["store_samples"],
-        first_alloc=data["first_alloc"],
-        last_free=data["last_free"],
-        total_live_time=data["total_live_time"],
-        spans=[tuple(s) for s in data["spans"]],
-        mean_load_latency_ns=data["mean_load_latency_ns"],
-    )
+    values = {f.name: data[f.name] for f in fields(SiteProfile)}
+    values["site_key"] = _decode_site_key(data["site_key"])
+    values["spans"] = [tuple(s) for s in data["spans"]]
+    return SiteProfile(**values)
 
 
 Profiles = Dict[SiteKey, SiteProfile]

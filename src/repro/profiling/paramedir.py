@@ -9,6 +9,9 @@ Section VII-B):
 - estimated LLC load misses and L1D store misses (sample weights summed),
 - total live time, used to derive per-object bandwidth.
 
+Load samples carry a latency in the trace, but no per-site output reads
+it (the advisor ranks by misses and sizes), so the analyzer ignores it.
+
 The analyzer replays alloc/free events through a
 :class:`~repro.profiling.object_table.LiveObjectTable` and attributes every
 sample to the object containing its data address — it does *not* trust any
@@ -68,8 +71,6 @@ class SiteProfile:
     total_live_time: float = 0.0
     #: per-instance (alloc_time, free_time); free may be the run end
     spans: List[Tuple[float, float]] = field(default_factory=list)
-    #: mean sampled load latency (ns); None if no latency data
-    mean_load_latency_ns: Optional[float] = None
 
     @property
     def mean_lifetime(self) -> float:
@@ -87,7 +88,6 @@ def add_sample_sums(
     sites: np.ndarray,
     codes: np.ndarray,
     weights: np.ndarray,
-    lats: np.ndarray,
 ) -> None:
     """Fold attributed samples into the profiles, in sample order.
 
@@ -100,7 +100,6 @@ def add_sample_sums(
     n_sites = len(site_idx)
     is_load = codes == COUNTER_CODE[HardwareCounter.LLC_LOAD_MISS]
     is_store = codes == COUNTER_CODE[HardwareCounter.ALL_STORES]
-    has_lat = is_load & ~np.isnan(lats)
 
     def sums(mask, values=None):
         return np.bincount(sites[mask], minlength=n_sites,
@@ -108,15 +107,12 @@ def add_sample_sums(
 
     load_miss, load_n = sums(is_load, weights), sums(is_load)
     store_miss, store_n = sums(is_store, weights), sums(is_store)
-    lat_sum, lat_count = sums(has_lat, lats), sums(has_lat)
     for key, prof in profiles.items():
         i = site_idx[key]
         prof.load_samples = int(load_n[i])
         prof.load_misses = float(load_miss[i])
         prof.store_samples = int(store_n[i])
         prof.store_misses = float(store_miss[i])
-        if lat_count[i]:
-            prof.mean_load_latency_ns = float(lat_sum[i] / lat_count[i])
         prof.spans.sort()
 
 
@@ -153,7 +149,6 @@ class Paramedir:
         times = cols.times[order]
         addrs = cols.addresses[order]
         codes = cols.codes[order]
-        lats = cols.latencies[order]
         weights = cols.weights[order]
 
         edges: List[Tuple[float, int, object]] = []
@@ -255,8 +250,7 @@ class Paramedir:
                else np.empty(0, dtype=np.intp))
         sites = (np.concatenate(hit_site) if hit_site
                  else np.empty(0, dtype=np.int64))
-        add_sample_sums(profiles, site_idx, sites, codes[pos],
-                        weights[pos], lats[pos])
+        add_sample_sums(profiles, site_idx, sites, codes[pos], weights[pos])
         return profiles
 
     def analyze_scalar(
@@ -285,8 +279,6 @@ class Paramedir:
         events.sort(key=lambda e: (e[0], e[1]))
 
         open_allocs: Dict[int, Tuple[SiteKey, float]] = {}
-        lat_sum: Dict[SiteKey, float] = {}
-        lat_n: Dict[SiteKey, int] = {}
 
         for time_, kind, ev in events:
             if kind == 0:  # alloc
@@ -318,9 +310,6 @@ class Paramedir:
                 if ev.counter is HardwareCounter.LLC_LOAD_MISS:
                     prof.load_samples += 1
                     prof.load_misses += ev.weight
-                    if ev.latency_ns is not None:
-                        lat_sum[iv.site_key] = lat_sum.get(iv.site_key, 0.0) + ev.latency_ns
-                        lat_n[iv.site_key] = lat_n.get(iv.site_key, 0) + 1
                 elif ev.counter is HardwareCounter.ALL_STORES:
                     prof.store_samples += 1
                     prof.store_misses += ev.weight
@@ -350,9 +339,7 @@ class Paramedir:
             prof.spans.append((t_alloc, run_end))
             prof.last_free = max(prof.last_free, run_end)
 
-        for key, prof in profiles.items():
-            if lat_n.get(key):
-                prof.mean_load_latency_ns = lat_sum[key] / lat_n[key]
+        for prof in profiles.values():
             prof.spans.sort()
         return profiles
 
@@ -372,11 +359,7 @@ class Paramedir:
 
         Structural fields merge naturally: ``largest_alloc`` is the max,
         ``alloc_count`` the per-rank mean (the advisor reasons per
-        process), spans are pooled, timestamps take the envelope, and
-        ``mean_load_latency_ns`` is the sample-weighted mean across the
-        ranks that measured one (weighting by ``load_samples``, so a rank
-        with 10x the samples contributes 10x the evidence; the latency is
-        a per-access property, so it is never divided by rank count).
+        process), spans are pooled, and timestamps take the envelope.
         """
         if mode not in ("sum", "average"):
             raise ValueError(f"unknown aggregation mode {mode!r}")
@@ -384,8 +367,6 @@ class Paramedir:
             raise ValueError("need at least one rank's profiles")
         merged: Dict[SiteKey, SiteProfile] = {}
         seen_by: Dict[SiteKey, int] = {}
-        lat_weight: Dict[SiteKey, float] = {}
-        lat_samples: Dict[SiteKey, int] = {}
         for profiles in per_rank:
             for key, prof in profiles.items():
                 seen_by[key] = seen_by.get(key, 0) + 1
@@ -404,10 +385,6 @@ class Paramedir:
                 out.last_free = max(out.last_free, prof.last_free)
                 out.total_live_time += prof.total_live_time
                 out.spans.extend(prof.spans)
-                if prof.mean_load_latency_ns is not None and prof.load_samples > 0:
-                    lat_weight[key] = (lat_weight.get(key, 0.0)
-                                       + prof.mean_load_latency_ns * prof.load_samples)
-                    lat_samples[key] = lat_samples.get(key, 0) + prof.load_samples
         for key, out in merged.items():
             n_ranks = seen_by[key]
             # per-process structural quantities: average over observers
@@ -417,8 +394,6 @@ class Paramedir:
             if mode == "average":
                 out.load_misses /= n_ranks
                 out.store_misses /= n_ranks
-            if lat_samples.get(key):
-                out.mean_load_latency_ns = lat_weight[key] / lat_samples[key]
             out.spans.sort()
         return merged
 

@@ -16,25 +16,26 @@ One window loop (alloc/free edges, then per window and counter the PEBS
 draws) feeds one of two sinks:
 
 - :meth:`ExtraeTracer.run` — the trace sink.  Allocations go through
-  the profiling heap, sample addresses are built from the drawn offsets
-  and resolved through :meth:`LiveObjectTable.lookup_batch`, and batches
-  append to the trace's columnar storage.
+  the profiling heap, sample addresses are built from offsets the sink
+  draws, resolved through :meth:`LiveObjectTable.lookup_batch`, and
+  batches append to the trace's columnar storage.
 - :meth:`ExtraeTracer.profile` — the profile sink, which returns exactly
   ``Paramedir().analyze(self.run(...))`` without building a trace.  Each
   drawn sample already knows its live instance and so its site, so the
   sink keeps Paramedir's per-site sums directly: structural fields from
   the sorted alloc/free edges (the order ``analyze`` replays them in),
   sample sums from each window's batch, stable-sorted by time.  No heap,
-  no live-object table, no event objects.
+  no live-object table, no event objects, and no offset or latency
+  draws: a profile reads neither.
 
 The window loop is vectorized: the true event counts of every live
 (window, instance) pair are precomputed as flat NumPy columns (span
-overlap geometry via ``searchsorted``); per-key load offsets and
-latencies are drawn in the scalar RNG call order, and store offsets in
-one exact call per window (:meth:`~repro.profiling.offsets.OffsetDraws.draw`).
-:meth:`ExtraeTracer.run_scalar` — the original per-event loop — is kept
-as the equivalence oracle (same pattern as
-``SetAssociativeCache.access_stream_scalar``).
+overlap geometry via ``searchsorted``).  Sample offsets and load
+latencies belong to the trace sink alone, which draws them in the scalar
+RNG call order: per key for loads, and one call with per-sample bounds
+for a window's stores.  :meth:`ExtraeTracer.run_scalar` — the
+original per-event loop — is kept as the equivalence oracle (same
+pattern as ``SetAssociativeCache.access_stream_scalar``).
 
 All paths draw from per-run generators derived from ``(config.seed,
 rank)``, so a rank's trace never depends on which ranks were profiled
@@ -59,7 +60,6 @@ from repro.apps.sites import ProcessImage, SiteRegistry
 from repro.apps.workload import InstanceSpan, Workload
 from repro.profiling.events import AllocEvent, FreeEvent, HardwareCounter, SampleEvent
 from repro.profiling.object_table import LiveObjectTable
-from repro.profiling.offsets import OffsetDraws
 from repro.profiling.paramedir import (
     Paramedir, SiteKey, SiteProfile, add_sample_sums,
 )
@@ -138,10 +138,10 @@ class ExtraeTracer:
                 ) -> Dict[SiteKey, SiteProfile]:
         """``Paramedir().analyze(self.run(rank, aslr_seed))``, without a trace.
 
-        Same RNG draws, same per-site float sums in the same order.  A
-        sample time rounded past its object's free (which the analyzer
-        resolves by address) or before an earlier window's samples falls
-        back to the trace path.
+        Same sampler and jitter draws, same per-site float sums in the
+        same order.  A sample time rounded past its object's free (which
+        the analyzer resolves by address) or before an earlier window's
+        samples falls back to the trace path.
         """
         profiles = self._replay(rank, aslr_seed, _ProfileSink, vectorized=True)
         if profiles is None:
@@ -152,15 +152,11 @@ class ExtraeTracer:
 
     def _replay(self, rank: int, aslr_seed: Optional[int], sink_cls,
                 vectorized: bool):
-        # Per-run generators: sample offsets/latencies and rank jitter are
-        # functions of (seed, rank) only — never of previously profiled
-        # ranks.  PCG64 explicitly (what ``default_rng`` builds):
-        # ``OffsetDraws`` reproduces its bounded-integer stream.
-        self._sample_rng = np.random.Generator(
-            np.random.PCG64((self.config.seed, rank)))
+        # Per-run generators: rank jitter (here) and the trace sink's
+        # sample offsets/latencies are functions of (seed, rank) only —
+        # never of previously profiled ranks.
         self._rank_rng = np.random.Generator(
             np.random.PCG64(self.config.seed * 131 + rank))
-        self._offset_draws = OffsetDraws(self._sample_rng)
         wl = self.workload
         process = self.registry.make_process(
             rank=rank, aslr_seed=aslr_seed if aslr_seed is not None else 1000 + rank
@@ -306,11 +302,9 @@ class ExtraeTracer:
             e_load[p0:p1] += rl[i] * dt
             e_store[p0:p1] += rs[i] * dt
         vis = np.array([i.spec.sampling_visibility for i in instances])
-        sizes = np.fromiter((i.spec.size for i in instances),
-                            dtype=np.int64, count=n_i)
         return {"load": e_load, "store": e_store, "pair_inst": pair_inst,
                 "pair_bounds": pair_bounds, "vis": vis,
-                "starts": starts, "ends": ends, "sizes": sizes}
+                "starts": starts, "ends": ends}
 
     def _sample_window_vec(self, wi, lo, hi, live, sampler, sink,
                            geometry) -> None:
@@ -323,10 +317,7 @@ class ExtraeTracer:
         # object would be unmatchable
         t_lo = np.maximum(lo, geometry["starts"][idx])
         t_hi = np.minimum(hi, geometry["ends"][idx])
-        highs = np.maximum(geometry["sizes"][idx] - 8, 1)
         span = hi - lo
-        rng = self._sample_rng
-        offset_draws = self._offset_draws
         # the live keys' pairs of this window
         p0, p1 = geometry["pair_bounds"][wi:wi + 2]
         pos = p0 + np.searchsorted(geometry["pair_inst"][p0:p1], idx)
@@ -354,31 +345,14 @@ class ExtraeTracer:
             ok = th > tl
             if not ok.all():
                 # a key whose live span misses the window draws no
-                # offsets/latencies (the scalar guard) and its timestamps
-                # are dropped
+                # samples (the scalar guard) and its timestamps are dropped
                 ts_all = ts_all[np.repeat(ok, counts)]
                 sel, counts, tl, th = sel[ok], counts[ok], tl[ok], th[ok]
                 if sel.size == 0:
                     continue
             seg = np.repeat(np.arange(sel.size), counts)
             times = tl[seg] + (ts_all - lo) * (th - tl)[seg] / span
-            # Offsets, then (loads only) latencies, in the scalar call
-            # order.  Loads stay per key: ``normal``'s ziggurat consumes a
-            # data-dependent number of words between their offsets.
-            # Store offsets are one exact call per window.
-            if counter is _LOAD:
-                offsets = np.empty(seg.size, dtype=np.int64)
-                lats = np.empty(seg.size)
-                p = 0
-                for h, c in zip(highs[sel].tolist(), counts.tolist()):
-                    offsets[p:p + c] = offset_draws.draw_key(h, c)
-                    lats[p:p + c] = rng.normal(200.0, 40.0, size=c)
-                    p += c
-            else:
-                offsets = offset_draws.draw(highs[sel], counts)
-                lats = None
-            sink.samples(counter, idx[sel], counts, times, offsets, lats,
-                         weight)
+            sink.samples(counter, idx[sel], counts, times, weight)
 
     # -- scalar oracle ---------------------------------------------------------
 
@@ -430,7 +404,7 @@ class ExtraeTracer:
                 ts = t_lo + (ts - lo) * (t_hi - t_lo) / (hi - lo)
                 base = int(sink.addr[key])
                 size = live[key].spec.size
-                offsets = self._sample_rng.integers(0, max(size - 8, 1), size=len(ts))
+                offsets = sink.rng.integers(0, max(size - 8, 1), size=len(ts))
                 for time_, off in zip(ts, offsets):
                     addr = base + int(off)
                     # the address must resolve through the live table, like
@@ -442,7 +416,7 @@ class ExtraeTracer:
                         )
                     lat = None
                     if counter is _LOAD:
-                        lat = float(self._sample_rng.normal(200.0, 40.0))
+                        lat = float(sink.rng.normal(200.0, 40.0))
                     sink.trace.add_sample(SampleEvent(
                         time=float(time_), counter=counter, data_address=addr,
                         rank=sink.rank, latency_ns=lat, weight=weight,
@@ -452,9 +426,41 @@ class ExtraeTracer:
 # -- sinks ----------------------------------------------------------------------
 
 
+def draw_sample_offsets(rng: np.random.Generator, highs: np.ndarray,
+                        counts: np.ndarray, loads: bool
+                        ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """One window's sample offsets and, for ``loads``, latencies.
+
+    Exactly the scalar oracle's calls, per key in order:
+    ``integers(0, h, size=c)``, then for loads ``normal(200, 40,
+    size=c)``.  Loads stay per key: ``normal`` takes whole 64-bit words
+    between one key's offsets and the next's.  Stores are one call with
+    per-sample bounds, which NumPy answers with Lemire's method element
+    by element on one word stream: the concatenated per-key calls,
+    PCG64's buffered 32-bit half included
+    (``tests/profiling/test_offset_draws.py`` pins it).
+    """
+    if not loads:
+        return rng.integers(0, np.repeat(highs, counts)), None
+    n = int(counts.sum())
+    offsets = np.empty(n, dtype=np.int64)
+    lats = np.empty(n)
+    p = 0
+    for h, c in zip(highs.tolist(), counts.tolist()):
+        offsets[p:p + c] = rng.integers(0, h, size=c)
+        lats[p:p + c] = rng.normal(200.0, 40.0, size=c)
+        p += c
+    return offsets, lats
+
+
 class _TraceSink:
     """Builds the :class:`Trace`: a real profiling heap and live table, so
-    every sample address is checked against the live objects."""
+    every sample address is checked against the live objects.
+
+    The sink owns the sample generator, a function of ``(seed, rank)``
+    only, and draws from it in the scalar oracle's order
+    (:func:`draw_sample_offsets`).
+    """
 
     def __init__(self, tracer: ExtraeTracer, process: ProcessImage, rank: int,
                  instances: List[InstanceSpan]):
@@ -462,6 +468,10 @@ class _TraceSink:
         self.process = process
         self.fmt = tracer.config.stack_format
         self.rank = rank
+        self.rng = np.random.Generator(
+            np.random.PCG64((tracer.config.seed, rank)))
+        self.highs = np.fromiter((max(i.spec.size - 8, 1) for i in instances),
+                                 dtype=np.int64, count=len(instances))
         self.trace = Trace(TraceMeta(
             workload=wl.name,
             ranks=wl.ranks,
@@ -495,8 +505,9 @@ class _TraceSink:
         self.trace.add_free(FreeEvent(time=time_, address=address,
                                       rank=self.rank))
 
-    def samples(self, counter, cols, counts, times, offsets, lats,
-                weight) -> None:
+    def samples(self, counter, cols, counts, times, weight) -> None:
+        offsets, lats = draw_sample_offsets(self.rng, self.highs[cols],
+                                            counts, loads=counter is _LOAD)
         addrs = np.repeat(self.addr[cols], counts) + offsets
         # the addresses must resolve through the live table, like
         # Extrae matching PEBS linear addresses to objects
@@ -544,8 +555,8 @@ class _ProfileSink:
         self.site_idx: Dict[SiteKey, int] = {}
         self.profiles: Dict[SiteKey, SiteProfile] = {}
         self.open: Dict[int, Tuple[SiteKey, float]] = {}
-        #: per counter: time-sorted batches of (sites, codes, weights,
-        #: latencies), and the latest sample time so far
+        #: per counter: time-sorted batches of (sites, codes, weights),
+        #: and the latest sample time so far
         self.parts: Dict[HardwareCounter, List[Tuple[np.ndarray, ...]]] = {
             _LOAD: [], _STORE: []}
         self.t_max = {_LOAD: -np.inf, _STORE: -np.inf}
@@ -571,9 +582,7 @@ class _ProfileSink:
         prof.total_live_time += time_ - t_alloc
         prof.spans.append((t_alloc, time_))
 
-    def samples(self, counter, cols, counts, times, offsets, lats,
-                weight) -> None:
-        del offsets  # drawn only to keep the RNG stream in step
+    def samples(self, counter, cols, counts, times, weight) -> None:
         inst_of = np.repeat(cols, counts)
         if ((times > self.ends[inst_of]).any()
                 or times.min() < self.t_max[counter]):
@@ -585,7 +594,6 @@ class _ProfileSink:
             self.site_of[inst_of[order]],
             np.full(n, COUNTER_CODE[counter], dtype=np.uint8),
             np.full(n, weight),
-            np.full(n, np.nan) if lats is None else lats[order],
         ))
 
     def finish(self) -> Optional[Dict[SiteKey, SiteProfile]]:
@@ -593,12 +601,11 @@ class _ProfileSink:
             return None
         parts = self.parts[_LOAD] + self.parts[_STORE]
         if parts:
-            sites, codes, weights, lats = (
+            sites, codes, weights = (
                 np.concatenate(col) for col in zip(*parts))
         else:
-            weights = lats = np.empty(0)
+            weights = np.empty(0)
             sites = np.empty(0, dtype=np.int64)
             codes = np.empty(0, dtype=np.uint8)
-        add_sample_sums(self.profiles, self.site_idx, sites, codes, weights,
-                        lats)
+        add_sample_sums(self.profiles, self.site_idx, sites, codes, weights)
         return self.profiles

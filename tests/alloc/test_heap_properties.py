@@ -59,9 +59,6 @@ def check_invariants(heap):
     assert all(z > 0 for z in sizes)
     assert all(heap.base <= s < heap.base + heap.capacity for s in starts)
 
-    # fragmentation is a ratio
-    assert 0.0 <= heap.fragmentation() <= 1.0
-
     # the index mirrors the lists exactly (max aggregate included)
     heap.check_index()
 

@@ -54,9 +54,3 @@ class TestRegistry:
     def test_empty_registry_rejected(self):
         with pytest.raises(ConfigError):
             HeapRegistry([])
-
-    def test_total_used(self):
-        reg = build_heaps(pmem6_system(), dram_limit=1 * GiB)
-        reg.get("dram").allocate(100)
-        used = reg.total_used()
-        assert used["dram"] >= 100 and used["pmem"] == 0

@@ -6,6 +6,8 @@ off, cold, and warm — including the bandwidth-aware algorithm.  The
 profile is the only artifact they publish.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.advisor.config import config_for_system
@@ -20,6 +22,7 @@ from repro.pipeline import (
     profile_stage,
 )
 from repro.profiling.cache import ProfileKey, ProfileStore
+from repro.profiling.paramedir import SiteProfile
 from repro.runtime.stats import run_results_identical
 from repro.units import GiB
 
@@ -144,12 +147,12 @@ class TestStageFunctions:
             wl, seed=11, artifact_store=store, profile_store=ProfileStore())
         assert key1 == key2 == profile_key(wl)
         assert not cold_cached and warm_cached
-        assert set(fresh) == set(cold) == set(warm)
+        assert list(fresh) == list(cold) == list(warm)
         for site in fresh:
-            for name in ("load_misses", "store_misses", "largest_alloc",
-                         "alloc_count", "first_alloc", "last_free"):
-                assert getattr(warm[site], name) == getattr(fresh[site], name)
-            assert warm[site].spans == fresh[site].spans
+            for f in dataclasses.fields(SiteProfile):
+                assert (getattr(warm[site], f.name)
+                        == getattr(cold[site], f.name)
+                        == getattr(fresh[site], f.name)), f.name
 
     def test_placement_stage_unknown_algorithm(self):
         wl = get_workload("minife")

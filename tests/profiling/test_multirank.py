@@ -74,42 +74,6 @@ class TestMerge:
             assert prof.largest_alloc == max(
                 p[key].largest_alloc for p in per_rank)
 
-    def test_mean_load_latency_survives_merge(self):
-        """Regression: merge used to silently drop mean_load_latency_ns."""
-        _, per_rank = profiles_for(ranks=3)
-        merged = Paramedir().merge(per_rank, mode="sum")
-        for key, prof in merged.items():
-            with_lat = [p[key] for p in per_rank
-                        if p[key].mean_load_latency_ns is not None]
-            if not with_lat:
-                assert prof.mean_load_latency_ns is None
-                continue
-            expected = (
-                sum(p.mean_load_latency_ns * p.load_samples for p in with_lat)
-                / sum(p.load_samples for p in with_lat)
-            )
-            assert prof.mean_load_latency_ns == pytest.approx(expected)
-
-    def test_latency_weighted_by_load_samples(self):
-        """A rank with 3x the samples pulls the merged mean 3x harder."""
-        from repro.profiling.paramedir import SiteProfile
-        key = ("site",)
-        a = SiteProfile(site_key=key, alloc_count=1, load_samples=30,
-                        mean_load_latency_ns=100.0)
-        b = SiteProfile(site_key=key, alloc_count=1, load_samples=10,
-                        mean_load_latency_ns=300.0)
-        merged = Paramedir().merge([{key: a}, {key: b}])
-        assert merged[key].mean_load_latency_ns == pytest.approx(
-            (100.0 * 30 + 300.0 * 10) / 40)
-
-    def test_latency_not_divided_in_average_mode(self):
-        """Latency is per-access, so mode='average' must not divide it."""
-        _, per_rank = profiles_for(ranks=2)
-        s = Paramedir().merge(per_rank, mode="sum")
-        a = Paramedir().merge(per_rank, mode="average")
-        for key in s:
-            assert s[key].mean_load_latency_ns == a[key].mean_load_latency_ns
-
     def test_spans_pooled_and_sorted(self):
         _, per_rank = profiles_for(ranks=3)
         merged = Paramedir().merge(per_rank)

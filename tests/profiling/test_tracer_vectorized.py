@@ -14,22 +14,20 @@ vectorized code has to get right — zero-sample windows, objects freed
 mid-window, and objects never freed.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.binary.callstack import StackFormat
 from repro.apps.workload import AccessStats, ObjectSpec, Phase, Workload
-from repro.profiling.paramedir import Paramedir
+from repro.profiling.paramedir import Paramedir, SiteProfile
 from repro.profiling.pebs import PEBSConfig
 from repro.profiling.tracer import ExtraeTracer, TracerConfig
 from repro.units import MiB
 
 from tests.conftest import make_site, make_toy_workload
 
-PROFILE_FIELDS = (
-    "largest_alloc", "alloc_count", "free_count", "load_misses",
-    "store_misses", "load_samples", "store_samples", "first_alloc",
-    "last_free", "total_live_time", "spans", "mean_load_latency_ns",
-)
+PROFILE_FIELDS = tuple(f.name for f in dataclasses.fields(SiteProfile))
 
 
 def assert_profiles_identical(a, b):

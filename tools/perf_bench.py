@@ -75,6 +75,7 @@ each refresh only their own sections.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -101,7 +102,7 @@ from repro.memsim.cache import SetAssociativeCache
 from repro.memsim.subsystem import pmem6_system
 from repro.pipeline import ArtifactStore, reset_default_artifact_store
 from repro.profiling.cache import ProfileStore, reset_default_store
-from repro.profiling.paramedir import Paramedir
+from repro.profiling.paramedir import Paramedir, SiteProfile
 from repro.profiling.pebs import PEBSConfig
 from repro.profiling.trace import Trace
 from repro.profiling.tracer import ExtraeTracer, TracerConfig
@@ -328,11 +329,7 @@ def bench_sweep(quick: bool, jobs=None) -> dict:
     }
 
 
-_PROFILE_FIELDS = (
-    "largest_alloc", "alloc_count", "free_count", "load_misses",
-    "store_misses", "load_samples", "store_samples", "first_alloc",
-    "last_free", "total_live_time", "spans", "mean_load_latency_ns",
-)
+_PROFILE_FIELDS = tuple(f.name for f in dataclasses.fields(SiteProfile))
 
 
 def _assert_profiles_identical(a, b, label):
