@@ -116,6 +116,10 @@ class FreeIndex:
             else:
                 node = node.right
 
+    def largest(self) -> int:
+        """The largest block size (0 when empty): the root's aggregate."""
+        return self._root.max_size if self._root is not None else 0
+
     # -- mutations ------------------------------------------------------------
 
     def insert(self, start: int, size: int) -> None:

@@ -46,7 +46,6 @@ class HeapStats:
     failed: int = 0
     bytes_allocated: int = 0   # cumulative requested bytes
     high_water: int = 0        # max concurrently reserved bytes
-    peak_fragments: int = 1    # max free-list length ever observed
 
     @property
     def live_allocations(self) -> int:
@@ -176,8 +175,6 @@ class FreeListHeap:
             self._free_starts.insert(idx, start)
             self._free_sizes.insert(idx, size)
             self._index.insert(start, size)
-        if len(self._free_starts) > self.stats.peak_fragments:
-            self.stats.peak_fragments = len(self._free_starts)
 
     # -- queries -------------------------------------------------------------
 
@@ -188,6 +185,10 @@ class FreeListHeap:
     @property
     def capacity(self) -> int:
         return self._capacity
+
+    def largest_free_block(self) -> int:
+        """Size of the largest free block (0 when the heap is full)."""
+        return self._index.largest()
 
     def owns(self, address: int) -> bool:
         """Whether an address falls inside this heap's range."""

@@ -46,7 +46,6 @@ class MemkindPmemHeap(FreeListHeap):
     def __init__(self, base: int, capacity: int, subsystem: str = "pmem"):
         # the kind name carries the subsystem ("memkind-pmem",
         # "memkind-hbm"...) so heap names stay unique within a registry
-        # and Allocation.heap_name maps back to exactly one subsystem
         super().__init__(
             name=f"memkind-{subsystem}",
             base=base,
@@ -68,18 +67,11 @@ class HeapRegistry:
     def __init__(self, heaps: Iterable[FreeListHeap]):
         self._by_subsystem: Dict[str, FreeListHeap] = {}
         self._heaps: List[FreeListHeap] = []
-        self._subsystem_by_name: Dict[str, Optional[str]] = {}
         for heap in heaps:
             if heap.subsystem in self._by_subsystem:
                 raise ConfigError(f"duplicate heap for subsystem {heap.subsystem!r}")
             self._by_subsystem[heap.subsystem] = heap
             self._heaps.append(heap)
-            # None marks a (pathological) heap-name collision: the name
-            # then cannot identify a subsystem and lookups must fail loudly
-            if heap.name in self._subsystem_by_name:
-                self._subsystem_by_name[heap.name] = None
-            else:
-                self._subsystem_by_name[heap.name] = heap.subsystem
         if not self._heaps:
             raise ConfigError("registry needs at least one heap")
 
@@ -104,28 +96,6 @@ class HeapRegistry:
             if heap.owns(address):
                 return heap
         return None
-
-    def subsystem_of_heap(self, heap_name: str) -> str:
-        """The subsystem a heap name serves — O(1), no address-range scan.
-
-        An :class:`~repro.alloc.heap.Allocation` already names its heap,
-        so consumers holding one (the replay loop foremost) can derive the
-        subsystem without probing every heap's address range the way
-        ``heap_of_address`` does.
-        """
-        try:
-            subsystem = self._subsystem_by_name[heap_name]
-        except KeyError:
-            raise KeyError(
-                f"no heap named {heap_name!r} "
-                f"(have {sorted(self._subsystem_by_name)})"
-            ) from None
-        if subsystem is None:
-            raise ConfigError(
-                f"heap name {heap_name!r} is shared by several subsystems; "
-                f"give each heap a distinct name to map names back"
-            )
-        return subsystem
 
 
 def build_heaps(system: MemorySystem, *, dram_limit: Optional[int] = None) -> HeapRegistry:

@@ -22,7 +22,9 @@ it is memoized in process by the ``ProfileStore``, and with
 ``REPRO_ARTIFACT_DIR`` set (or an explicit ``artifact_store``) it is
 also stored as a content-addressed profile artifact and reused across
 processes — the only on-disk cache.  Placements and production runs are
-recomputed for every cell.  Results are bit-identical either way.
+recomputed for every cell; :func:`run_profdp_best` only skips a variant
+whose report repeats an earlier variant's.  There is deliberately no
+replay memo across calls.  Results are bit-identical either way.
 """
 
 from __future__ import annotations
@@ -307,6 +309,10 @@ def run_profdp_best(
     :func:`profile_workload` as :func:`run_ecohmem`, so an ecoHMEM sweep
     and its ProfDP comparison rows share one trace + analysis per
     configuration — and, with an artifact store, one profile artifact.
+
+    A variant whose report equals an earlier variant's is skipped: its
+    run would be identical, and only a strictly faster run replaces the
+    best, so the returned ``(variant, run)`` is the exhaustive loop's.
     """
     if workload.name == "minimd":
         return None, None
@@ -324,11 +330,19 @@ def run_profdp_best(
     objects = advisor.objects_from_profiles(profiles)
 
     best: Tuple[Optional[ProfDPVariant], Optional[RunResult]] = (None, None)
+    seen = set()
     for variant in ALL_VARIANTS:
         placement = profdp_placement(
             objects, system, variant, dram_limit, ranks=workload.ranks, seed=seed
         )
         report = advisor.to_report(placement, stack_format)
+        # everything of the report FlexMalloc reads
+        content = (report.fmt, report.fallback,
+                   tuple((e.site, e.subsystem) for e in report))
+        if content in seen:
+            # the same run as an earlier variant: never strictly faster
+            continue
+        seen.add(content)
         run, _ = run_stage(
             workload, system, registry, report,
             dram_limit=dram_limit, stack_format=stack_format,

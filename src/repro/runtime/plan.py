@@ -3,7 +3,8 @@
 Everything the engine derives from a workload alone — the segmentation,
 the placement-independent half of the app-direct pack and the result
 assembly's scatter targets — depends on neither the placement nor the
-memory system.  The paper's Figure 1 workflow does that work once per
+memory system, and neither does the FlexMalloc replay's allocation
+schedule.  The paper's Figure 1 workflow does that work once per
 application and reuses it for every DRAM limit and every system; a
 :class:`WorkloadPlan` holds it, and :func:`plan_for` finds the plan for a
 workload in one process-wide :class:`PlanRegistry`.
@@ -37,7 +38,13 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.apps.workload import InstanceSpan, Workload, workload_fingerprint
+from repro.alloc.heap import ALIGNMENT
+from repro.apps.workload import (
+    AllocationSite,
+    InstanceSpan,
+    Workload,
+    workload_fingerprint,
+)
 from repro.runtime.segments import SegmentArrays, build_segment_arrays
 from repro.runtime.traffic import (
     PairRates,
@@ -51,6 +58,7 @@ __all__ = [
     "PLAN_CAPACITY",
     "PlanRegistry",
     "REGISTRY",
+    "ReplaySchedule",
     "WorkloadPlan",
     "plan_for",
 ]
@@ -200,6 +208,87 @@ def object_rows(slot: np.ndarray, loads: np.ndarray, stores: np.ndarray,
 
 
 @dataclass
+class ReplaySchedule:
+    """The workload's allocation schedule, in FlexMalloc replay order.
+
+    Instances are numbered in ``workload.instances()`` order.  Edge
+    ``pos < n`` allocates instance ``pos`` and edge ``pos >= n`` frees
+    instance ``pos - n``; ``edges`` lists them chronologically, frees
+    before allocations at equal times and instance order within a kind,
+    exactly the scalar replay's stable sort.  Sizes are the node-wide
+    request (``spec.size * ranks``), ``padded`` the heap's aligned
+    reservation.  The per-call sequences are tuples, so no consumer can
+    change them.
+    """
+
+    sizes: np.ndarray              # (N,) requested bytes, int64
+    padded: np.ndarray             # (N,) aligned bytes, int64
+    sites: Tuple[AllocationSite, ...]  # distinct sites, first-instance order
+    alloc_order: np.ndarray        # (N,) instances in allocation-call order
+    alloc_sites: Tuple[int, ...]   # site of each allocation call, in order
+    alloc_keys: Tuple[Tuple[str, int], ...]  # (site, index) of each call
+    #: (site name, instance) of each site's first allocation, in call order
+    site_firsts: Tuple[Tuple[str, int], ...]
+    edges: np.ndarray              # (2N,) chronological edge positions
+    edge_inst: np.ndarray          # (2N,) instance of each edge
+    edge_delta: np.ndarray         # (2N,) +padded on alloc, -padded on free
+    #: every free edge frees its own instance (no two share a key)
+    keys_unique: bool
+
+
+def _build_replay_schedule(workload: Workload,
+                           instances: List[InstanceSpan]) -> ReplaySchedule:
+    n = len(instances)
+    times = np.array([i.start for i in instances]
+                     + [i.end for i in instances], dtype=np.float64)
+    kinds = np.concatenate([np.ones(n, dtype=np.int64),
+                            np.zeros(n, dtype=np.int64)])
+    # stable: same-(time, kind) ties keep ascending position, i.e.
+    # instance order within each kind, as the scalar sort does
+    edges = np.lexsort((kinds, times))
+    edge_alloc = edges < n
+    edge_inst = np.where(edge_alloc, edges, edges - n)
+
+    site_idx: Dict[str, int] = {}
+    sites: List[AllocationSite] = []
+    site_of = np.empty(n, dtype=np.int64)
+    for k, inst in enumerate(instances):
+        site = inst.spec.site
+        s = site_idx.get(site.name)
+        if s is None:
+            s = site_idx[site.name] = len(sites)
+            sites.append(site)
+        site_of[k] = s
+    keys = [(inst.spec.site.name, inst.index) for inst in instances]
+    sizes = np.array([inst.spec.size * workload.ranks for inst in instances],
+                     dtype=np.int64)
+    padded = (sizes + (ALIGNMENT - 1)) // ALIGNMENT * ALIGNMENT
+
+    alloc_order = edges[edge_alloc]
+    order = alloc_order.tolist()
+    site_firsts: List[Tuple[str, int]] = []
+    seen = set()
+    for k in order:
+        name = keys[k][0]
+        if name not in seen:
+            seen.add(name)
+            site_firsts.append((name, k))
+    return ReplaySchedule(
+        sizes=sizes,
+        padded=padded,
+        sites=tuple(sites),
+        alloc_order=alloc_order,
+        alloc_sites=tuple(site_of[alloc_order].tolist()),
+        alloc_keys=tuple(keys[k] for k in order),
+        site_firsts=tuple(site_firsts),
+        edges=edges,
+        edge_inst=edge_inst,
+        edge_delta=np.where(edge_alloc, padded[edge_inst], -padded[edge_inst]),
+        keys_unique=len(set(keys)) == n,
+    )
+
+
+@dataclass
 class WorkloadPlan:
     """A workload compiled for the engine: everything no placement changes.
 
@@ -207,9 +296,10 @@ class WorkloadPlan:
     runs over, ``rates`` the access-rate tables of its (segment, instance)
     pairs, ``pack_base`` the kept pairs and their traffic that every
     app-direct placement routes (and the baseline packs reuse), and
-    ``assembly`` the scatter targets of result assembly, and
+    ``assembly`` the scatter targets of result assembly,
     ``object_rows`` the pack base's object rows as every uniform
-    app-direct pack emits them.  A plan is read-only once built.
+    app-direct pack emits them, and ``replay`` the allocation schedule
+    the FlexMalloc replay walks.  A plan is read-only once built.
     """
 
     fingerprint: str
@@ -218,6 +308,7 @@ class WorkloadPlan:
     pack_base: _PlacementPackBase
     assembly: AssemblyPlan
     object_rows: ObjectRows
+    replay: ReplaySchedule
 
 
 def _build_plan(workload: Workload, fingerprint: str) -> WorkloadPlan:
@@ -235,6 +326,7 @@ def _build_plan(workload: Workload, fingerprint: str) -> WorkloadPlan:
         object_rows=object_rows(
             site_slots(assembly, base.site_names)[base.obj_site_ord],
             base.obj_loads_ord, base.obj_stores_ord, assembly.n_live),
+        replay=_build_replay_schedule(workload, segments.instances),
     )
 
 

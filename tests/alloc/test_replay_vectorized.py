@@ -17,6 +17,7 @@ from repro.alloc import (
     BOMMatcher,
     FlexMalloc,
     FreeListHeap,
+    HeapRegistry,
     HumanReadableMatcher,
     build_heaps,
 )
@@ -25,7 +26,7 @@ from repro.apps.registry import get_workload
 from repro.apps.sites import SiteRegistry
 from repro.apps.workload import AccessStats, ObjectSpec, Phase, Workload
 from repro.binary.callstack import StackFormat
-from repro.errors import AllocationError
+from repro.errors import AllocationError, SimulationError
 from repro.memsim.subsystem import (
     hbm_dram_pmem_system,
     pmem2_system,
@@ -186,6 +187,188 @@ class TestEdgeTieOrder:
         assert set(result.instance_placement.values()) == {"dram"}
 
 
+def prefragment(heap, holes):
+    """Pin ``holes`` 16 B holes at the heap's base (the perf-bench setup)."""
+    blocks = [heap.allocate(16) for _ in range(2 * holes)]
+    for alloc in blocks[::2]:
+        heap.free(alloc.address)
+
+
+def replay_both(workload, report, make_heaps, *, fmt=StackFormat.BOM):
+    """Fast replay and scalar oracle on fresh, equal sides."""
+    registry = SiteRegistry(workload)
+    sides = []
+    for memoize in (True, False):
+        production = registry.make_process(rank=0, aslr_seed=777)
+        if fmt is StackFormat.BOM:
+            matcher = BOMMatcher(report, production.space, memoize=memoize)
+        else:
+            matcher = HumanReadableMatcher(report, production.space,
+                                           memoize=memoize)
+        sides.append((production, FlexMalloc(make_heaps(), matcher,
+                                             fallback=report.fallback)))
+    (proc_f, flex_f), (proc_s, flex_s) = sides
+    fast = replay_allocations(workload, proc_f, flex_f)
+    scalar = replay_allocations_scalar(workload, proc_s, flex_s)
+    assert replay_results_identical(fast, scalar) == []
+    for heap in flex_f.heaps:
+        heap.check_index()
+    return fast, scalar
+
+
+def report_for(workload, placement, fmt=StackFormat.BOM):
+    """A report sending each named site to its subsystem."""
+    profiling = SiteRegistry(workload).make_process(rank=0, aslr_seed=500)
+    report = PlacementReport(fmt)
+    for obj in workload.objects:
+        if obj.site.name in placement:
+            report.add(PlacementEntry(
+                site=profiling.site_key(obj.site, fmt),
+                subsystem=placement[obj.site.name]))
+    return report
+
+
+class TestWalkGuard:
+    """Which heaps the replay walks, and that the answer never moves."""
+
+    @pytest.mark.parametrize("system_factory, walked", [
+        (pmem2_system, ("pmem",)),
+        (pmem6_system, ()),
+    ])
+    def test_lulesh_fallback_heap(self, system_factory, walked):
+        """All of LULESH in the fallback heap: 1 537 GiB of cumulative
+        demand exceeds PMem-2's 1 TiB heap but not PMem-6's 3 TiB."""
+        wl = get_workload("lulesh")
+        fast, _ = replay_both(
+            wl, PlacementReport(StackFormat.BOM),
+            lambda: build_heaps(system_factory(), dram_limit=12 * GiB))
+        assert fast.walked == walked
+        assert fast.flexmalloc.heaps.get("pmem").stats.allocations == len(
+            wl.instances())
+
+    def test_heap_that_can_fill_but_never_does(self):
+        """Four sequential 8 MiB temps in a 9 MiB DRAM heap: their 32 MiB
+        of demand fails the guard, yet first-fit reuses the space, so the
+        walk spills nothing and matches the oracle."""
+        wl = make_toy_workload()
+        fast, scalar = replay_both(
+            wl, report_for(wl, {"toy::temp": "dram"}),
+            lambda: build_heaps(pmem6_system(), dram_limit=9 * MiB))
+        assert fast.walked == ("dram",)
+        assert fast.flexmalloc.stats.fallback_capacity == 0
+        assert {v for (s, _), v in fast.instance_placement.items()
+                if s == "toy::temp"} == {"dram"}
+
+    def test_prefragmented_heaps(self):
+        """The perf-bench setup: both heaps start with hundreds of pinned
+        holes.  The squeezed DRAM heap is walked; the fallback heap is
+        accounted in bulk and its fragmented free list ends unchanged."""
+        wl = get_workload("minife")
+        dram_limit = squeezed(wl)
+
+        def make_heaps():
+            heaps = build_heaps(pmem6_system(), dram_limit=dram_limit)
+            for heap in heaps:
+                prefragment(heap, 512)
+            return heaps
+
+        report = report_for(
+            wl, {o.site.name: "dram" for o in wl.objects[::2]})
+        fast, _ = replay_both(wl, report, make_heaps)
+        assert fast.walked == ("dram",)
+        assert fast.flexmalloc.stats.fallback_capacity > 0
+        pmem = fast.flexmalloc.heaps.get("pmem")
+        assert len(pmem.free_blocks()) == 513
+
+    def test_second_replay_through_one_interposer(self):
+        """A replay adds to the interposer's running accounts: a second
+        replay through the same FlexMalloc starts from a nonzero
+        ``overhead_ns`` and existing ``bytes_by_subsystem`` keys."""
+        wl = make_toy_workload()
+        report = report_for(wl, {"toy::hot": "dram", "toy::temp": "dram"})
+        registry = SiteRegistry(wl)
+        results = []
+        for replay, memoize in ((replay_allocations, True),
+                                (replay_allocations_scalar, False)):
+            production = registry.make_process(rank=0, aslr_seed=777)
+            flex = FlexMalloc(
+                build_heaps(pmem6_system(), dram_limit=12 * MiB),
+                BOMMatcher(report, production.space, memoize=memoize))
+            replay(wl, production, flex)
+            results.append(replay(wl, production, flex))
+        assert replay_results_identical(*results) == []
+
+    def test_overhead_added_in_call_order(self):
+        """Heap-call charges that do not add exactly in any order: the
+        bulk-accounted overhead must be added left to right in call
+        order, as the interposer's repeated ``+=`` does."""
+        wl = get_workload("openfoam")
+        costs = {"dram": (0.1, 0.7), "pmem": (0.3, 1.1)}
+
+        def make_heaps():
+            heaps = []
+            for i, sub in enumerate(pmem6_system()):
+                capacity = 64 * MiB if sub.name == "dram" else sub.capacity
+                alloc_ns, free_ns = costs[sub.name]
+                heaps.append(FreeListHeap(
+                    f"heap-{sub.name}", base=(i + 1) << 44,
+                    capacity=capacity, subsystem=sub.name,
+                    alloc_cost_ns=alloc_ns, free_cost_ns=free_ns))
+            return HeapRegistry(heaps)
+
+        report = report_for(
+            wl, {o.site.name: "dram" for o in wl.objects[::3]})
+        fast, _ = replay_both(wl, report, make_heaps)
+        assert fast.walked == ("dram",)
+
+    @pytest.mark.parametrize("placement", [
+        {"toy::hot": "dram"},
+        # the fallback's own 56 MiB fit its 100 MiB; cold's spill does not
+        {"toy::cold": "dram"},
+    ])
+    def test_fallback_overflow_raises_the_same_error(self, placement):
+        """A fallback heap too small for the workload fails the same
+        allocation, with the same message, as the interposer does."""
+        wl = make_toy_workload()
+
+        def make_heaps():
+            return HeapRegistry([
+                FreeListHeap("small-dram", base=1 << 44, capacity=8 * MiB,
+                             subsystem="dram"),
+                FreeListHeap("small-pmem", base=2 << 44, capacity=100 * MiB,
+                             subsystem="pmem"),
+            ])
+
+        report = report_for(wl, placement)
+        registry = SiteRegistry(wl)
+        messages = []
+        for replay, memoize in ((replay_allocations, True),
+                                (replay_allocations_scalar, False)):
+            production = registry.make_process(rank=0, aslr_seed=777)
+            flex = FlexMalloc(make_heaps(),
+                              BOMMatcher(report, production.space,
+                                         memoize=memoize))
+            with pytest.raises(AllocationError) as err:
+                replay(wl, production, flex)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
+    def test_shared_key_has_no_free_edge(self):
+        """Two specs with one site name give two instances the key
+        (site, 0): the second free could not tell them apart."""
+        base = make_toy_workload()
+        twin = base.objects[0]
+        wl = Workload(
+            name="twins", phases=base.phases,
+            objects=list(base.objects) + [twin],
+            ranks=base.ranks,
+        )
+        process = SiteRegistry(wl).make_process(rank=0, aslr_seed=777)
+        flex = FlexMalloc(build_heaps(pmem6_system()))
+        with pytest.raises(SimulationError, match="no free edge"):
+            replay_allocations(wl, process, flex)
+
+
 class TestIndexedHeapAgainstScan:
     def test_random_traffic_same_addresses(self):
         """Indexed and scan heaps fed the same alloc/free sequence hand
@@ -211,7 +394,7 @@ class TestIndexedHeapAgainstScan:
                 live.append(a.address)
         assert fast.free_blocks() == slow.free_blocks()
         for f in ("allocations", "frees", "failed", "bytes_allocated",
-                  "high_water", "peak_fragments"):
+                  "high_water"):
             assert getattr(fast.stats, f) == getattr(slow.stats, f)
         fast.check_index()
 

@@ -27,6 +27,54 @@ class TestProfDPRunner:
         assert variant.label.startswith("profdp-")
 
 
+def exhaustive_profdp(wl, system, dram_limit, seed=11):
+    """All four ProfDP variants run, the strictly fastest kept."""
+    from repro.advisor import HMemAdvisor
+    from repro.advisor.config import default_config
+    from repro.apps.sites import SiteRegistry
+    from repro.baselines.profdp import ALL_VARIANTS, profdp_placement
+    from repro.binary.callstack import StackFormat
+    from repro.pipeline.stages import profile_stage, run_stage
+
+    if wl.name == "minimd":
+        return None, None
+    registry = SiteRegistry(wl)
+    profiles, _, _ = profile_stage(wl, seed=seed)
+    advisor = HMemAdvisor(system, default_config(dram_limit, ranks=wl.ranks))
+    objects = advisor.objects_from_profiles(profiles)
+    best = (None, None)
+    for variant in ALL_VARIANTS:
+        placement = profdp_placement(objects, system, variant, dram_limit,
+                                     ranks=wl.ranks, seed=seed)
+        run, _ = run_stage(
+            wl, system, registry,
+            advisor.to_report(placement, StackFormat.BOM),
+            dram_limit=dram_limit, stack_format=StackFormat.BOM,
+            aslr_seed=5000 + seed, label=variant.label)
+        if best[1] is None or run.total_time < best[1].total_time:
+            best = (variant, run)
+    return best
+
+
+class TestProfDPDedup:
+    @pytest.mark.parametrize("app", ["minife", "minimd", "lulesh", "hpcg",
+                                     "cloverleaf3d"])
+    def test_equals_exhaustive_loop(self, app, system6):
+        """Skipping variants whose report repeats an earlier one returns
+        the exhaustive four-variant loop's variant and run."""
+        from repro.apps import get_workload
+        from repro.runtime.stats import run_results_identical
+
+        wl = get_workload(app)
+        variant, run = run_profdp_best(wl, system6, dram_limit=12 * GiB)
+        want_variant, want_run = exhaustive_profdp(wl, system6, 12 * GiB)
+        assert variant == want_variant
+        if want_run is None:
+            assert run is None
+        else:
+            assert run_results_identical(run, want_run) == []
+
+
 class TestSpeedupTable:
     def test_table(self, system6):
         baseline = run_memory_mode(make_toy_workload(), system6)

@@ -22,6 +22,7 @@ from repro.apps.workload import AccessStats, ObjectSpec, Phase, Workload
 from repro.baselines.memory_mode import MemoryModeTraffic
 from repro.baselines.tiering import TieringTraffic
 from repro.experiments import fig6_sweep, tab8_full_apps
+from repro.experiments.harness import run_ecohmem
 from repro.experiments.ablations import scale_workload
 from repro.memsim.subsystem import pmem2_system, pmem6_system
 from repro.runtime import plan as plan_mod
@@ -172,8 +173,9 @@ def _array_digests(obj, prefix=""):
 
 
 def test_consumers_leave_the_plan_unchanged(registry):
-    """Every engine entry point and traffic model only reads the shared
-    plan: its arrays hash the same before and after all of them ran."""
+    """Every engine entry point, traffic model and the allocation replay
+    only read the shared plan: its arrays hash the same before and after
+    all of them ran."""
     wl = get_workload("minife")
     system = pmem6_system()
     engine = ExecutionEngine(wl, system)
@@ -190,6 +192,7 @@ def test_consumers_leave_the_plan_unchanged(registry):
                    dram_limit=max(int(wl.heap_high_water() * 0.1), 1),
                    params=OnlineParams(epochs=6, shift_threshold=0.0),
                    use_incremental=incremental)
+    run_ecohmem(wl, system, dram_limit=max(wl.heap_high_water() // 4, 1))
     assert ExecutionEngine(wl, pmem2_system())._plan is engine._plan
     assert _array_digests(engine._plan) == before
 

@@ -1,7 +1,5 @@
 """Tests for the FlexMalloc allocation replay."""
 
-import pytest
-
 from repro.alloc import FlexMalloc, build_heaps, BOMMatcher
 from repro.alloc.report import PlacementEntry, PlacementReport
 from repro.apps.sites import SiteRegistry
@@ -74,11 +72,11 @@ class TestReplay:
 
 
 class TestSubsystemDerivation:
-    def test_heap_name_agrees_with_address_probe_under_fallback(self):
-        """The O(1) ``subsystem_of_heap(alloc.heap_name)`` lookup the
-        batched replay uses must agree with the address-range probe for
-        every live allocation — including ones the capacity fallback
-        bounced to a different subsystem than the matcher designated."""
+    def test_recorded_placement_agrees_with_address_probe(self):
+        """The interposer's recorded landing subsystem agrees with the
+        address-range probe for every live allocation — including ones
+        the capacity fallback bounced to a different subsystem than the
+        matcher designated."""
         wl, proc, flex = build_env(dram_limit=8 * MiB)  # forces fallback
         instances = wl.instances()
         live = []
@@ -88,12 +86,8 @@ class TestSubsystemDerivation:
         assert flex.stats.fallback_capacity >= 1
         for alloc in live:
             assert (
-                flex.heaps.subsystem_of_heap(alloc.heap_name)
-                == flex.subsystem_of(alloc.address)
-                == flex.placement_of(alloc.address)
+                flex.heaps.heap_of_address(alloc.address).name
+                == alloc.heap_name
             )
-
-    def test_unknown_heap_name_rejected(self):
-        wl, proc, flex = build_env(dram_limit=1 * GiB)
-        with pytest.raises(KeyError):
-            flex.heaps.subsystem_of_heap("no-such-heap")
+            assert flex.subsystem_of(alloc.address) == flex.placement_of(
+                alloc.address)
