@@ -15,9 +15,11 @@ Every entry point — :meth:`~ExecutionEngine.run`, ``run_batch``,
 - ``_solve`` fuses the batches' rows — all of them, or the suffix from
   a boundary segment on — and runs the damped fixed point over every row
   at once, with a boolean active mask for per-row convergence;
-- ``_assemble`` turns one lane's converged rows into a ``RunResult``;
-  its per-object/per-phase/timeline accumulators are scatter-adds that
-  replay the scalar accumulation order exactly.
+- ``_settle`` keeps each lane's converged rows as a ``RunResult`` with
+  its ``total_time`` set and its phases, objects and timeline deferred:
+  ``_assemble`` builds them on first read, with scatter-adds that replay
+  the scalar accumulation order exactly.  Most callers rank runs by
+  total time alone and never pay for the detail.
 
 An engine owns no workload-derived state of its own: the segmentation,
 the app-direct pack base and the assembly's scatter targets depend on
@@ -33,7 +35,7 @@ loop as the reference oracle; the two are bit-identical (see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -49,7 +51,7 @@ from repro.runtime.delta import (
     compose_batches,
 )
 from repro.runtime.plan import object_rows, plan_for, site_slots
-from repro.runtime.stats import ObjectRunStats, PhaseResult, RunResult
+from repro.runtime.stats import Detail, ObjectRunStats, PhaseResult, RunResult
 from repro.runtime.traffic import (
     PlacementTraffic,
     SegmentTraffic,
@@ -381,12 +383,23 @@ class ExecutionEngine:
         lat_final: np.ndarray,
         **run,
     ) -> DeltaState:
-        """Assemble one solved lane and keep it as a patchable state."""
+        """Keep one solved lane as a patchable state whose result builds
+        its detail (:meth:`_assemble`) on first read."""
+        overhead = run["interposer_overhead_s"]
+        total_time = _total_time(durations, overhead)
+        result = RunResult.deferred(
+            partial(self._assemble, model, batch, durations, lat_final,
+                    total_time),
+            workload_name=self.workload.name,
+            config_label=run["label"] or model.label,
+            total_time=total_time,
+            interposer_overhead_s=overhead,
+            interposer_stats=run["interposer_stats"],
+        )
         return DeltaState(
             model=model, batch=batch,
             durations=durations, lat_final=lat_final,
-            result=self._assemble(model, batch, durations, lat_final, **run),
-            **run,
+            result=result, **run,
         )
 
     # -- public entry points ----------------------------------------------------------
@@ -454,17 +467,16 @@ class ExecutionEngine:
         *,
         interposer_overheads_s: Optional[Sequence[float]] = None,
     ) -> List[float]:
-        """Predicted total runtime for K candidates, without result assembly.
+        """Predicted total runtime for K candidates.
 
-        The what-if query path: same shared packing and fused fixed point
-        as :meth:`run_batch`, but each lane only reduces its converged
-        durations to a total time (:func:`_total_time`, the expression
-        :meth:`_assemble` uses), so every returned float is bit-equal to
-        the ``total_time`` of the corresponding sequential :meth:`run`
+        The what-if query path: the same shared packing and fused fixed
+        point as :meth:`run_batch`, each lane reduced to its total time
+        (:func:`_total_time`, the expression a result's ``total_time``
+        comes from), so every returned float is bit-equal to the
+        ``total_time`` of the corresponding sequential :meth:`run`
         (asserted by the differential suite and ``tools/perf_bench.py``).
-        Skipping per-object and per-phase assembly is what makes ranking K
-        candidates cheap: only the chosen candidate needs a full
-        :meth:`run`.
+        Since results defer their detail, this is :meth:`run_batch`
+        reduced to its totals; it saves only a ``RunResult`` per lane.
         """
         K = len(models)
         overheads = _per_model(interposer_overheads_s, 0.0, K,
@@ -584,8 +596,10 @@ class ExecutionEngine:
         :func:`_total_time` with ``state``'s interposer overhead — the
         exact total-time expression of :meth:`run_incremental` (and hence
         of a from-scratch :meth:`run` of the patched model).  No scalar
-        packing, no assembly: cost scales with ``K * suffix rows``, not
-        with ``K * segments``.
+        packing: cost scales with ``K * suffix rows``, not with
+        ``K * segments``.  It differs from K :meth:`run_incremental` calls
+        by the fused suffix solve and by composing no batch and no state
+        per candidate; neither builds a result's detail unless it is read.
         """
         self._check_boundary(boundary_seg, "predict_times_incremental")
         if not placements:
@@ -604,12 +618,10 @@ class ExecutionEngine:
         batch: TrafficBatch,
         durations: np.ndarray,
         lat_final: np.ndarray,
-        *,
-        label: Optional[str],
-        interposer_overhead_s: float,
-        interposer_stats: Optional[InterposerStats],
-    ) -> RunResult:
-        """Turn one lane's converged durations/latencies into a RunResult.
+        total_time: float,
+    ) -> Detail:
+        """Build one lane's (phases, objects, timeline) from its converged
+        durations/latencies: the detail of a deferred :class:`RunResult`.
 
         All scatter-adds replay the scalar accumulation order exactly:
         ``np.bincount`` visits its input sequentially (``out[idx[i]] +=
@@ -617,7 +629,6 @@ class ExecutionEngine:
         scalar dicts' — the same determinism fact ``np.add.at`` rested on,
         an order of magnitude cheaper.
         """
-        wl = self.workload
         sa = self._segment_arrays
         asm = self._plan.assembly
         n_live = asm.n_live
@@ -757,20 +768,9 @@ class ExecutionEngine:
                     st.site_name, ""
                 )
 
-        total_time = _total_time(durations, interposer_overhead_s)
         phases = self._phase_results_batch(batch, durations, stalls, lat_final, starts)
         timeline = self._timeline_batch(batch, durations, starts, total_time)
-
-        return RunResult(
-            workload_name=wl.name,
-            config_label=label or model.label,
-            total_time=total_time,
-            phases=phases,
-            objects=objects,
-            timeline=timeline,
-            interposer_overhead_s=interposer_overhead_s,
-            interposer_stats=interposer_stats,
-        )
+        return phases, objects, timeline
 
     # -- the scalar oracle ---------------------------------------------------------
 

@@ -5,12 +5,17 @@ breakdowns, an actual-time bandwidth timeline per subsystem, per-object
 statistics (for figures 4/5 and the bandwidth-aware advisor's
 observations), and VTune-style aggregates (memory-bound fraction, hit
 ratios) for Table VI.
+
+Most callers rank runs by ``total_time`` alone, so the engine's results
+carry their detail (phases, objects, timeline) as a builder that runs on
+first read (:meth:`RunResult.deferred`).
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -70,9 +75,22 @@ class ObjectRunStats:
         return self.live_time / self.alloc_count if self.alloc_count else 0.0
 
 
+#: the fields a deferred :class:`RunResult` builds on first read
+_DETAIL = ("phases", "objects", "timeline")
+
+Detail = Tuple[List[PhaseResult], Dict[str, ObjectRunStats], BandwidthTimeline]
+
+
 @dataclass
 class RunResult:
-    """The complete outcome of one simulated execution."""
+    """The complete outcome of one simulated execution.
+
+    A result made by :meth:`deferred` holds ``phases``, ``objects`` and
+    ``timeline`` as a builder instead: the first read of any of them
+    runs it once, under a per-result lock, and stores all three as plain
+    attributes.  Pickling (and copying) builds the detail first and drops
+    the builder, so a result crosses a process pool whole.
+    """
 
     workload_name: str
     config_label: str
@@ -92,6 +110,51 @@ class RunResult:
                 f"run {self.workload_name}/{self.config_label}: "
                 f"non-positive total time {self.total_time}"
             )
+
+    @classmethod
+    def deferred(
+        cls,
+        build: Callable[[], Detail],
+        *,
+        workload_name: str,
+        config_label: str,
+        total_time: float,
+        interposer_overhead_s: float = 0.0,
+        interposer_stats: Optional[InterposerStats] = None,
+    ) -> "RunResult":
+        """A result whose ``(phases, objects, timeline)`` ``build()`` returns
+        on first read; every other field is set now."""
+        result = cls.__new__(cls)
+        result.__dict__.update(
+            workload_name=workload_name,
+            config_label=config_label,
+            total_time=total_time,
+            interposer_overhead_s=interposer_overhead_s,
+            dram_cache_hit_ratio=None,
+            interposer_stats=interposer_stats,
+            _build=build,
+            _lock=threading.Lock(),
+        )
+        result.__post_init__()
+        return result
+
+    def __getattr__(self, name: str):
+        # reached only for attributes missing from __dict__: the detail
+        # of a deferred result that nobody has read yet
+        if name not in _DETAIL:
+            raise AttributeError(name)
+        with self._lock:
+            build = self.__dict__.get("_build")
+            if build is not None:
+                self.__dict__.update(zip(_DETAIL, build()))
+                del self.__dict__["_build"]
+        return self.__dict__[name]
+
+    def __getstate__(self) -> dict:
+        self.phases  # builds a deferred result's detail
+        state = dict(self.__dict__)
+        state.pop("_lock", None)
+        return state
 
     @property
     def memory_bound_fraction(self) -> float:
@@ -160,7 +223,9 @@ def run_results_identical(a: "RunResult", b: "RunResult") -> List[str]:
     floats are compared with ``==`` (no tolerance), and every dict is also
     compared on key *order* — the accumulation order is part of the
     contract — except the timeline's internal bins, whose key order is an
-    implementation detail.
+    implementation detail.  It reads ``phases``, ``objects`` and
+    ``timeline`` of both results, so a deferred result's detail is built
+    and compared, never skipped.
     """
     errors: List[str] = []
 

@@ -8,6 +8,8 @@ accumulation) each get their own exactness test so a regression points at
 the layer that broke.
 """
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -27,7 +29,7 @@ from repro.memsim.subsystem import (
 from repro.runtime.engine import FIXED_POINT_ITERS, ExecutionEngine
 from repro.runtime.plan import plan_for
 from repro.runtime.segments import build_segment_arrays
-from repro.runtime.stats import run_results_identical
+from repro.runtime.stats import RunResult, run_results_identical
 from repro.runtime.traffic import (
     PlacementTraffic,
     SegmentTraffic,
@@ -392,3 +394,48 @@ class TestZeroLengthSegments:
         assert start + duration == start  # below resolution at this start
         tl = engine._timeline(self._fake_seg_results(start, duration), 400.0)
         assert tl.peak("pmem") == 0.0
+
+
+class TestDeferredAgainstEager:
+    """``run`` results build their detail on first read; ``run_scalar``
+    results carry it from construction.  ``run_results_identical`` reads
+    every deferred field, so each differential check above compares the
+    built detail, not just the totals."""
+
+    DETAIL = {"phases", "objects", "timeline"}
+
+    def _pair(self):
+        wl = get_workload("minife")
+        system = pmem6_system()
+        placement, overrides = checkerboard_placement(wl, system.names)
+        engine = ExecutionEngine(wl, system)
+        lazy = engine.run(PlacementTraffic(wl, placement, overrides))
+        eager = engine.run_scalar(PlacementTraffic(wl, placement, overrides))
+        return lazy, eager
+
+    def test_comparison_builds_every_deferred_field(self):
+        lazy, eager = self._pair()
+        assert not self.DETAIL & set(vars(lazy))
+        assert self.DETAIL <= set(vars(eager))
+        assert run_results_identical(lazy, eager) == []
+        assert self.DETAIL <= set(vars(lazy))
+
+    @pytest.mark.parametrize("field", ["phases", "objects", "timeline"])
+    def test_comparison_sees_a_wrong_deferred_field(self, field):
+        lazy, eager = self._pair()
+        detail = {f: getattr(lazy, f) for f in self.DETAIL}
+        bad = copy.deepcopy(detail[field])
+        if field == "phases":
+            bad[0].stall_time += 1.0
+        elif field == "objects":
+            next(iter(bad.values())).live_time += 1.0
+        else:
+            bad.add_traffic("pmem", 0.0, bad.resolution, 1.0)
+        detail[field] = bad
+        wrong = RunResult.deferred(
+            lambda: (detail["phases"], detail["objects"], detail["timeline"]),
+            workload_name=lazy.workload_name,
+            config_label=lazy.config_label,
+            total_time=lazy.total_time,
+        )
+        assert run_results_identical(wrong, eager) != []
