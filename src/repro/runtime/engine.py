@@ -13,8 +13,9 @@ Every entry point — :meth:`~ExecutionEngine.run`, ``run_batch``,
   model into a ``TrafficBatch`` (every segment's per-subsystem traffic
   as (segments x subsystems) matrices);
 - ``_solve`` fuses the batches' rows — all of them, or the suffix from
-  a boundary segment on — and runs the damped fixed point over every row
-  at once, with a boolean active mask for per-row convergence;
+  a boundary segment on — and runs the damped fixed point over them at
+  once, with a boolean active mask for per-row convergence, iterating one
+  representative of each set of rows whose inputs are equal bit for bit;
 - ``_settle`` keeps each lane's converged rows as a ``RunResult`` with
   its ``total_time`` set and its phases, objects and timeline deferred:
   ``_assemble`` builds them on first read, with scatter-adds that replay
@@ -34,7 +35,7 @@ loop as the reference oracle; the two are bit-identical (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -113,6 +114,10 @@ def _majority_subsystem(byte_totals: "Dict[str, float]") -> str:
 _EMPTY_I = np.empty(0, dtype=np.int64)
 _EMPTY_F = np.empty(0, dtype=float)
 
+#: a ``TrafficBatch``'s per-row (segments x subsystems) matrices
+_ROW_FIELDS = ("loads", "stores", "serial_loads", "extra_latency_ns",
+               "present", "order_pos")
+
 
 def _fuse(batches: Sequence[TrafficBatch], start: int = 0) -> TrafficBatch:
     """Stack rows ``start:`` of every batch into one fixed-point batch.
@@ -120,23 +125,69 @@ def _fuse(batches: Sequence[TrafficBatch], start: int = 0) -> TrafficBatch:
     Only the per-row matrices the fixed point reads are stacked; object
     rows are left empty (the fixed point never touches them).
     """
-    def stack(field: str) -> np.ndarray:
-        return np.concatenate(
-            [getattr(b, field)[start:] for b in batches]
-        )
-
     return TrafficBatch(
         subsystems=list(batches[0].subsystems),
-        loads=stack("loads"),
-        stores=stack("stores"),
-        serial_loads=stack("serial_loads"),
-        extra_latency_ns=stack("extra_latency_ns"),
-        present=stack("present"),
-        order_pos=stack("order_pos"),
+        **{field: np.concatenate([getattr(b, field)[start:] for b in batches])
+           for field in _ROW_FIELDS},
         site_names=[], obj_sub_names=[],
         obj_seg=_EMPTY_I, obj_site=_EMPTY_I, obj_sub=_EMPTY_I,
         obj_loads=_EMPTY_F, obj_stores=_EMPTY_F,
     )
+
+
+#: odd 64-bit multiplier of the row hash (2**64 / golden ratio)
+_HASH_MUL = np.uint64(0x9E3779B97F4A7C15)
+_HASH_SHIFT = np.uint64(32)
+
+
+def _row_hash(key: np.ndarray) -> np.ndarray:
+    """A 64-bit mix of each row of the ``uint64`` matrix ``key``.
+
+    Only a bucketing hint: :func:`_distinct_rows` checks every grouping
+    it suggests bit for bit, so a collision costs speed, never a result.
+    """
+    h = np.zeros(key.shape[0], dtype=np.uint64)
+    for col in key.T:
+        h ^= col
+        h *= _HASH_MUL
+        h ^= h >> _HASH_SHIFT
+    return h
+
+
+def _distinct_rows(
+    compute: np.ndarray, batch: TrafficBatch, order_cols: np.ndarray
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """``(rep, inverse)`` over the rows whose solve inputs are equal bit
+    for bit, or None when every row must be solved.
+
+    A row's key is its nominal duration, its loads, stores, serial-loads
+    and extra-latency row, and its stall fold order ``order_cols``,
+    compared as ``uint64`` bit patterns (so ``-0.0`` and ``+0.0``
+    differ).  Rows are grouped by :func:`_row_hash` and the grouping is
+    then checked exactly: ``key[rep[inverse]]`` must equal ``key``.  None
+    means every row is distinct, or the hash put unequal rows together.
+    """
+    key = np.column_stack([
+        a.view(np.uint64)
+        for a in (compute, batch.loads, batch.stores, batch.serial_loads,
+                  batch.extra_latency_ns, order_cols)
+    ])
+    # np.unique(return_index=True) would sort stably, at 4x the cost;
+    # any member of a group serves as its representative
+    h = _row_hash(key)
+    order = np.argsort(h)
+    first = np.empty(h.size, dtype=bool)
+    first[:1] = True
+    sorted_h = h[order]
+    np.not_equal(sorted_h[1:], sorted_h[:-1], out=first[1:])
+    rep = order[first]
+    if rep.size == h.size:
+        return None
+    inverse = np.empty(h.size, dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    if not np.array_equal(key[rep[inverse]], key):
+        return None
+    return rep, inverse
 
 
 def _total_time(durations: np.ndarray, overhead: float) -> float:
@@ -266,22 +317,48 @@ class ExecutionEngine:
         """Run the damped fixed point over all rows of ``batch`` at once.
 
         Returns (durations, frozen per-subsystem latencies).  ``compute``
-        holds each row's nominal duration.  Per-row early convergence is a
-        boolean ``active`` mask over one full-width loop: a converged row
-        keeps its duration and its latency row frozen at the breaking
-        iteration, exactly as the scalar loop leaves ``lat_by_sub``.  (Most
-        row-iterations run on still-active rows, so gathering the active
-        rows each iteration would mostly copy full arrays; see
-        docs/PERFORMANCE.md §9.)  Within a row the stall terms
-        are folded in the scalar dict's insertion order (``order_pos``);
-        absent subsystems contribute an exact ``+0.0``, which cannot
-        perturb the running sum.
+        holds each row's nominal duration.
 
-        Every operation is per-row (elementwise, or a reduction along the
-        subsystem axis), so a row's trajectory — its convergence iteration
-        and frozen latency row — is independent of which other rows share
-        the arrays: K placements' rows, or their suffix rows, solve exactly
-        as they would alone.
+        Every operation of the iteration (:meth:`_iterate`) is per-row
+        (elementwise, or a reduction along the subsystem axis), so a row's
+        trajectory — its convergence iteration and frozen latency row —
+        depends only on its own inputs: its nominal duration, its loads,
+        stores, serial-loads and extra-latency row, and its stall fold
+        order ``order_cols`` (the scalar dict's insertion order, from
+        ``order_pos``; raw ``order_pos`` holds ``s*K + rank`` and so
+        differs between equal rows).  Rows whose inputs are equal bit for
+        bit therefore solve to bit-equal outputs, so only one
+        representative of each is iterated and the outputs are scattered
+        back through the inverse index (:func:`_distinct_rows`).  Repeated
+        timesteps and candidates that agree on most sites make most fused
+        rows copies (docs/PERFORMANCE.md §14).  If the row hash groups
+        unequal rows, every row is iterated.  Either way the outputs are
+        what each row would give alone: K placements' rows, or their
+        suffix rows, solve exactly as they would in K separate calls.
+        """
+        order_cols = np.argsort(batch.order_pos, axis=1, kind="stable")
+        distinct = _distinct_rows(compute, batch, order_cols)
+        if distinct is None:
+            return self._iterate(batch, compute, order_cols)
+        rep, inverse = distinct
+        reps = replace(batch, **{f: getattr(batch, f)[rep] for f in _ROW_FIELDS})
+        durations, lat_final = self._iterate(reps, compute[rep], order_cols[rep])
+        return durations[inverse], lat_final[inverse]
+
+    def _iterate(
+        self, batch: TrafficBatch, compute: np.ndarray, order_cols: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The damped fixed point over every row of ``batch``.
+
+        Per-row early convergence is a boolean ``active`` mask over one
+        full-width loop: a converged row keeps its duration and its latency
+        row frozen at the breaking iteration, exactly as the scalar loop
+        leaves ``lat_by_sub``.  (Most row-iterations run on still-active
+        rows, so gathering the active rows each iteration would mostly copy
+        full arrays; see docs/PERFORMANCE.md §9.)  Within a row the stall
+        terms are folded in the column order ``order_cols``; absent
+        subsystems contribute an exact ``+0.0``, which cannot perturb the
+        running sum.
         """
         wl = self.workload
         S, K = batch.loads.shape
@@ -301,7 +378,6 @@ class ExecutionEngine:
         # the saturation floor is iteration-invariant; absent subsystems
         # contribute 0.0 bytes and max() is exact, so no mask is needed
         floor = (rb / prb + wb / pwb).max(axis=1)
-        order_cols = np.argsort(batch.order_pos, axis=1, kind="stable")
 
         duration = compute.copy()
         lat_final = np.zeros((S, K))
@@ -596,10 +672,13 @@ class ExecutionEngine:
         :func:`_total_time` with ``state``'s interposer overhead — the
         exact total-time expression of :meth:`run_incremental` (and hence
         of a from-scratch :meth:`run` of the patched model).  No scalar
-        packing: cost scales with ``K * suffix rows``, not with
-        ``K * segments``.  It differs from K :meth:`run_incremental` calls
-        by the fused suffix solve and by composing no batch and no state
-        per candidate; neither builds a result's detail unless it is read.
+        packing, but :meth:`_patch_suffixes` still packs every candidate
+        over all segments, so the pack scales with ``K * segments``; only
+        the fixed point is suffix-only, and it iterates just the distinct
+        rows among the ``K * suffix rows`` (:meth:`_fixed_point_batch`).
+        It differs from K :meth:`run_incremental` calls by the fused
+        suffix solve and by composing no batch and no state per
+        candidate; neither builds a result's detail unless it is read.
         """
         self._check_boundary(boundary_seg, "predict_times_incremental")
         if not placements:
