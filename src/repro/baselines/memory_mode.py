@@ -11,6 +11,7 @@ thrash exactly as Table VI reports.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -179,6 +180,13 @@ class MemoryModeTraffic:
         ``j``-th step at once), and the thrash term's rate totals are the
         builtin ``sum`` over each segment in contribution order.
 
+        A pair's density ``-(rate / size)`` is a function of its
+        (spec row, phase) table cell, so the cells are ranked once
+        (``np.unique``: equal floats, ``-0.0`` and ``+0.0`` included, get
+        one rank) and the pairs are put in density order by one stable
+        ``argsort`` of ``segment * cells + rank``: the order a stable sort
+        by segment, then density, gives.
+
         The scalar rule keeps a contribution with stats and not both rates
         zero.  That is the plan's pack base, and its load, store and serial
         columns are this pack's, unless some rate underflowed to zero
@@ -198,12 +206,20 @@ class MemoryModeTraffic:
                 lambda has, lr, sr, pl, ps: has & ((lr != 0) | (sr != 0)))
         kseg, kinst = base.kseg, base.kinst
         row, col = rates.at(kseg, kinst)
-        rate = rates.lr_tab[row, col] + rates.sr_tab[row, col]
-        del row, col
+        rate_tab = rates.lr_tab + rates.sr_tab
+        rate = rate_tab[row, col]
         inst_fp = rates.inst_size * ranks * wl.ws_factor
         footprint = inst_fp[kinst]
 
-        order = np.lexsort((-(rate / rates.inst_size[kinst]), kseg))
+        # every instance of a spec row has the spec's size
+        row_size = np.zeros(rate_tab.shape[0], dtype=rates.inst_size.dtype)
+        row_size[rates.inst_row] = rates.inst_size
+        _, rank = np.unique(-(rate_tab / row_size[:, None]),
+                            return_inverse=True)
+        rank = rank.reshape(rate_tab.shape)
+        order = np.argsort(kseg * rate_tab.size + rank[row, col],
+                           kind="stable")
+        del row, col
         residency = np.empty(kseg.size)
         residency[order] = _greedy_residency(
             kseg[order], footprint[order],
@@ -241,22 +257,20 @@ class MemoryModeTraffic:
         loads, stores, serial = base.pl, base.ps, base.pser
         miss = 1.0 - hit
         fill_stores = 0.5 * (loads + stores) * miss
-        pmem_stores = stores * miss * WRITEBACK_COALESCING
         dram = (loads, stores + fill_stores, serial)
         del fill_stores
-        pmem = (loads * miss, pmem_stores, serial * miss)
+        pmem = (loads * miss, stores * miss * WRITEBACK_COALESCING,
+                serial * miss)
         del miss
         check_traffic_adds(dram, pmem)
         self._hit_ratios.append((loads + stores, hit))
 
         touched = bounds[1:] > bounds[:-1]
-        recorded = np.ones(kseg.size, dtype=bool)
         return two_tier_batch(
-            segments, subsystem_names, base,
+            plan, subsystem_names, base,
             dram=(kseg,) + dram, pmem=(kseg,) + pmem,
             dram_present=touched, pmem_present=touched, dram_first=touched,
-            obj_dram=(recorded, loads * hit, stores * hit),
-            obj_pmem=(recorded, pmem[0], pmem_stores),
+            objects=partial(_object_columns, base.pl, base.ps, hit),
             extra_latency_ns=(CACHE_PROBE_NS, FILL_PENALTY_NS),
         )
 
@@ -272,6 +286,16 @@ class MemoryModeTraffic:
         if total == 0:
             return None
         return builtin_sum(weights * hits) / total
+
+
+def _object_columns(loads: np.ndarray, stores: np.ndarray, hit: np.ndarray):
+    """The per-pair ``(recorded, loads, stores)`` of the ``dram`` and the
+    ``pmem`` object rows: the scalar ``record_object`` arguments, from the
+    pairs' traffic and hit ratios (every contribution records both)."""
+    recorded = np.ones(hit.size, dtype=bool)
+    miss = 1.0 - hit
+    return ((recorded, loads * hit, stores * hit),
+            (recorded, loads * miss, stores * miss * WRITEBACK_COALESCING))
 
 
 def _greedy_residency(

@@ -12,23 +12,32 @@ would build, field for field:
   from ``0.0`` exactly as the scalar ``SubsystemTraffic.add`` calls do;
   a pair that skips a bucket adds ``0.0``, which leaves every
   non-negative sum unchanged;
-- the by-object rows are the (segment, site) groups in first-touch
-  order, each emitting its ``dram`` row before its ``pmem`` row (the
-  order both models call ``record_object`` in);
+- the by-object rows, built only when first read, are the
+  (segment, site) groups in first-touch order, each emitting its
+  ``dram`` row before its ``pmem`` row (the order both models call
+  ``record_object`` in);
 - site and object-subsystem names are numbered by first appearance.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from functools import partial
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.runtime.segments import SegmentArrays
-from repro.runtime.traffic import TrafficBatch, _PlacementPackBase
+from repro.runtime.plan import WorkloadPlan
+from repro.runtime.traffic import (
+    ObjectFields,
+    TrafficBatch,
+    _PlacementPackBase,
+)
 
 #: one bucket's additions: (segment, loads, stores, serial_loads) columns
 Adds = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+#: one object row kind's per-pair (recorded, loads, stores) columns
+ObjColumns = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def builtin_sum(values: np.ndarray) -> float:
@@ -50,7 +59,7 @@ def segment_sums(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
 
 
 def two_tier_batch(
-    segments: SegmentArrays,
+    plan: WorkloadPlan,
     subsystem_names: Sequence[str],
     pairs: _PlacementPackBase,
     *,
@@ -59,8 +68,7 @@ def two_tier_batch(
     dram_present: np.ndarray,
     pmem_present: np.ndarray,
     dram_first: np.ndarray,
-    obj_dram: Tuple[np.ndarray, np.ndarray, np.ndarray],
-    obj_pmem: Tuple[np.ndarray, np.ndarray, np.ndarray],
+    objects: Callable[[], Tuple[ObjColumns, ObjColumns]],
     extra_latency_ns: Tuple[float, float] = (0.0, 0.0),
 ) -> TrafficBatch:
     """Assemble a ``TrafficBatch`` from per-pair DRAM/PMem columns.
@@ -70,12 +78,20 @@ def two_tier_batch(
     model's own keep rule.  Only its groups and site names are read.
     ``dram``/``pmem`` are each bucket's additions in call order.  The
     presence masks and ``dram_first`` (the ``dram`` bucket was created
-    before ``pmem``) are per segment.  ``obj_dram``/``obj_pmem`` are ``(recorded, loads,
+    before ``pmem``) are per segment.  ``extra_latency_ns`` is set on
+    present cells.
+
+    The row matrices are set now; the object rows are built on first
+    read (:meth:`TrafficBatch.deferred`).  ``objects()`` returns their
+    per-pair inputs ``(obj_dram, obj_pmem)``, each ``(recorded, loads,
     stores)`` per kept pair: whether the pair records that row, and its
     values; a (segment, site) group records the same rows for every
-    member.  ``extra_latency_ns`` is set on present cells.
+    member.  It should keep only what it needs to recompute them, since
+    the batch holds it until the rows are read.  Rows over a pair base
+    other than the plan's are built at once, so the batch never keeps
+    such a base alive.
     """
-    S = segments.num_segments
+    S = plan.segments.num_segments
     K = len(subsystem_names)
     colmap = {name: k for k, name in enumerate(subsystem_names)}
     d, p = colmap["dram"], colmap["pmem"]
@@ -101,7 +117,24 @@ def two_tier_batch(
         present[:, col] = here
         order_pos[:, col] = np.where(here, row_pos + rank, np.inf)
 
-    # (segment, site) groups in first-touch order
+    batch = TrafficBatch.deferred(
+        partial(_two_tier_object_rows, pairs, objects),
+        subsystems=list(subsystem_names),
+        loads=loads, stores=stores, serial_loads=serial,
+        extra_latency_ns=extra, present=present, order_pos=order_pos,
+    )
+    if pairs is not plan.pack_base:
+        batch.obj_seg  # builds the rows and lets go of the private base
+    return batch
+
+
+def _two_tier_object_rows(
+    pairs: _PlacementPackBase,
+    objects: Callable[[], Tuple[ObjColumns, ObjColumns]],
+) -> ObjectFields:
+    """The by-object rows of :func:`two_tier_batch`, per (segment, site)
+    group in first-touch order, ``dram`` row before ``pmem`` row."""
+    obj_dram, obj_pmem = objects()
     ginv, gfirst = pairs.ginv, pairs.gfirst
     gseg, gsite = pairs.obj_seg_ord, pairs.obj_site_ord
     G = gfirst.size
@@ -132,15 +165,5 @@ def two_tier_batch(
     renum = np.zeros(max(len(pairs.site_names), 1), dtype=np.int64)
     renum[site_order] = np.arange(site_order.size)
 
-    return TrafficBatch(
-        subsystems=list(subsystem_names),
-        loads=loads, stores=stores, serial_loads=serial,
-        extra_latency_ns=extra, present=present, order_pos=order_pos,
-        site_names=[pairs.site_names[i] for i in site_order.tolist()],
-        obj_sub_names=sub_names,
-        obj_seg=gseg[row_g],
-        obj_site=renum[gsite[row_g]],
-        obj_sub=obj_sub,
-        obj_loads=obj_loads,
-        obj_stores=obj_stores,
-    )
+    return ([pairs.site_names[i] for i in site_order.tolist()], sub_names,
+            gseg[row_g], renum[gsite[row_g]], obj_sub, obj_loads, obj_stores)

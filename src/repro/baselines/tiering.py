@@ -20,6 +20,7 @@ real access bits, not samples) until the effective DRAM fills.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -262,15 +263,10 @@ class TieringTraffic:
         to_pmem = ~prom & ~to_dram
         del prom
 
-        def route(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> Tuple:
-            """Per-pair (loads, stores, serial) where ``a`` takes all of
-            a column and ``b`` takes ``x`` of it; zero elsewhere."""
-            return tuple(np.where(a, v, np.where(b, v * x, 0.0))
-                         for v in (loads, stores, serial))
-
-        pmem_adds = route(to_pmem, split, kcold)
-        dram_adds = route(to_dram, split, 1 - kcold)
-        del loads, stores, serial, kcold
+        columns = (loads, stores, serial)
+        pmem_adds = _route(to_pmem, split, kcold, columns)
+        dram_adds = _route(to_dram, split, 1 - kcold, columns)
+        del loads, stores, serial, kcold, columns
         check_traffic_adds(pmem_adds, dram_adds)
 
         # migration: promoted bytes cross both devices once per occurrence
@@ -293,7 +289,6 @@ class TieringTraffic:
                 minlength=S,
             )
             migrates = (cold > 0.0) & (moved_bytes > 0)
-        del split
         window = warm_end - phase_start
         window = np.where(1e-9 > window, 1e-9, window)
         mseg = np.flatnonzero(migrates)
@@ -308,7 +303,7 @@ class TieringTraffic:
         dram_first = kb[1:] > kb[:-1]
         dram_first[dram_first] = to_dram[kb[:-1][dram_first]]
         return two_tier_batch(
-            segments, subsystem_names, base,
+            plan, subsystem_names, base,
             dram=(np.r_[kseg, mseg], np.r_[dram_adds[0], zeros],
                   np.r_[dram_adds[1], moved / 128.0],
                   np.r_[dram_adds[2], zeros]),
@@ -317,9 +312,29 @@ class TieringTraffic:
             dram_present=migrates | touches(~to_pmem),
             pmem_present=migrates | touches(~to_dram),
             dram_first=dram_first,
-            obj_dram=(~to_pmem,) + dram_adds[:2],
-            obj_pmem=(~to_dram,) + pmem_adds[:2],
+            objects=partial(_object_columns, base, scale, cold, to_dram,
+                            split),
         )
+
+
+def _route(a: np.ndarray, b: np.ndarray, x: np.ndarray,
+           columns: Tuple[np.ndarray, ...]) -> Tuple[np.ndarray, ...]:
+    """Per-pair ``columns`` where ``a`` takes all of a column and ``b``
+    takes ``x`` of it; zero elsewhere."""
+    return tuple(np.where(a, v, np.where(b, v * x, 0.0)) for v in columns)
+
+
+def _object_columns(base, scale: float, cold: np.ndarray,
+                    to_dram: np.ndarray, split: np.ndarray):
+    """The per-pair ``(recorded, loads, stores)`` of the ``dram`` and the
+    ``pmem`` object rows: the routed contributions, recomputed from the
+    routing masks and each segment's cold share."""
+    loads = base.pl * scale
+    stores = base.ps * scale
+    kcold = cold[base.kseg]
+    to_pmem = ~split & ~to_dram
+    return ((~to_pmem,) + _route(to_dram, split, 1 - kcold, (loads, stores)),
+            (~to_dram,) + _route(to_pmem, split, kcold, (loads, stores)))
 
 
 def run_tiering(

@@ -32,12 +32,19 @@ composes:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.runtime.traffic import PlacementTraffic, SegmentTraffic, TrafficBatch
+from repro.runtime.traffic import (
+    ROW_FIELDS,
+    ObjectFields,
+    PlacementTraffic,
+    SegmentTraffic,
+    TrafficBatch,
+)
 
 __all__ = [
     "PatchedPlacementTraffic",
@@ -112,7 +119,11 @@ def compose_batches(prefix: TrafficBatch, suffix: TrafficBatch, s0: int) -> Traf
     Both batches must describe the same segmentation and subsystem
     columns.  The result is bit-equal to a from-scratch scalar pack of
     the patched model: row values, canonical order positions included,
-    come verbatim from packs of the respective placements.
+    come verbatim from packs of the respective placements.  The row
+    matrices are spliced now; the object rows are spliced on first read
+    (:func:`_compose_object_rows`), which reads both batches' rows then.
+    Until that read the composed batch keeps both batches, so a chain of
+    patches keeps every link's row matrices, not its object rows.
     """
     if prefix.subsystems != suffix.subsystems:
         raise SimulationError(
@@ -125,9 +136,21 @@ def compose_batches(prefix: TrafficBatch, suffix: TrafficBatch, s0: int) -> Traf
             f"({prefix.loads.shape} vs {suffix.loads.shape})"
         )
 
-    def splice(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.concatenate([a[:s0], b[s0:]], axis=0)
+    return TrafficBatch.deferred(
+        partial(_compose_object_rows, prefix, suffix, s0),
+        subsystems=prefix.subsystems,
+        **{field: np.concatenate([getattr(prefix, field)[:s0],
+                                  getattr(suffix, field)[s0:]])
+           for field in ROW_FIELDS},
+    )
 
+
+def _compose_object_rows(
+    prefix: TrafficBatch, suffix: TrafficBatch, s0: int
+) -> ObjectFields:
+    """``prefix``'s object rows of segments ``< s0`` followed by
+    ``suffix``'s of segments ``>= s0``, renumbered onto merged name
+    tables (prefix names first)."""
     pre = _split_obj(prefix, s0, suffix=False)
     suf = _split_obj(suffix, s0, suffix=True)
 
@@ -141,21 +164,14 @@ def compose_batches(prefix: TrafficBatch, suffix: TrafficBatch, s0: int) -> Traf
     if sub_remap is not None:
         obj_sub_suf = sub_remap[obj_sub_suf]
 
-    return TrafficBatch(
-        subsystems=prefix.subsystems,
-        loads=splice(prefix.loads, suffix.loads),
-        stores=splice(prefix.stores, suffix.stores),
-        serial_loads=splice(prefix.serial_loads, suffix.serial_loads),
-        extra_latency_ns=splice(prefix.extra_latency_ns, suffix.extra_latency_ns),
-        present=splice(prefix.present, suffix.present),
-        order_pos=splice(prefix.order_pos, suffix.order_pos),
-        site_names=site_names,
-        obj_sub_names=sub_names,
-        obj_seg=np.concatenate([prefix.obj_seg[pre], suffix.obj_seg[suf]]),
-        obj_site=np.concatenate([prefix.obj_site[pre], obj_site_suf]),
-        obj_sub=np.concatenate([prefix.obj_sub[pre], obj_sub_suf]),
-        obj_loads=np.concatenate([prefix.obj_loads[pre], suffix.obj_loads[suf]]),
-        obj_stores=np.concatenate([prefix.obj_stores[pre], suffix.obj_stores[suf]]),
+    return (
+        site_names,
+        sub_names,
+        np.concatenate([prefix.obj_seg[pre], suffix.obj_seg[suf]]),
+        np.concatenate([prefix.obj_site[pre], obj_site_suf]),
+        np.concatenate([prefix.obj_sub[pre], obj_sub_suf]),
+        np.concatenate([prefix.obj_loads[pre], suffix.obj_loads[suf]]),
+        np.concatenate([prefix.obj_stores[pre], suffix.obj_stores[suf]]),
     )
 
 

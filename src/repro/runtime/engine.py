@@ -11,7 +11,9 @@ Every entry point — :meth:`~ExecutionEngine.run`, ``run_batch``,
 
 - ``_pack`` resolves plain ``{site: subsystem}`` mappings and packs each
   model into a ``TrafficBatch`` (every segment's per-subsystem traffic
-  as (segments x subsystems) matrices);
+  as (segments x subsystems) matrices; a native pack builds its
+  per-object rows only when ``_assemble`` or a composed batch reads
+  them);
 - ``_solve`` fuses the batches' rows — all of them, or the suffix from
   a boundary segment on — and runs the damped fixed point over them at
   once, with a boolean active mask for per-row convergence, iterating one
@@ -54,6 +56,7 @@ from repro.runtime.delta import (
 from repro.runtime.plan import object_rows, plan_for, site_slots
 from repro.runtime.stats import Detail, ObjectRunStats, PhaseResult, RunResult
 from repro.runtime.traffic import (
+    ROW_FIELDS,
     PlacementTraffic,
     SegmentTraffic,
     TrafficBatch,
@@ -114,11 +117,6 @@ def _majority_subsystem(byte_totals: "Dict[str, float]") -> str:
 _EMPTY_I = np.empty(0, dtype=np.int64)
 _EMPTY_F = np.empty(0, dtype=float)
 
-#: a ``TrafficBatch``'s per-row (segments x subsystems) matrices
-_ROW_FIELDS = ("loads", "stores", "serial_loads", "extra_latency_ns",
-               "present", "order_pos")
-
-
 def _fuse(batches: Sequence[TrafficBatch], start: int = 0) -> TrafficBatch:
     """Stack rows ``start:`` of every batch into one fixed-point batch.
 
@@ -128,7 +126,7 @@ def _fuse(batches: Sequence[TrafficBatch], start: int = 0) -> TrafficBatch:
     return TrafficBatch(
         subsystems=list(batches[0].subsystems),
         **{field: np.concatenate([getattr(b, field)[start:] for b in batches])
-           for field in _ROW_FIELDS},
+           for field in ROW_FIELDS},
         site_names=[], obj_sub_names=[],
         obj_seg=_EMPTY_I, obj_site=_EMPTY_I, obj_sub=_EMPTY_I,
         obj_loads=_EMPTY_F, obj_stores=_EMPTY_F,
@@ -341,7 +339,7 @@ class ExecutionEngine:
         if distinct is None:
             return self._iterate(batch, compute, order_cols)
         rep, inverse = distinct
-        reps = replace(batch, **{f: getattr(batch, f)[rep] for f in _ROW_FIELDS})
+        reps = replace(batch, **{f: getattr(batch, f)[rep] for f in ROW_FIELDS})
         durations, lat_final = self._iterate(reps, compute[rep], order_cols[rep])
         return durations[inverse], lat_final[inverse]
 

@@ -64,8 +64,10 @@ __all__ = [
 ]
 
 #: plans kept alive by the registry itself, most recently requested first
-#: (plans held by live engines stay findable through the weak index)
-PLAN_CAPACITY = 2
+#: (plans held by live engines stay findable through the weak index):
+#: the 7 registered applications and one variant, so a sweep that
+#: interleaves them builds each plan once
+PLAN_CAPACITY = 8
 
 
 @dataclass

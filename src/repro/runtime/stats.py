@@ -13,7 +13,6 @@ first read (:meth:`RunResult.deferred`).
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -23,6 +22,7 @@ from repro.errors import SimulationError
 from repro.advisor.model import BandwidthObservation
 from repro.alloc.interposer import InterposerStats
 from repro.memsim.bandwidth import BandwidthTimeline
+from repro.runtime.deferred import Deferred
 
 
 @dataclass
@@ -75,22 +75,21 @@ class ObjectRunStats:
         return self.live_time / self.alloc_count if self.alloc_count else 0.0
 
 
-#: the fields a deferred :class:`RunResult` builds on first read
-_DETAIL = ("phases", "objects", "timeline")
-
 Detail = Tuple[List[PhaseResult], Dict[str, ObjectRunStats], BandwidthTimeline]
 
 
 @dataclass
-class RunResult:
+class RunResult(Deferred):
     """The complete outcome of one simulated execution.
 
     A result made by :meth:`deferred` holds ``phases``, ``objects`` and
-    ``timeline`` as a builder instead: the first read of any of them
-    runs it once, under a per-result lock, and stores all three as plain
-    attributes.  Pickling (and copying) builds the detail first and drops
-    the builder, so a result crosses a process pool whole.
+    ``timeline`` as a builder instead (:class:`Deferred`): the first read
+    of any of them runs it once, under a per-result lock, and stores all
+    three as plain attributes.  Pickling (and copying) builds the detail
+    first and drops the builder, so a result crosses a process pool whole.
     """
+
+    _DEFERRED = ("phases", "objects", "timeline")
 
     workload_name: str
     config_label: str
@@ -124,37 +123,17 @@ class RunResult:
     ) -> "RunResult":
         """A result whose ``(phases, objects, timeline)`` ``build()`` returns
         on first read; every other field is set now."""
-        result = cls.__new__(cls)
-        result.__dict__.update(
+        result = cls._defer(
+            build,
             workload_name=workload_name,
             config_label=config_label,
             total_time=total_time,
             interposer_overhead_s=interposer_overhead_s,
             dram_cache_hit_ratio=None,
             interposer_stats=interposer_stats,
-            _build=build,
-            _lock=threading.Lock(),
         )
         result.__post_init__()
         return result
-
-    def __getattr__(self, name: str):
-        # reached only for attributes missing from __dict__: the detail
-        # of a deferred result that nobody has read yet
-        if name not in _DETAIL:
-            raise AttributeError(name)
-        with self._lock:
-            build = self.__dict__.get("_build")
-            if build is not None:
-                self.__dict__.update(zip(_DETAIL, build()))
-                del self.__dict__["_build"]
-        return self.__dict__[name]
-
-    def __getstate__(self) -> dict:
-        self.phases  # builds a deferred result's detail
-        state = dict(self.__dict__)
-        state.pop("_lock", None)
-        return state
 
     @property
     def memory_bound_fraction(self) -> float:

@@ -12,6 +12,7 @@ compares.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -29,6 +30,7 @@ import numpy as np
 from repro.errors import SimulationError
 from repro.apps.workload import InstanceSpan, Workload
 from repro.profiling.metrics import LINE_BYTES
+from repro.runtime.deferred import Deferred
 from repro.runtime.segments import SegmentArrays
 
 if TYPE_CHECKING:  # pragma: no cover - the plan module imports this one
@@ -97,8 +99,21 @@ class SegmentTraffic:
         self.by_object[key] = (prev[0] + loads, prev[1] + stores)
 
 
+#: a ``TrafficBatch``'s per-row (segments x subsystems) matrices
+ROW_FIELDS = ("loads", "stores", "serial_loads", "extra_latency_ns",
+              "present", "order_pos")
+
+#: a ``TrafficBatch``'s object rows, in :meth:`TrafficBatch.deferred`'s
+#: builder order
+OBJECT_FIELDS = ("site_names", "obj_sub_names", "obj_seg", "obj_site",
+                 "obj_sub", "obj_loads", "obj_stores")
+
+ObjectFields = Tuple[List[str], List[str], np.ndarray, np.ndarray,
+                     np.ndarray, np.ndarray, np.ndarray]
+
+
 @dataclass
-class TrafficBatch:
+class TrafficBatch(Deferred):
     """All segments' traffic as matrices (the batched ``SegmentTraffic``).
 
     Matrices are (num_segments, num_subsystems) with the column order of
@@ -115,7 +130,18 @@ class TrafficBatch:
     per (segment, site, subsystem) key with the segment-summed loads and
     stores, ordered by segment and then by first touch within the segment
     (the scalar dict iteration order).
+
+    The fused fixed point reads only the row matrices.  The object rows
+    serve the result assembly and :func:`~repro.runtime.delta.compose_batches`,
+    and most packs are never assembled, so every native pack is made by
+    :meth:`deferred`: its row matrices are set at once and its object rows
+    (``site_names``, ``obj_sub_names`` and the ``obj_*`` arrays) are built
+    on their first read, once, under a per-batch lock (:class:`Deferred`).
+    A builder keeps only the inputs it needs; the values it builds are the
+    eager pack's, computed by the same code, later.
     """
+
+    _DEFERRED = OBJECT_FIELDS
 
     subsystems: List[str]
     loads: np.ndarray            # (S, K)
@@ -131,6 +157,26 @@ class TrafficBatch:
     obj_sub: np.ndarray          # (M,) int64 -> obj_sub_names
     obj_loads: np.ndarray        # (M,)
     obj_stores: np.ndarray       # (M,)
+
+    @classmethod
+    def deferred(
+        cls,
+        build: Callable[[], ObjectFields],
+        *,
+        subsystems: List[str],
+        loads: np.ndarray,
+        stores: np.ndarray,
+        serial_loads: np.ndarray,
+        extra_latency_ns: np.ndarray,
+        present: np.ndarray,
+        order_pos: np.ndarray,
+    ) -> "TrafficBatch":
+        """A batch whose object rows (:data:`OBJECT_FIELDS`, in order)
+        ``build()`` returns on first read; the row matrices are set now."""
+        return cls._defer(
+            build, subsystems=subsystems, loads=loads, stores=stores,
+            serial_loads=serial_loads, extra_latency_ns=extra_latency_ns,
+            present=present, order_pos=order_pos)
 
     @property
     def read_bytes(self) -> np.ndarray:
@@ -338,7 +384,9 @@ class PlacementTraffic:
         placement — the kept (segment, instance) pairs and their load/store
         contributions — is the workload plan's :class:`_PlacementPackBase`,
         shared by every placement of every engine over the plan, which is
-        what makes packing K candidate placements nearly free.
+        what makes packing K candidate placements nearly free.  The object
+        rows are built on first read (:func:`_placement_object_rows`), from
+        the per-instance columns alone.
         """
         base = plan.pack_base
         K = len(subsystem_names)
@@ -382,60 +430,69 @@ class PlacementTraffic:
         for j in range(K):
             order_pos += first[:, j:j + 1] < first
 
-        # Per-(segment, site, subsystem) sums in first-touch order.  The
-        # (segment, site) grouping is placement-independent and precomputed
-        # in the base; a placement only assigns each group a column.  A
-        # group whose pairs all land on its first pair's column (always,
-        # without per-instance overrides) is one row whose sums are the
-        # base's, so without split groups the per-placement work is one
-        # small gather.  Overrides that split a group give it one row per
-        # column, first touch first, summed over its own pairs in pair
-        # order, and those rows are merged into the base rows by first
-        # touch.
-        gcol = (kcol[base.gfirst] if base.gfirst.size
-                else np.zeros(0, dtype=np.int64))
-        obj_seg = base.obj_seg_ord
-        obj_site = base.obj_site_ord
-        obj_sub = gcol
-        obj_loads = base.obj_loads_ord
-        obj_stores = base.obj_stores_ord
-        if self.instance_placement:
-            off = base.ginv[kcol != gcol[base.ginv]]
-            if off.size:
-                split = np.zeros(gcol.size, dtype=bool)
-                split[off] = True
-                members = np.flatnonzero(split[base.ginv])
-                key, key_first, inv = np.unique(
-                    base.ginv[members] * K + kcol[members],
-                    return_index=True, return_inverse=True)
-                lead = members[key_first]  # each new row's first pair
-                by_pos = np.argsort(lead, kind="stable")
-                kept = np.flatnonzero(~split)
-                at = np.searchsorted(base.gfirst[kept], lead[by_pos])
-
-                def merge(whole: np.ndarray, new: np.ndarray) -> np.ndarray:
-                    return np.insert(whole[kept], at, new[by_pos])
-
-                obj_seg = merge(obj_seg, kseg[lead])
-                obj_site = merge(obj_site, base.inst_site[base.kinst[lead]])
-                obj_sub = merge(obj_sub, key % K)
-                obj_loads = merge(obj_loads, np.bincount(
-                    inv, weights=base.pl[members], minlength=key.size))
-                obj_stores = merge(obj_stores, np.bincount(
-                    inv, weights=base.ps[members], minlength=key.size))
-        return TrafficBatch(
+        return TrafficBatch.deferred(
+            partial(_placement_object_rows, base, inst_col,
+                    list(subsystem_names), bool(self.instance_placement)),
             subsystems=list(subsystem_names),
             loads=loads, stores=stores, serial_loads=serial,
             extra_latency_ns=np.zeros((S, K)),
             present=present, order_pos=order_pos,
-            site_names=list(base.site_names),
-            obj_sub_names=list(subsystem_names),
-            obj_seg=obj_seg,
-            obj_site=obj_site,
-            obj_sub=obj_sub,
-            obj_loads=obj_loads,
-            obj_stores=obj_stores,
         )
+
+
+def _placement_object_rows(
+    base: "_PlacementPackBase",
+    inst_col: np.ndarray,
+    subsystem_names: List[str],
+    overrides: bool,
+) -> ObjectFields:
+    """An app-direct pack's object rows, from each instance's column.
+
+    Per-(segment, site, subsystem) sums in first-touch order.  The
+    (segment, site) grouping is placement-independent and precomputed in
+    the base; a placement only assigns each group a column.  A group
+    whose pairs all land on its first pair's column (always, without
+    per-instance ``overrides``) is one row whose sums are the base's, so
+    without split groups the rows are the base's own arrays plus one
+    small gather.  Overrides that split a group give it one row per
+    column, first touch first, summed over its own pairs in pair order,
+    and those rows are merged into the base rows by first touch.
+    """
+    K = len(subsystem_names)
+    gcol = (inst_col[base.kinst[base.gfirst]] if base.gfirst.size
+            else np.zeros(0, dtype=np.int64))
+    obj_seg = base.obj_seg_ord
+    obj_site = base.obj_site_ord
+    obj_sub = gcol
+    obj_loads = base.obj_loads_ord
+    obj_stores = base.obj_stores_ord
+    if overrides:
+        kcol = inst_col[base.kinst]
+        off = base.ginv[kcol != gcol[base.ginv]]
+        if off.size:
+            split = np.zeros(gcol.size, dtype=bool)
+            split[off] = True
+            members = np.flatnonzero(split[base.ginv])
+            key, key_first, inv = np.unique(
+                base.ginv[members] * K + kcol[members],
+                return_index=True, return_inverse=True)
+            lead = members[key_first]  # each new row's first pair
+            by_pos = np.argsort(lead, kind="stable")
+            kept = np.flatnonzero(~split)
+            at = np.searchsorted(base.gfirst[kept], lead[by_pos])
+
+            def merge(whole: np.ndarray, new: np.ndarray) -> np.ndarray:
+                return np.insert(whole[kept], at, new[by_pos])
+
+            obj_seg = merge(obj_seg, base.kseg[lead])
+            obj_site = merge(obj_site, base.inst_site[base.kinst[lead]])
+            obj_sub = merge(obj_sub, key % K)
+            obj_loads = merge(obj_loads, np.bincount(
+                inv, weights=base.pl[members], minlength=key.size))
+            obj_stores = merge(obj_stores, np.bincount(
+                inv, weights=base.ps[members], minlength=key.size))
+    return (list(base.site_names), list(subsystem_names), obj_seg, obj_site,
+            obj_sub, obj_loads, obj_stores)
 
 
 @dataclass

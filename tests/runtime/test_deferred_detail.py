@@ -17,6 +17,7 @@ import pytest
 from repro.apps.registry import get_workload
 from repro.experiments import fig6_sweep, tab8_full_apps
 from repro.memsim.subsystem import pmem6_system
+from repro.runtime import plan as plan_mod
 from repro.runtime.engine import ExecutionEngine
 from repro.runtime.plan import REGISTRY
 from repro.runtime.stats import run_results_identical
@@ -51,10 +52,12 @@ def _eager(wl):
     return ExecutionEngine(wl, pmem6_system()).run_scalar(_model(wl))
 
 
-def test_unread_result_outlives_its_plan_and_later_runs(assembled):
+def test_unread_result_outlives_its_plan_and_later_runs(assembled,
+                                                         monkeypatch):
     """A LULESH and a MiniFE result read after two other workloads pushed
-    their plans out of the LRU, and after more runs on the same engines,
-    build exactly what the scalar oracle builds."""
+    their plans out of a 2-plan LRU, and after more runs on the same
+    engines, build exactly what the scalar oracle builds."""
+    monkeypatch.setattr(plan_mod, "PLAN_CAPACITY", 2)
     system = pmem6_system()
     pending = []
     for name in ("lulesh", "minife"):

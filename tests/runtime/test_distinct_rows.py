@@ -20,7 +20,7 @@ from repro.memsim.subsystem import pmem2_system, pmem6_system
 from repro.runtime import engine as engine_mod
 from repro.runtime.engine import ExecutionEngine
 from repro.runtime.stats import run_results_identical
-from repro.runtime.traffic import PlacementTraffic
+from repro.runtime.traffic import ROW_FIELDS, PlacementTraffic
 
 from tests.runtime.test_engine_vectorized import checkerboard_placement
 
@@ -91,7 +91,7 @@ def _row_pair(engine, batch, r):
     two = engine_mod._fuse([batch, batch])
     S = batch.loads.shape[0]
     rows = [r, S + r]
-    pair = {f: getattr(two, f)[rows].copy() for f in engine_mod._ROW_FIELDS}
+    pair = {f: getattr(two, f)[rows].copy() for f in ROW_FIELDS}
     nominal = engine._segment_arrays.durations_nominal[r]
     return pair, np.array([nominal, nominal])
 

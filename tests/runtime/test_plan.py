@@ -8,8 +8,10 @@ bit-identical to an engine built from an empty registry.
 """
 
 import dataclasses
+import functools
 import gc
 import hashlib
+import random
 import sys
 import threading
 import weakref
@@ -216,6 +218,27 @@ def test_paper_round_builds_each_plan_once(registry):
     tab8_full_apps.compute_tab8(seed=11, jobs=1)
     assert registry.builds <= 7
     assert registry.hits >= 40
+
+
+def test_shuffled_rounds_keep_every_plan(registry):
+    """Two Figure 6 + Table VIII rounds with their calls shuffled, as the
+    paper-sweep benchmark orders them: the first round builds the 7
+    applications' plans once each, and the second builds none."""
+    calls = [functools.partial(fig6_sweep.compute_fig6, apps=[app],
+                               pmem_configs=(dimms,), seed=11, jobs=1)
+             for app in fig6_sweep.MINIAPPS for dimms in (6, 2)]
+    calls.append(functools.partial(tab8_full_apps.compute_tab8, seed=11,
+                                   jobs=1))
+    rng = random.Random(5)
+    builds = []
+    for _ in range(2):
+        rng.shuffle(calls)
+        before = registry.builds
+        for call in calls:
+            call()
+        builds.append(registry.builds - before)
+    assert builds == [7, 0]
+    assert registry.evictions == 0
 
 
 # -- exactness --------------------------------------------------------------------
