@@ -110,7 +110,8 @@ class SiteRegistry:
 
 @dataclass
 class ProcessImage:
-    """One process's address space plus cached per-site call stacks."""
+    """One process's address space plus cached per-site call stacks and
+    site keys."""
 
     registry: SiteRegistry
     space: AddressSpace
@@ -118,6 +119,7 @@ class ProcessImage:
 
     def __post_init__(self) -> None:
         self._stacks: Dict[str, CallStack] = {}
+        self._keys: Dict[Tuple[str, StackFormat], Tuple] = {}
 
     def callstack(self, site: AllocationSite) -> CallStack:
         """The raw call stack this process captures at ``site``."""
@@ -133,5 +135,13 @@ class ProcessImage:
         return stack
 
     def site_key(self, site: AllocationSite, fmt: StackFormat) -> Tuple:
-        """The stable (BOM/HUMAN) key of a site as seen by this process."""
-        return self.callstack(site).key(self.space, fmt)
+        """The stable (BOM/HUMAN) key of a site as seen by this process.
+
+        Translated once per site and format: every instance of a site
+        shares its key.
+        """
+        key = self._keys.get((site.name, fmt))
+        if key is None:
+            key = self.callstack(site).key(self.space, fmt)
+            self._keys[(site.name, fmt)] = key
+        return key

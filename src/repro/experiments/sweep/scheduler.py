@@ -191,9 +191,12 @@ def run_scheduled(
     attempts: Dict[int, int] = {i: 0 for i in pending}
     while pending:
         pool = ProcessPoolExecutor(max_workers=min(jobs, len(pending)))
-        futures = {pool.submit(_timed_call, fn, specs[i]): i for i in pending}
         completed: set = set()
         try:
+            # a worker can die before every cell is submitted: submit
+            # raises, and the unsubmitted cells retry with the rest
+            futures = {pool.submit(_timed_call, fn, specs[i]): i
+                       for i in pending}
             not_done = set(futures)
             while not_done:
                 finished, not_done = wait(not_done,

@@ -172,17 +172,14 @@ class PEBSSampler:
             out[key] = ts
         return out
 
-    def timestamps_flat(self, start: float, end: float,
-                        counts: np.ndarray) -> np.ndarray:
-        """Flat form of :meth:`sample_timestamps` for vectorized callers.
+    def timestamps_flat(self, start: float, end: float, n: int) -> np.ndarray:
+        """Flat, unsorted form of :meth:`sample_timestamps` for vectorized
+        callers: the timestamps of a batch's ``n`` samples, keys in batch
+        order.
 
-        ``counts`` holds the (positive) per-key sample counts in batch
-        order.  One uniform draw covers every key — consecutive uniform
-        calls read the bit stream sequentially, so one draw of the total
-        splits into the same per-key values — and one segmented sort
-        orders each key's run, reproducing the per-key ``sort()``
-        (sorted values are unique up to equal values).
+        One uniform draw covers every key — consecutive uniform calls
+        read the bit stream sequentially, so one draw of the total splits
+        into the same per-key values.  Sorting each key's run reproduces
+        the per-key ``sort()``; the caller does it, once over all batches.
         """
-        ts = self._rng.uniform(start, end, size=int(counts.sum()))
-        seg = np.repeat(np.arange(counts.size), counts)
-        return ts[np.lexsort((ts, seg))]
+        return self._rng.uniform(start, end, size=n)

@@ -12,30 +12,41 @@ stores) are properties of the cache hierarchy above the placement, so the
 profile is placement-independent, exactly the property the paper's
 workflow relies on (profile once, place, run).
 
-One window loop (alloc/free edges, then per window and counter the PEBS
-draws) feeds one of two sinks:
+The vectorized path runs in three phases, which both sinks share:
 
-- :meth:`ExtraeTracer.run` — the trace sink.  Allocations go through
-  the profiling heap, sample addresses are built from offsets the sink
-  draws, resolved through :meth:`LiveObjectTable.lookup_batch`, and
-  batches append to the trace's columnar storage.
+1. Before the window loop, once over all windows: the true event counts
+   of every live (window, instance) pair as flat NumPy columns (span
+   overlap geometry via ``searchsorted``), each window's pairs in live
+   order (the alloc-edge order: start time, then column), weighted by
+   visibility and rank jitter, and the pairs with events to sample.
+2. The loop makes only the PEBS sampler's generator calls, per window
+   and counter, with the scalar oracle's arguments in its order:
+   ``poisson``, ``multinomial``, then the timestamps' ``uniform``.
+3. After the loop, once over all windows: the clip of each sample time
+   to its instance's live span, then the sink.
+
+- :meth:`ExtraeTracer.run` — the trace sink sorts each key's
+  timestamps, then walks the alloc/free edges through the profiling
+  heap, handing each window its ready-made batches.  Sample addresses
+  are built from offsets the sink draws, resolved through
+  :meth:`LiveObjectTable.lookup_batch`, and batches append to the
+  trace's columnar storage.
 - :meth:`ExtraeTracer.profile` — the profile sink, which returns exactly
   ``Paramedir().analyze(self.run(...))`` without building a trace.  Each
   drawn sample already knows its live instance and so its site, so the
   sink keeps Paramedir's per-site sums directly: structural fields from
-  the sorted alloc/free edges (the order ``analyze`` replays them in),
-  sample sums from each window's batch, stable-sorted by time.  No heap,
-  no live-object table, no event objects, and no offset or latency
-  draws: a profile reads neither.
+  the instances in bulk, in the edge orders ``analyze`` replays, and
+  sample sums in one pass over all windows.  No heap, no live-object
+  table, no event objects, no timestamp sort, and no offset or latency
+  draws: a profile reads none of them.
 
-The window loop is vectorized: the true event counts of every live
-(window, instance) pair are precomputed as flat NumPy columns (span
-overlap geometry via ``searchsorted``).  Sample offsets and load
-latencies belong to the trace sink alone, which draws them in the scalar
-RNG call order: per key for loads, and one call with per-sample bounds
-for a window's stores.  :meth:`ExtraeTracer.run_scalar` — the
-original per-event loop — is kept as the equivalence oracle (same
-pattern as ``SetAssociativeCache.access_stream_scalar``).
+Each generator keeps its own call order: the sampler's (in the loop),
+the rank jitter's (before it) and the trace sink's sample offsets and
+load latencies, which it draws in the scalar RNG call order: per key for
+loads, and one call with per-sample bounds for a window's stores.
+:meth:`ExtraeTracer.run_scalar` — the original per-event loop — is kept
+as the equivalence oracle (same pattern as
+``SetAssociativeCache.access_stream_scalar``).
 
 All paths draw from per-run generators derived from ``(config.seed,
 rank)``, so a rank's trace never depends on which ranks were profiled
@@ -49,7 +60,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -72,6 +83,8 @@ _PROFILING_HEAP_BASE = 0x0800_0000_0000
 
 _LOAD = HardwareCounter.LLC_LOAD_MISS
 _STORE = HardwareCounter.ALL_STORES
+#: the per-window counter order
+_COUNTERS = (_LOAD, _STORE)
 
 
 @dataclass(frozen=True)
@@ -164,46 +177,15 @@ class ExtraeTracer:
         instances = wl.instances()
         sink = sink_cls(self, process, rank, instances)
         sampler = PEBSSampler(self.config.pebs)
-
-        # Timeline of alloc/free edges (by instance column), processed in
-        # time order so the live set is correct at every sampling window.
-        edges: List[Tuple[float, int, int]] = []
-        for col, inst in enumerate(instances):
-            edges.append((inst.start, 0, col))  # 0 = alloc sorts before free
-            edges.append((inst.end, 1, col))
-        edges.sort(key=lambda e: (e[0], e[1]))
-
         win_lo, win_hi = self._window_edges(wl.nominal_duration)
-        geometry = None
         if vectorized:
-            geometry = self._live_event_counts(win_lo, win_hi, instances)
+            return sink.consume(
+                self._draw_windows(win_lo, win_hi, instances, sampler))
 
-        # instance column -> instance, in allocation order (the per-key
-        # draw order)
-        live: Dict[int, InstanceSpan] = {}
-        edge_i = 0
-        n_edges = len(edges)
-        for wi in range(len(win_lo)):
-            lo, hi = win_lo[wi], win_hi[wi]
-            # apply all edges up to the *start* of the window, then sample,
-            # then apply intra-window edges at window end (coarse but keeps
-            # the live set consistent with overlap-based counts below)
-            while edge_i < n_edges and edges[edge_i][0] <= lo:
-                self._apply_edge(edges[edge_i], instances, live, sink)
-                edge_i += 1
-            if vectorized:
-                self._sample_window_vec(wi, lo, hi, live, sampler, sink,
-                                        geometry)
-            else:
-                self._sample_window(lo, hi, live, sampler, sink)
-            # edges strictly inside the window
-            while edge_i < n_edges and edges[edge_i][0] < hi:
-                self._apply_edge(edges[edge_i], instances, live, sink)
-                edge_i += 1
-        # drain remaining frees at the end of the run
-        while edge_i < n_edges:
-            self._apply_edge(edges[edge_i], instances, live, sink)
-            edge_i += 1
+        def sample(wi: int, live: Dict[int, InstanceSpan]) -> None:
+            self._sample_window(win_lo[wi], win_hi[wi], live, sampler, sink)
+
+        _walk_edges(instances, win_lo, sink, sample)
         return sink.finish()
 
     # -- internals ------------------------------------------------------------
@@ -222,21 +204,7 @@ class ExtraeTracer:
             t = w_end
         return lo, hi
 
-    @staticmethod
-    def _apply_edge(edge, instances, live, sink) -> None:
-        time_, kind, col = edge
-        inst = instances[col]
-        if kind == 0:
-            live[col] = inst
-            sink.alloc(time_, col, inst)
-        else:
-            if live.pop(col, None) is None:
-                raise TraceError(
-                    f"free of never-allocated instance "
-                    f"{(inst.spec.site.name, inst.index)}")
-            sink.free(time_, col, inst)
-
-    # -- vectorized window geometry -------------------------------------------
+    # -- vectorized window loop -----------------------------------------------
 
     def _live_event_counts(self, win_lo: List[float], win_hi: List[float],
                            instances: List[InstanceSpan]) -> dict:
@@ -252,39 +220,46 @@ class ExtraeTracer:
 
         The window loop samples an instance in window ``w`` exactly when
         ``start <= lo[w] < end`` (its alloc edge is applied and its free
-        edge is not), so only those pairs are kept: flat, window-major,
-        instances ascending within a window (``pair_bounds[w]`` is window
-        ``w``'s first pair).  Each pair receives the same additions, in the
-        same order, as a dense (windows x instances) matrix would, whose
-        other entries are never read.
+        edge is not), so only those pairs are kept: flat, window-major
+        (``pair_bounds[w]`` is window ``w``'s first pair).  Within a window
+        the pairs come in live order, the order of the alloc edges (start
+        time, then column): instances are ranked in that order
+        (``order[rank]`` is the column) and ``pair_inst`` holds ranks.
+        Each pair receives the same additions, in the same order, as a
+        dense (windows x instances) matrix would, whose other entries are
+        never read.
         """
         lo = np.asarray(win_lo)
         hi = np.asarray(win_hi)
         starts = np.array([i.start for i in instances])
         ends = np.array([i.end for i in instances])
+        order = np.argsort(starts, kind="stable")
+        r_starts, r_ends = starts[order], ends[order]
         n_w, n_i = lo.size, len(instances)
-        first = np.searchsorted(lo, starts, side="left")
-        counts = np.maximum(np.searchsorted(lo, ends, side="left") - first, 0)
+        first = np.searchsorted(lo, r_starts, side="left")
+        counts = np.maximum(np.searchsorted(lo, r_ends, side="left") - first, 0)
         pair_inst = np.repeat(np.arange(n_i), counts)
         pair_win = np.arange(pair_inst.size) + np.repeat(
             first - (np.cumsum(counts) - counts), counts)
-        order = np.lexsort((pair_inst, pair_win))
-        pair_inst, pair_win = pair_inst[order], pair_win[order]
-        del order
+        by_win = np.argsort(pair_win, kind="stable")
+        pair_inst, pair_win = pair_inst[by_win], pair_win[by_win]
         pair_bounds = np.searchsorted(pair_win, np.arange(n_w + 1))
         e_load = np.zeros(pair_inst.size)
         e_store = np.zeros(pair_inst.size)
+        # an instance has its object spec's per-phase rates
+        objects = self.workload.objects
+        obj_idx = {id(obj): k for k, obj in enumerate(objects)}
+        obj_of = np.array([obj_idx[id(i.spec)] for i in instances],
+                          dtype=np.intp)[order]
         rates: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
         for span in self.workload.spans:
             pair = rates.get(span.name)
             if pair is None:
-                rl = np.zeros(n_i)
-                rs = np.zeros(n_i)
-                for i, inst in enumerate(instances):
-                    stats = inst.spec.access.get(span.name)
-                    if stats is not None:
-                        rl[i] = stats.load_rate
-                        rs[i] = stats.sampled_store_rate
+                stats = [obj.access.get(span.name) for obj in objects]
+                rl = np.array([0.0 if st is None else st.load_rate
+                               for st in stats])[obj_of]
+                rs = np.array([0.0 if st is None else st.sampled_store_rate
+                               for st in stats])[obj_of]
                 pair = rates[span.name] = (rl, rs)
             rl, rs = pair
             # windows overlapping this span: first with hi > span.start,
@@ -295,64 +270,94 @@ class ExtraeTracer:
                 continue
             p0, p1 = pair_bounds[w0], pair_bounds[w1]
             w, i = pair_win[p0:p1], pair_inst[p0:p1]
-            seg_lo = np.maximum(np.maximum(lo[w], span.start), starts[i])
-            seg_hi = np.minimum(np.minimum(hi[w], span.end), ends[i])
+            seg_lo = np.maximum(np.maximum(lo[w], span.start), r_starts[i])
+            seg_hi = np.minimum(np.minimum(hi[w], span.end), r_ends[i])
             dt = seg_hi - seg_lo
             np.maximum(dt, 0.0, out=dt)
             e_load[p0:p1] += rl[i] * dt
             e_store[p0:p1] += rs[i] * dt
-        vis = np.array([i.spec.sampling_visibility for i in instances])
+        vis = np.array([obj.sampling_visibility for obj in objects])[obj_of]
         return {"load": e_load, "store": e_store, "pair_inst": pair_inst,
-                "pair_bounds": pair_bounds, "vis": vis,
+                "pair_bounds": pair_bounds, "vis": vis, "order": order,
                 "starts": starts, "ends": ends}
 
-    def _sample_window_vec(self, wi, lo, hi, live, sampler, sink,
-                           geometry) -> None:
-        if not live:
-            return
-        n = len(live)
-        idx = np.fromiter(live, dtype=np.intp, count=n)
-        vis = geometry["vis"][idx]
-        # clip each key's live span to the window: a sample on a freed
-        # object would be unmatchable
-        t_lo = np.maximum(lo, geometry["starts"][idx])
-        t_hi = np.minimum(hi, geometry["ends"][idx])
-        span = hi - lo
-        # the live keys' pairs of this window
-        p0, p1 = geometry["pair_bounds"][wi:wi + 2]
-        pos = p0 + np.searchsorted(geometry["pair_inst"][p0:p1], idx)
-        for counter, counts_of in ((_LOAD, geometry["load"]),
-                                   (_STORE, geometry["store"])):
-            events = counts_of[pos] * vis
-            if self.config.rank_jitter > 0.0:
-                events = events * self._rank_rng.lognormal(
-                    0.0, self.config.rank_jitter, size=n)
-            fpos = np.flatnonzero(events > 0)
-            if fpos.size == 0:
-                continue
-            total, n_samples, draws = sampler.sample_counts(
-                lo, hi, events[fpos])
-            if n_samples == 0:
-                continue
-            # adaptive period: events represented per delivered sample
-            weight = total / n_samples
-            ppos = np.flatnonzero(draws > 0)
-            sel = fpos[ppos]
-            counts = draws[ppos]
-            ts_all = sampler.timestamps_flat(lo, hi, counts)
-            tl = t_lo[sel]
-            th = t_hi[sel]
-            ok = th > tl
-            if not ok.all():
-                # a key whose live span misses the window draws no
-                # samples (the scalar guard) and its timestamps are dropped
-                ts_all = ts_all[np.repeat(ok, counts)]
-                sel, counts, tl, th = sel[ok], counts[ok], tl[ok], th[ok]
-                if sel.size == 0:
+    def _draw_windows(self, win_lo: List[float], win_hi: List[float],
+                      instances: List[InstanceSpan], sampler: PEBSSampler
+                      ) -> "_WindowSamples":
+        """Every window's PEBS draws, in three phases.
+
+        Before the loop, once over all windows: each window's live pairs
+        in live order with their visibility-weighted event counts, the
+        rank jitter (the rank generator's own calls, in the scalar order:
+        per window with live instances, one ``lognormal`` per counter),
+        and the ``> 0`` pairs each counter's sampler sees.  The loop makes
+        only the sampler's calls, per window and counter, with the scalar
+        arguments on the same 1-D weights: :meth:`PEBSSampler.sample_counts`
+        (``poisson``, ``multinomial``) then the timestamps' ``uniform``.
+        Everything else happens after it (:class:`_WindowSamples`).
+        """
+        geo = self._live_event_counts(win_lo, win_hi, instances)
+        bounds = geo["pair_bounds"]
+        vis = geo["vis"][geo["pair_inst"]]
+        jitter = self.config.rank_jitter
+        factors: Tuple[List[np.ndarray], ...] = ([], [])
+        if jitter > 0.0:
+            for n in np.diff(bounds).tolist():
+                if n:
+                    for per_counter in factors:
+                        per_counter.append(self._rank_rng.lognormal(
+                            0.0, jitter, size=n))
+        kept: List[np.ndarray] = []
+        weights: List[np.ndarray] = []
+        kept_at: List[List[int]] = []
+        for name, jit in zip(("load", "store"), factors):
+            events = geo.pop(name) * vis
+            if jit:
+                events = events * np.concatenate(jit)
+            pos = np.flatnonzero(events > 0)
+            kept.append(pos)
+            weights.append(events[pos])
+            kept_at.append(np.searchsorted(pos, bounds).tolist())
+
+        # Per counter, the loop records each kept pair's sample count (0
+        # where its window does not fire), each firing window's index,
+        # weight and sample count, and the timestamps in one buffer,
+        # grown on demand: thousands of per-window arrays held until the
+        # loop ends fragment the heap.
+        drawn = [np.zeros(pos.size, dtype=np.int64) for pos in kept]
+        fired_win: Tuple[List[int], List[int]] = ([], [])
+        fired_weight: Tuple[List[float], List[float]] = ([], [])
+        fired_n: Tuple[List[int], List[int]] = ([], [])
+        capacity = _stamps_capacity(self.config.pebs.frequency_hz,
+                                    self.workload.nominal_duration)
+        stamps = [np.empty(capacity) for _ in kept]
+        used = [0, 0]
+        sample_counts = sampler.sample_counts
+        timestamps = sampler.timestamps_flat
+        for wi, (lo, hi) in enumerate(zip(win_lo, win_hi)):
+            for k in (0, 1):
+                a, b = kept_at[k][wi], kept_at[k][wi + 1]
+                if a == b:
                     continue
-            seg = np.repeat(np.arange(sel.size), counts)
-            times = tl[seg] + (ts_all - lo) * (th - tl)[seg] / span
-            sink.samples(counter, idx[sel], counts, times, weight)
+                total, n, counts = sample_counts(lo, hi, weights[k][a:b])
+                if n:
+                    drawn[k][a:b] = counts
+                    end = used[k] + n
+                    if end > stamps[k].size:
+                        stamps[k] = np.concatenate(
+                            (stamps[k][:used[k]], np.empty(end)))
+                    stamps[k][used[k]:end] = timestamps(lo, hi, n)
+                    used[k] = end
+                    fired_win[k].append(wi)
+                    # adaptive period: events represented per sample
+                    fired_weight[k].append(total / n)
+                    fired_n[k].append(n)
+        return _WindowSamples(geo, win_lo, win_hi, [
+            _Draws(kept[k], kept_at[k], drawn[k],
+                   np.array(fired_win[k], dtype=np.intp),
+                   np.array(fired_weight[k], dtype=float),
+                   np.array(fired_n[k], dtype=np.intp), stamps[k][:used[k]])
+            for k in (0, 1)])
 
     # -- scalar oracle ---------------------------------------------------------
 
@@ -423,6 +428,131 @@ class ExtraeTracer:
                     ))
 
 
+def _stamps_capacity(hz: float, duration: float) -> int:
+    """Room for one counter's timestamps: a run's sample count is at most
+    Poisson with mean ``hz * duration``, so six standard deviations
+    above it; the window loop grows the buffer if a run ever needs more."""
+    mean = hz * duration
+    return int(mean + 6.0 * math.sqrt(mean)) + 64
+
+
+# -- the alloc/free edge walk -------------------------------------------------
+
+
+def _walk_edges(instances: List[InstanceSpan], win_lo: List[float], sink,
+                sample: Callable[[int, Dict[int, InstanceSpan]], None]) -> None:
+    """Apply the alloc/free edges to ``sink`` in time order, allocs before
+    frees at equal times, ties by column.  ``sample(wi, live)`` runs at
+    each window's start, once every edge at or before it is applied:
+    ``live`` maps column to instance for ``start <= lo < end``, in
+    allocation order (the per-key draw order)."""
+    edges: List[Tuple[float, int, int]] = []
+    for col, inst in enumerate(instances):
+        edges.append((inst.start, 0, col))  # 0 = alloc sorts before free
+        edges.append((inst.end, 1, col))
+    edges.sort(key=lambda e: (e[0], e[1]))
+    live: Dict[int, InstanceSpan] = {}
+
+    def apply(edge) -> None:
+        time_, kind, col = edge
+        inst = instances[col]
+        if kind == 0:
+            live[col] = inst
+            sink.alloc(time_, col, inst)
+        else:
+            if live.pop(col, None) is None:
+                raise TraceError(
+                    f"free of never-allocated instance "
+                    f"{(inst.spec.site.name, inst.index)}")
+            sink.free(time_, col, inst)
+
+    edge_i = 0
+    n_edges = len(edges)
+    for wi, lo in enumerate(win_lo):
+        while edge_i < n_edges and edges[edge_i][0] <= lo:
+            apply(edges[edge_i])
+            edge_i += 1
+        sample(wi, live)
+    for edge in edges[edge_i:]:
+        apply(edge)
+
+
+# -- after the window loop ------------------------------------------------------
+
+
+class _Batches(NamedTuple):
+    """One counter's samples over all windows: one part per firing
+    window, in window order; one segment per key with samples, in live
+    order within its part; then the samples, segment by segment."""
+
+    win: np.ndarray      #: per part: window index
+    weight: np.ndarray   #: per part: events represented per sample
+    n: np.ndarray        #: per part: samples
+    segs: np.ndarray     #: per part: segments
+    cols: np.ndarray     #: per segment: instance column
+    counts: np.ndarray   #: per segment: samples
+    times: np.ndarray    #: per sample; unsorted within a segment
+
+
+class _Draws(NamedTuple):
+    """One counter's record of the window loop."""
+
+    kept: np.ndarray     #: pairs with events, ascending
+    kept_at: List[int]   #: per window: its first kept pair
+    drawn: np.ndarray    #: per kept pair: samples (0 if its window is quiet)
+    win: np.ndarray      #: per firing window: window index
+    weight: np.ndarray   #: per firing window: events per sample
+    n: np.ndarray        #: per firing window: samples
+    stamps: np.ndarray   #: per sample: the raw ``uniform`` timestamp
+
+
+class _WindowSamples:
+    """The window loop's draws, assembled once over all windows.
+
+    :meth:`batches` builds one counter's :class:`_Batches` at a time and
+    drops that counter's draws, so only one counter's per-sample arrays
+    are alive at once.  A live instance has ``start <= lo < end``, so its
+    span clipped to the window is ``[lo, min(hi, end))``, never empty,
+    and every drawn sample is kept.
+    """
+
+    def __init__(self, geo: dict, win_lo: List[float], win_hi: List[float],
+                 draws: List[_Draws]):
+        self.order = geo["order"]
+        self.pair_inst = geo["pair_inst"]
+        #: per instance column
+        self.starts, self.ends = geo["starts"], geo["ends"]
+        self.lo = np.asarray(win_lo)
+        self.hi = np.asarray(win_hi)
+        self.draws: List[Optional[_Draws]] = draws
+        self.sizes = [d.stamps.size for d in draws]
+
+    def batches(self, k: int) -> _Batches:
+        d, self.draws[k] = self.draws[k], None
+        hit = np.flatnonzero(d.drawn)
+        counts = d.drawn[hit]
+        kept, kept_at, win, weight, n, times = (
+            d.kept, d.kept_at, d.win, d.weight, d.n, d.stamps)
+        del d
+        # each sampled key's part: its window's rank among firing windows
+        part_of = np.zeros(self.lo.size, dtype=np.intp)
+        part_of[win] = np.arange(win.size)
+        part = part_of[np.searchsorted(kept_at, hit, side="right") - 1]
+        segs = np.bincount(part, minlength=win.size)
+        cols = self.order[self.pair_inst[kept[hit]]]
+        del hit, kept
+        lo, hi = self.lo[win], self.hi[win]
+        # the scalar clip: lo + (ts - lo) * (t_hi - lo) / (hi - lo)
+        clip = np.minimum(hi[part], self.ends[cols]) - lo[part]
+        del part
+        lo_s = np.repeat(lo, n)
+        times -= lo_s
+        times *= np.repeat(clip, counts)
+        times /= np.repeat(hi - lo, n)
+        times += lo_s
+        return _Batches(win, weight, n, segs, cols, counts, times)
+
+
 # -- sinks ----------------------------------------------------------------------
 
 
@@ -485,8 +615,33 @@ class _TraceSink:
             capacity=max(wl.heap_high_water() * 4, 1 << 20),
         )
         self.table = LiveObjectTable()
+        self.instances = instances
         #: instance column -> base address while live
         self.addr = np.zeros(len(instances), dtype=np.int64)
+
+    def consume(self, draws: _WindowSamples) -> Trace:
+        """Walk the edges once more, handing each window its ready-made
+        batches (per-key sorted times), loads then stores."""
+        parts: Dict[int, list] = {}
+        for k, counter in enumerate(_COUNTERS):
+            b = draws.batches(k)
+            seg = np.repeat(np.arange(b.cols.size), b.counts)
+            times = b.times[np.lexsort((b.times, seg))]
+            s0 = t0 = 0
+            for wi, weight, s1, t1 in zip(b.win.tolist(), b.weight.tolist(),
+                                          np.cumsum(b.segs).tolist(),
+                                          np.cumsum(b.n).tolist()):
+                parts.setdefault(wi, []).append(
+                    (counter, b.cols[s0:s1], b.counts[s0:s1], times[t0:t1],
+                     weight))
+                s0, t0 = s1, t1
+
+        def sample(wi: int, live) -> None:
+            for part in parts.get(wi, ()):
+                self.samples(*part)
+
+        _walk_edges(self.instances, draws.lo.tolist(), self, sample)
+        return self.finish()
 
     def alloc(self, time_: float, col: int, inst: InstanceSpan) -> None:
         alloc = self.heap.allocate(inst.spec.size)
@@ -525,23 +680,39 @@ class _TraceSink:
         return self.trace
 
 
+def _attributable(b: _Batches, ends: np.ndarray) -> bool:
+    """Whether ``analyze`` attributes ``b``'s samples as the profile sink
+    does: no sample time rounded past its instance's free (``ends`` by
+    column), and no window's earliest sample before an earlier window's
+    latest (``analyze`` adds samples in time order, the sink in window
+    order)."""
+    if not b.times.size:
+        return True
+    if (b.times > np.repeat(ends[b.cols], b.counts)).any():
+        return False
+    at = np.cumsum(b.n) - b.n
+    latest = np.maximum.accumulate(np.maximum.reduceat(b.times, at))
+    return not (np.minimum.reduceat(b.times, at)[1:] < latest[:-1]).any()
+
+
 class _ProfileSink:
     """Keeps :meth:`Paramedir.analyze`'s per-site sums directly.
 
-    Alloc/free edges arrive in the order ``analyze`` replays them (time,
-    allocs before frees, ties in timeline order), so the structural
-    fields and the profile dict order match field for field.  Samples are
-    attributed to the instance they were drawn from, which is the object
-    ``analyze`` finds at their address as long as the sample time lies
-    inside the instance's live span.
+    The structural fields come from the instances in bulk.  Profiles are
+    created in alloc-edge order (start time, then column), the order
+    ``analyze`` first meets each site in; ``total_live_time`` adds each
+    site's lifetimes in free-edge order (end time, then column) with one
+    bincount.  Samples are attributed to the instance they were drawn
+    from, which is the object ``analyze`` finds at their address as long
+    as the sample time lies inside the instance's live span.
 
-    ``analyze`` adds samples in time order (a stable sort of the append
-    order), and only the order *within* one counter matters to its sums.
-    Windows arrive in time order, so one stable sort per window and
-    counter gives that order, provided no sample time crosses into an
-    earlier window's range (checked per counter).  ``finish`` returns
-    ``None`` when either condition fails (a time rounded past its free or
-    its window), and the caller falls back to the trace path.
+    ``analyze`` adds a counter's samples in time order.  Windows come in
+    time order, and every sample of one window and counter carries the
+    same weight, so the order inside a part changes no bincount sum: the
+    samples go in as drawn, in one :func:`add_sample_sums`, provided no
+    sample time crosses into an earlier window's range.
+    :meth:`consume` returns ``None`` when either condition fails
+    (:func:`_attributable`), and the caller falls back to the trace path.
     """
 
     def __init__(self, tracer: ExtraeTracer, process: ProcessImage, rank: int,
@@ -549,63 +720,60 @@ class _ProfileSink:
         del rank  # profiles carry no rank
         self.process = process
         self.fmt = tracer.config.stack_format
-        self.ends = np.array([inst.end for inst in instances])
-        #: instance column -> site index while live
-        self.site_of = np.zeros(len(instances), dtype=np.int64)
-        self.site_idx: Dict[SiteKey, int] = {}
-        self.profiles: Dict[SiteKey, SiteProfile] = {}
-        self.open: Dict[int, Tuple[SiteKey, float]] = {}
-        #: per counter: time-sorted batches of (sites, codes, weights),
-        #: and the latest sample time so far
-        self.parts: Dict[HardwareCounter, List[Tuple[np.ndarray, ...]]] = {
-            _LOAD: [], _STORE: []}
-        self.t_max = {_LOAD: -np.inf, _STORE: -np.inf}
-        self.exact = True
+        self.instances = instances
 
-    def alloc(self, time_: float, col: int, inst: InstanceSpan) -> None:
-        site_key = self.process.site_key(inst.spec.site, self.fmt)
-        prof = self.profiles.get(site_key)
-        if prof is None:
-            self.site_idx[site_key] = len(self.site_idx)
-            prof = self.profiles[site_key] = SiteProfile(site_key=site_key)
-        prof.largest_alloc = max(prof.largest_alloc, inst.spec.size)
-        prof.alloc_count += 1
-        prof.first_alloc = min(prof.first_alloc, time_)
-        self.site_of[col] = self.site_idx[site_key]
-        self.open[col] = (site_key, time_)
+    def consume(self, draws: _WindowSamples
+                ) -> Optional[Dict[SiteKey, SiteProfile]]:
+        insts = self.instances
+        profiles: Dict[SiteKey, SiteProfile] = {}
+        site_idx: Dict[SiteKey, int] = {}
+        #: object spec -> its site's index; site index -> profile
+        site_of_spec: Dict[int, int] = {}
+        by_idx: List[SiteProfile] = []
+        site_of = np.empty(len(insts), dtype=np.int64)
+        for col in draws.order.tolist():
+            inst = insts[col]
+            i = site_of_spec.get(id(inst.spec))
+            if i is None:
+                key = self.process.site_key(inst.spec.site, self.fmt)
+                i = site_idx.get(key)
+                if i is None:
+                    i = site_idx[key] = len(by_idx)
+                    by_idx.append(SiteProfile(site_key=key,
+                                              first_alloc=inst.start))
+                    profiles[key] = by_idx[i]
+                site_of_spec[id(inst.spec)] = i
+            site_of[col] = i
+            by_idx[i].spans.append((inst.start, inst.end))
+        n_sites = len(site_idx)
+        starts, ends = draws.starts, draws.ends
+        allocs = np.bincount(site_of, minlength=n_sites)
+        largest = np.zeros(n_sites, dtype=np.int64)
+        np.maximum.at(largest, site_of, [i.spec.size for i in insts])
+        last_free = np.zeros(n_sites)
+        np.maximum.at(last_free, site_of, ends)
+        by_free = np.argsort(ends, kind="stable")
+        live_time = np.bincount(site_of[by_free], minlength=n_sites,
+                                weights=(ends - starts)[by_free])
+        for i, prof in enumerate(by_idx):
+            prof.largest_alloc = int(largest[i])
+            prof.alloc_count = prof.free_count = int(allocs[i])
+            prof.last_free = float(last_free[i])
+            prof.total_live_time = float(live_time[i])
 
-    def free(self, time_: float, col: int, inst: InstanceSpan) -> None:
-        site_key, t_alloc = self.open.pop(col)
-        prof = self.profiles[site_key]
-        prof.free_count += 1
-        prof.last_free = max(prof.last_free, time_)
-        prof.total_live_time += time_ - t_alloc
-        prof.spans.append((t_alloc, time_))
-
-    def samples(self, counter, cols, counts, times, weight) -> None:
-        inst_of = np.repeat(cols, counts)
-        if ((times > self.ends[inst_of]).any()
-                or times.min() < self.t_max[counter]):
-            self.exact = False
-        self.t_max[counter] = max(self.t_max[counter], times.max())
-        order = np.argsort(times, kind="stable")
-        n = times.size
-        self.parts[counter].append((
-            self.site_of[inst_of[order]],
-            np.full(n, COUNTER_CODE[counter], dtype=np.uint8),
-            np.full(n, weight),
-        ))
-
-    def finish(self) -> Optional[Dict[SiteKey, SiteProfile]]:
-        if not self.exact:
-            return None
-        parts = self.parts[_LOAD] + self.parts[_STORE]
-        if parts:
-            sites, codes, weights = (
-                np.concatenate(col) for col in zip(*parts))
-        else:
-            weights = np.empty(0)
-            sites = np.empty(0, dtype=np.int64)
-            codes = np.empty(0, dtype=np.uint8)
-        add_sample_sums(self.profiles, self.site_idx, sites, codes, weights)
-        return self.profiles
+        total = sum(draws.sizes)
+        sites = np.empty(total, dtype=np.int64)
+        codes = np.empty(total, dtype=np.uint8)
+        weights = np.empty(total)
+        at = 0
+        for k, counter in enumerate(_COUNTERS):
+            b = draws.batches(k)
+            if not _attributable(b, ends):
+                return None
+            end = at + b.times.size
+            sites[at:end] = np.repeat(site_of[b.cols], b.counts)
+            codes[at:end] = COUNTER_CODE[counter]
+            weights[at:end] = np.repeat(b.weight, b.n)
+            at = end
+        add_sample_sums(profiles, site_idx, sites, codes, weights)
+        return profiles

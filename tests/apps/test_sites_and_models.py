@@ -59,6 +59,23 @@ class TestSiteRegistry:
         site = toy_workload.objects[0].site
         assert proc.callstack(site) is proc.callstack(site)
 
+    @pytest.mark.parametrize("fmt", list(StackFormat))
+    def test_site_keys_translated_once_per_site(self, toy_workload, fmt,
+                                                monkeypatch):
+        reg = SiteRegistry(toy_workload)
+        proc = reg.make_process(rank=0, aslr_seed=1)
+        resolved = []
+        real = proc.space.resolve
+        monkeypatch.setattr(proc.space, "resolve", lambda addr: (
+            resolved.append(addr) or real(addr)))
+        site = toy_workload.objects[0].site
+        key = proc.site_key(site, fmt)
+        translated = len(resolved)
+        assert proc.site_key(site, fmt) is key
+        assert len(resolved) == translated
+        # a fresh process translates it to an equal key
+        assert reg.make_process(rank=0, aslr_seed=1).site_key(site, fmt) == key
+
     def test_debug_scale_knobs(self, toy_workload):
         light = SiteRegistry(toy_workload)
         heavy = SiteRegistry(toy_workload, debug_line_interval=16,

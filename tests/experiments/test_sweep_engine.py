@@ -9,6 +9,8 @@ artifact store.
 """
 
 import os
+from concurrent.futures import ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -18,6 +20,7 @@ from repro.experiments.sweep import (
     SweepManifest,
     SweepWorkerDied,
     run_scheduled,
+    scheduler,
 )
 from repro.experiments.tab8_full_apps import (
     DRAM_LIMITS,
@@ -154,6 +157,31 @@ class TestWorkerDeath:
         # regardless of which subset a broken pool managed to finish.
         result = run_scheduled(_die_unless_marked, specs, jobs=2, retries=3)
         assert result == [0, 10, 20]
+
+    def test_worker_dies_while_cells_are_submitted(self, tmp_path,
+                                                   monkeypatch):
+        """A pool that breaks before every cell is submitted: the cell
+        whose submission finds the pool broken, and every cell after it,
+        are retried in a fresh pool like the ones already submitted."""
+        broke = []
+
+        class BreaksDuringSubmission(ProcessPoolExecutor):
+            def submit(self, fn, *args, **kwargs):
+                future = super().submit(fn, *args, **kwargs)
+                if not broke:
+                    # the first pool's first cell kills its worker before
+                    # the next cell is submitted
+                    broke.append(True)
+                    wait([future])
+                    assert isinstance(future.exception(), BrokenProcessPool)
+                return future
+
+        monkeypatch.setattr(scheduler, "ProcessPoolExecutor",
+                            BreaksDuringSubmission)
+        specs = [(i, str(tmp_path / f"marker-{i}")) for i in range(3)]
+        result = run_scheduled(_die_unless_marked, specs, jobs=2, retries=3)
+        assert result == [0, 10, 20]
+        assert broke
 
     def test_retry_budget_exhausted_raises(self, tmp_path):
         manifest = SweepManifest(tmp_path / "manifest.jsonl")

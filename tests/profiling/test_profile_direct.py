@@ -9,6 +9,7 @@ cases of ``test_tracer_vectorized.py``.  The production profiling stage
 must take the direct path and never build a trace.
 """
 
+import numpy as np
 import pytest
 
 from repro.apps import get_workload, list_workloads
@@ -20,11 +21,13 @@ from repro.profiling.paramedir import Paramedir
 from repro.profiling.pebs import PEBSConfig
 from repro.profiling.trace import Trace
 from repro.profiling.tracer import ExtraeTracer, TracerConfig
+from repro.units import MiB
 
 from tests.conftest import make_toy_workload
 from tests.profiling.test_tracer_vectorized import (
     assert_profiles_identical,
     make_idle_phase_workload,
+    make_out_of_order_workload,
 )
 
 #: (seed, format, rank jitter, PEBS Hz): every pair of factor levels
@@ -100,19 +103,70 @@ class TestWindowEdgeCases:
     def test_sampling_rates(self, hz):
         _assert_direct_matches(_tracer(make_toy_workload(), seed=9, hz=hz))
 
+    @pytest.mark.parametrize("jitter", [0.0, 0.3])
+    @pytest.mark.parametrize("window", [1.0, 0.3])
+    def test_allocations_out_of_column_order(self, jitter, window):
+        """Tied allocation start times and objects allocating out of
+        column order: the sink's live-order renumbering and its
+        alloc-order profile creation both match the trace path."""
+        profiles = _assert_direct_matches(_tracer(
+            make_out_of_order_workload(), seed=13, jitter=jitter, hz=200.0,
+            window=window))
+        # dict order is first-alloc order (start time, then column), not
+        # the object order: early, resident, late, tie (told apart by size)
+        assert [p.largest_alloc // MiB for p in profiles.values()] == [
+            4, 16, 2, 1]
+
 
 def test_fallback_to_the_trace_path(monkeypatch):
     """When a sample cannot be attributed without the analyzer (a time
-    rounded past its object's free), ``profile`` answers through
-    ``analyze(run())``: force that branch and check it still agrees."""
-    real = tracer_mod._ProfileSink.samples
+    rounded past its object's free, or before an earlier window's
+    samples), ``profile`` answers through ``analyze(run())``: force that
+    branch where the after-loop check decides it, and check it still
+    agrees.  Only float rounding at a window's or an object's end trips
+    the check, too rarely for a test workload to reach it."""
+    calls = []
 
-    def inexact(self, *args):
-        real(self, *args)
-        self.exact = False
+    def inexact(*args):
+        calls.append(args)
+        return False
 
-    monkeypatch.setattr(tracer_mod._ProfileSink, "samples", inexact)
+    monkeypatch.setattr(tracer_mod, "_attributable", inexact)
+    analyzed = []
+    real_analyze = Paramedir.analyze
+    monkeypatch.setattr(Paramedir, "analyze", lambda self, trace: (
+        analyzed.append(trace) or real_analyze(self, trace)))
     _assert_direct_matches(_tracer(make_toy_workload(), seed=4))
+    assert calls, "the exactness check was never consulted"
+    # one analyze in the helper, one in the fallback
+    assert len(analyzed) == 2
+
+
+def test_timestamp_buffers_grow(monkeypatch):
+    """The window loop's timestamp buffers start at one sample here, so
+    they grow many times; profile and trace still match their oracles."""
+    monkeypatch.setattr(tracer_mod, "_stamps_capacity",
+                        lambda hz, duration: 1)
+    tracer = _tracer(make_toy_workload(), seed=5, jitter=0.3)
+    _assert_direct_matches(tracer)
+    assert tracer.run(0, 1011).same_events(tracer.run_scalar(0, 1011))
+
+
+@pytest.mark.parametrize("times,exact", [
+    ([0.2, 0.5, 1.1], True),
+    ([0.2, 0.9, 0.9], True),     # a tie across windows keeps the order
+    ([0.2, 1.05, 1.1], False),   # past its instance's free at 1.0
+    ([0.2, 0.9, 0.8], False),    # before the first window's latest
+])
+def test_exactness_check(times, exact):
+    """Two firing windows: the first samples column 0 twice, the second
+    column 1 once."""
+    batches = tracer_mod._Batches(
+        win=np.array([0, 1]), weight=np.array([1.0, 1.0]),
+        n=np.array([2, 1]), segs=np.array([1, 1]),
+        cols=np.array([0, 1]), counts=np.array([2, 1]),
+        times=np.array(times))
+    assert tracer_mod._attributable(batches, np.array([1.0, 2.0])) is exact
 
 
 def _old_profile_workload(wl, seed, ranks, jitter):

@@ -73,6 +73,41 @@ def make_idle_phase_workload() -> Workload:
     )
 
 
+def make_out_of_order_workload() -> Workload:
+    """Objects whose instances allocate out of column order, with ties in
+    allocation start times, and frees that coincide with allocations.
+
+    Columns follow the object list (``late`` 0-2, ``early`` 3-6, ``tie``
+    7, ``resident`` 8), but the live set orders instances by allocation
+    edge (start time, then column): at ``t = 2.0`` it is ``resident,
+    late[0], early[2], tie, late[1]`` — ``early[1]`` (freed at 2.0) gone,
+    ``resident`` first though its column is last.
+    """
+    def spec(name, size, load, store=0.0, **kw):
+        return ObjectSpec(
+            site=make_site(f"ooo::{name}"), size=size,
+            access={"compute": AccessStats(load_rate=load, store_rate=store,
+                                           accessor=name)},
+            **kw)
+
+    return Workload(
+        name="out-of-order",
+        phases=[Phase("compute", compute_time=3.0),
+                Phase("idle", compute_time=0.5),
+                Phase("compute", compute_time=2.0)],
+        objects=[
+            spec("late", 2 * MiB, 900_000.0, 150_000.0, alloc_count=3,
+                 first_alloc=1.0, lifetime=1.5, period=1.0),
+            spec("early", 4 * MiB, 600_000.0, 300_000.0, alloc_count=4,
+                 first_alloc=0.0, lifetime=1.0, period=1.0),
+            spec("tie", 1 * MiB, 1_500_000.0, first_alloc=1.0, lifetime=2.5),
+            spec("resident", 16 * MiB, 200_000.0, 50_000.0, first_alloc=0.5,
+                 sampling_visibility=0.5),
+        ],
+        ranks=1,
+    )
+
+
 def run_both(wl, config, rank=0, aslr_seed=42):
     tracer = ExtraeTracer(wl, config)
     return (tracer.run(rank=rank, aslr_seed=aslr_seed),
@@ -123,6 +158,19 @@ class TestTracerEquivalence:
         wl = make_toy_workload()
         vec, scalar = run_both(
             wl, TracerConfig(seed=9, pebs=PEBSConfig(frequency_hz=hz)))
+        assert vec.same_events(scalar)
+
+    @pytest.mark.parametrize("jitter", [0.0, 0.3])
+    @pytest.mark.parametrize("window", [1.0, 0.3])
+    def test_allocations_out_of_column_order(self, jitter, window):
+        """Ties in allocation start times and objects allocating out of
+        column order: the per-key draws follow the live (allocation)
+        order, not the column order."""
+        wl = make_out_of_order_workload()
+        vec, scalar = run_both(wl, TracerConfig(
+            seed=13, rank_jitter=jitter, window=window,
+            pebs=PEBSConfig(frequency_hz=200.0)))
+        assert vec.num_samples > 0
         assert vec.same_events(scalar)
 
 

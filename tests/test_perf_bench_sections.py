@@ -43,14 +43,19 @@ def test_profiling_section_times_the_direct_profile(tmp_path):
     """The profiling section checks ``ExtraeTracer.profile`` against
     ``run`` + ``analyze`` at the production 100 Hz (it asserts
     identical profiles) and reports both times, which the full-mode
-    floor reads."""
+    floor reads; it also reports every registered app's cold
+    ``profile()`` time."""
     out = tmp_path / "bench.json"
     assert perf_bench.main(
         ["--quick", "--section", "profiling", "-o", str(out)]) == 0
-    direct = json.loads(out.read_text())["profiling"]["direct"]
+    prof = json.loads(out.read_text())["profiling"]
+    direct = prof["direct"]
     assert direct["pebs_hz"] == 100.0
     assert direct["run_analyze_s"] > 0 and direct["profile_s"] > 0
     assert direct["speedup"] > 0
+    cold = prof["cold_profile_s"]
+    assert set(cold) == set(perf_bench.list_workloads()) | {"total"}
+    assert all(t > 0 for t in cold.values())
 
 
 def test_plan_section_times_cold_and_warm_builds(tmp_path):

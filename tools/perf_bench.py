@@ -21,8 +21,9 @@ Three sections, mirroring the three optimisation layers:
     The vectorized profiling cold path (tracer + Paramedir) against the
     scalar oracles, asserting bit-identical traces and per-site
     profiles; the direct ``ExtraeTracer.profile`` against ``run`` +
-    ``analyze``, asserting identical profiles; plus JSONL vs ``.npz``
-    trace (de)serialization.
+    ``analyze``, asserting identical profiles; each registered app's
+    cold ``profile()`` at 100 Hz (best of 3, no floor); plus JSONL vs
+    ``.npz`` trace (de)serialization.
 ``engine``
     The batched execution engine (``ExecutionEngine.run``) against its
     scalar oracle (``run_scalar``) on an app-direct LULESH run (miniFE
@@ -96,7 +97,7 @@ import numpy as np
 
 from repro.alloc import BOMMatcher, FlexMalloc, build_heaps
 from repro.alloc.report import PlacementEntry, PlacementReport
-from repro.apps import get_workload
+from repro.apps import get_workload, list_workloads
 from repro.apps.generators import (
     Region, hot_cold_stream, random_access, sequential_stream,
 )
@@ -408,6 +409,22 @@ def bench_profiling(quick: bool) -> dict:
     _assert_profiles_identical(direct_profiles, prod_profiles,
                                "direct profiles")
 
+    # cold onboarding: every registered app profiled from scratch at the
+    # paper's 100 Hz, with the profiling stage's tracer configuration (a
+    # fresh tracer and site registry, as a profile-store miss builds);
+    # best of 3, no floor
+    cold = {}
+    for app in list_workloads():
+        app_wl = get_workload(app)
+        best = float("inf")
+        for _ in range(3):
+            t0 = time.perf_counter()
+            ExtraeTracer(app_wl, TracerConfig(
+                seed=11, pebs=PEBSConfig(frequency_hz=100.0, seed=78),
+            )).profile(rank=0, aslr_seed=1011)
+            best = min(best, time.perf_counter() - t0)
+        cold[app] = round(best, 4)
+
     # trace I/O: the inspectable JSONL format vs the binary columns, on
     # the 100 Hz trace so the file stays an honest single-run trace size
     io_trace = prod_trace
@@ -442,6 +459,7 @@ def bench_profiling(quick: bool) -> dict:
             "profile_s": round(t_direct, 4),
             "speedup": round(t_run_analyze / t_direct, 2),
         },
+        "cold_profile_s": {**cold, "total": round(sum(cold.values()), 4)},
         "trace_io": {
             "samples": io_trace.num_samples,
             "dump_jsonl_s": round(t_dump_jsonl, 4),
@@ -654,7 +672,9 @@ def bench_service(quick: bool) -> dict:
     pass per coalesced group.  Every batched report must compare ``==``
     (every float exact) to :func:`sequential_advisory`'s scalar-oracle
     answer, and the throughput floor (>= 20x) is asserted in quick mode
-    too — it is CI's contract for the service.
+    too — it is CI's contract for the service.  Both sides are timed
+    warm, best of 3: one cold 30 ms timer lets host noise move the ratio
+    across the floor.
     """
     from repro.service import (
         AdvisoryRequest, PlacementServer, sequential_advisory,
@@ -669,12 +689,12 @@ def bench_service(quick: bool) -> dict:
     limits = [(2 + (i % 13)) * GiB for i in range(n_queries)]
 
     # naive baseline: one full run_ecohmem per advisory, profile warm
-    run_ecohmem(wl, system, dram_limit=limits[0], profile_store=store)
-    t0 = time.perf_counter()
-    for i in range(n_naive):
-        run_ecohmem(wl, system, dram_limit=limits[i % len(limits)],
-                    profile_store=store)
-    t_naive = time.perf_counter() - t0
+    def naive():
+        for i in range(n_naive):
+            run_ecohmem(wl, system, dram_limit=limits[i % len(limits)],
+                        profile_store=store)
+
+    _, t_naive = _warm_best_of(naive)
     naive_qps = n_naive / t_naive
 
     requests = [
@@ -682,12 +702,17 @@ def bench_service(quick: bool) -> dict:
                         use_stores=(i % 3 != 0))
         for i in range(n_queries)
     ]
-    with PlacementServer(workers=4, batch_window_ms=25.0,
-                         max_batch=n_queries, profile_store=store) as srv:
-        t0 = time.perf_counter()
-        batched = srv.query_many(requests)
-        t_batched = time.perf_counter() - t0
-        stats = srv.stats
+
+    # a fresh server per repeat, so every repeat coalesces the same
+    # groups and loads the same profile; built and stopped untimed
+    def server():
+        return PlacementServer(workers=4, batch_window_ms=25.0,
+                               max_batch=n_queries, profile_store=store)
+
+    def burst(srv):
+        return srv.query_many(requests), srv.stats
+
+    (batched, stats), t_batched = _warm_best_of(burst, setup=server)
 
     sequential = [sequential_advisory(r, profile_store=store)
                   for r in requests]
@@ -712,17 +737,27 @@ def bench_service(quick: bool) -> dict:
     }
 
 
-def _warm_best_of(fn, repeats: int = 3):
+def _warm_best_of(fn, repeats: int = 3, setup=None):
     """``fn()`` run once untimed, then ``repeats`` timed; returns the
     last output and the best time.  The warm-up keeps one-off costs
     (first-touch allocations, lazily built caches) out of whichever path
-    happens to be timed first."""
-    out = fn()
+    happens to be timed first.  With ``setup``, each call is ``fn(ctx)``
+    inside ``with setup() as ctx``, entered and exited outside the
+    timer."""
+    def timed():
+        if setup is None:
+            t0 = time.perf_counter()
+            return fn(), time.perf_counter() - t0
+        with setup() as ctx:
+            t0 = time.perf_counter()
+            out = fn(ctx)
+            return out, time.perf_counter() - t0
+
+    out, _ = timed()
     best = float("inf")
     for _ in range(repeats):
-        t0 = time.perf_counter()
-        out = fn()
-        best = min(best, time.perf_counter() - t0)
+        out, elapsed = timed()
+        best = min(best, elapsed)
     return out, best
 
 
@@ -975,6 +1010,9 @@ def main(argv=None) -> int:
         print(f"  run+analyze {direct['run_analyze_s']}s -> direct profile "
               f"{direct['profile_s']}s ({direct['speedup']}x, "
               f"{direct['pebs_hz']:g} Hz)")
+        cold = prof["cold_profile_s"]
+        print("  cold profile() at 100 Hz: " + ", ".join(
+            f"{app} {t * 1e3:.1f} ms" for app, t in cold.items()))
         print(f"  trace load jsonl {prof['trace_io']['load_jsonl_s']}s -> "
               f"npz {prof['trace_io']['load_npz_s']}s "
               f"({prof['trace_io']['load_speedup']}x)")
