@@ -115,9 +115,6 @@ class Placement:
     def items(self):
         return self._assign.items()
 
-    def explicit_sites(self) -> List[SiteKey]:
-        return list(self._assign)
-
     def sites_in(self, subsystem: str) -> List[SiteKey]:
         return [k for k, v in self._assign.items() if v == subsystem]
 

@@ -6,6 +6,8 @@ the :class:`~repro.alloc.interposer.FlexMalloc` interposition layer that
 captures each allocation's call stack, matches it against the Advisor's
 placement report, and forwards the request to the designated heap — with a
 fallback subsystem for unmatched sites and capacity overflow (Section IV-C).
+Each heap is a first-fit :class:`~repro.alloc.heap.FreeListHeap` whose
+address-sorted free-block arrays are its only free-list structure.
 
 Matching comes in the two flavours of Section VI:
 :class:`~repro.alloc.matching.BOMMatcher` (address comparisons, no debug
@@ -14,7 +16,6 @@ translation + string comparisons), each with an explicit cost account.
 """
 
 from repro.alloc.heap import Allocation, FreeListHeap, HeapStats
-from repro.alloc.freeindex import FreeIndex
 from repro.alloc.memkind import (
     HeapRegistry,
     MemkindPmemHeap,
@@ -33,7 +34,6 @@ from repro.alloc.interposer import FlexMalloc, InterposerStats
 
 __all__ = [
     "Allocation",
-    "FreeIndex",
     "FreeListHeap",
     "HeapStats",
     "HeapRegistry",

@@ -7,21 +7,25 @@ double frees are detected, fragmentation is possible and observable, and a
 high-water mark is tracked (the paper's Table V reports per-rank
 high-water marks).
 
-``allocate`` finds its block through an address-ordered max-free-size
-index (:class:`~repro.alloc.freeindex.FreeIndex`): O(log n) per call
-instead of the linear first-fit scan, returning the *same* lowest-address
-fitting block.  The scan is retained as ``allocate_scalar``, the oracle
-the replay differential suite holds the indexed path to.
+The free list is one pair of address-sorted ``array('q')`` columns.
+``allocate`` finds the lowest-address fitting block with one vectorized
+comparison over a zero-copy view of the sizes; the Python scan is
+retained as ``allocate_scalar``, the oracle the replay differential suite
+holds the vectorized path to.  Replays build fresh heaps, so the list
+stays short (at most about 20 blocks on the paper's workloads) and a
+linear search is all it needs.
 """
 
 from __future__ import annotations
 
 import bisect
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.errors import AllocationError, AddressError, ConfigError
-from repro.alloc.freeindex import FreeIndex
 
 #: All user allocations are rounded to this granularity (glibc-like).
 ALIGNMENT = 16
@@ -59,11 +63,11 @@ class FreeListHeap:
     on free.  ``allocate`` raises :class:`AllocationError` when no block
     fits (FlexMalloc catches that to apply the fallback policy).
 
-    The sorted ``(starts, sizes)`` lists are the ground truth; a
-    :class:`FreeIndex` mirrors them so ``allocate`` locates the first-fit
-    block by a log-time descent while ``allocate_scalar`` — the retained
-    oracle — walks the lists linearly.  Both commit the allocation through
-    the same code, so stats, addresses and errors are identical.
+    The sorted ``(starts, sizes)`` arrays are the only free-list
+    structure: ``allocate`` locates the first-fit block with one NumPy
+    scan while ``allocate_scalar`` — the retained oracle — walks them in
+    Python.  Both commit the allocation through the same code, so stats,
+    addresses and errors are identical.
     """
 
     def __init__(
@@ -79,17 +83,17 @@ class FreeListHeap:
             raise ConfigError(f"heap {name!r}: capacity must be > 0")
         if base < 0:
             raise ConfigError(f"heap {name!r}: negative base")
+        if base + capacity >= 1 << 63:
+            raise ConfigError(f"heap {name!r}: range exceeds 64-bit addresses")
         self.name = name
         self.subsystem = subsystem or name
         self.base = base
         self._capacity = capacity
         self.alloc_cost_ns = alloc_cost_ns
         self.free_cost_ns = free_cost_ns
-        # free list: parallel sorted lists of (start) and (size)
-        self._free_starts: List[int] = [base]
-        self._free_sizes: List[int] = [capacity]
-        self._index = FreeIndex()
-        self._index.insert(base, capacity)
+        # free list: parallel address-sorted arrays of (start) and (size)
+        self._free_starts = array("q", [base])
+        self._free_sizes = array("q", [capacity])
         self._live: Dict[int, Allocation] = {}
         self._used = 0
         self.stats = HeapStats()
@@ -97,8 +101,8 @@ class FreeListHeap:
     # -- allocation --------------------------------------------------------
 
     def allocate(self, size: int) -> Allocation:
-        """Indexed first-fit: the same block the scan picks, in O(log n)."""
-        return self._allocate(size, self._find_fit_indexed)
+        """Vectorized first-fit: the same block the scan picks."""
+        return self._allocate(size, self._find_fit_vector)
 
     def allocate_scalar(self, size: int) -> Allocation:
         """The linear first-fit scan: the reference oracle."""
@@ -110,11 +114,14 @@ class FreeListHeap:
                 return i
         return -1
 
-    def _find_fit_indexed(self, padded: int) -> int:
-        start = self._index.first_fit(padded)
-        if start is None:
+    def _find_fit_vector(self, padded: int) -> int:
+        if not self._free_sizes:
             return -1
-        return bisect.bisect_left(self._free_starts, start)
+        # the view is a temporary: no buffer export outlives this call, so
+        # the arrays stay resizable by insert and del
+        fits = np.frombuffer(self._free_sizes, np.int64) >= padded
+        i = int(fits.argmax())
+        return i if fits[i] else -1
 
     def _allocate(self, size: int, find_fit: Callable[[int], int]) -> Allocation:
         if size <= 0:
@@ -132,11 +139,9 @@ class FreeListHeap:
         if fsize == padded:
             del self._free_starts[i]
             del self._free_sizes[i]
-            self._index.remove(start)
         else:
             self._free_starts[i] = start + padded
             self._free_sizes[i] = fsize - padded
-            self._index.shrink(start, start + padded, fsize - padded)
         alloc = Allocation(
             address=start, size=size, padded_size=padded, heap_name=self.name
         )
@@ -164,17 +169,14 @@ class FreeListHeap:
         # coalesce with the following block
         if idx < len(self._free_starts) and start + size == self._free_starts[idx]:
             size += self._free_sizes[idx]
-            self._index.remove(self._free_starts[idx])
             del self._free_starts[idx]
             del self._free_sizes[idx]
         # coalesce with the preceding block
         if idx > 0 and self._free_starts[idx - 1] + self._free_sizes[idx - 1] == start:
             self._free_sizes[idx - 1] += size
-            self._index.resize(self._free_starts[idx - 1], self._free_sizes[idx - 1])
         else:
             self._free_starts.insert(idx, start)
             self._free_sizes.insert(idx, size)
-            self._index.insert(start, size)
 
     # -- queries -------------------------------------------------------------
 
@@ -188,7 +190,7 @@ class FreeListHeap:
 
     def largest_free_block(self) -> int:
         """Size of the largest free block (0 when the heap is full)."""
-        return self._index.largest()
+        return max(self._free_sizes, default=0)
 
     def owns(self, address: int) -> bool:
         """Whether an address falls inside this heap's range."""
@@ -204,14 +206,6 @@ class FreeListHeap:
     def free_blocks(self) -> List[Tuple[int, int]]:
         """The (start, size) free list in address order."""
         return list(zip(self._free_starts, self._free_sizes))
-
-    def check_index(self) -> None:
-        """Assert the free index mirrors the free list exactly (tests)."""
-        self._index.check()
-        if self._index.blocks() != self.free_blocks():
-            raise AssertionError(
-                f"heap {self.name!r}: index diverged from the free list"
-            )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -41,13 +41,6 @@ class Mapping:
     def end(self) -> int:
         return self.base + self.image.size
 
-    def to_offset(self, addr: int) -> int:
-        if not self.base <= addr < self.end:
-            raise AddressError(
-                f"address {addr:#x} outside mapping of {self.image.name!r}"
-            )
-        return addr - self.base
-
     def to_addr(self, offset: int) -> int:
         if not 0 <= offset < self.image.size:
             raise AddressError(

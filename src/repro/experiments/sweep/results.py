@@ -14,27 +14,20 @@ Layout:
     ``seed``), a wall-clock ``ts``, free-form ``params``, and the encoded
     ``rows`` (via the exact sweep codec, so dataclass rows round-trip
     bit-identically).
-``results.index.json``
-    A small sidecar mapping each identity to the byte offset of its
-    *latest* record, so :meth:`ResultDB.latest` seeks straight to it
-    without scanning the ledger.  The index is a pure cache — it is
-    rebuilt from the ledger whenever it is missing or stale (the ledger
-    grew past the indexed byte count), so deleting it is always safe.
+
+The ledger is its own index: :meth:`ResultDB.latest` scans it and keeps
+the last matching line, so an append is one write and nothing beside the
+ledger can go stale.  Only ``ecohmem results`` looks records up by
+identity.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import tempfile
 import time
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
-
-try:  # POSIX only; without it index updates are last-writer-wins
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX platforms
-    fcntl = None  # type: ignore[assignment]
 
 from repro.experiments.sweep import codec
 
@@ -42,16 +35,8 @@ from repro.experiments.sweep import codec
 _DB_VERSION = 1
 
 _LEDGER_NAME = "results.jsonl"
-_INDEX_NAME = "results.index.json"
 
 RESULT_DB_ENV = "REPRO_RESULT_DB"
-
-
-def _identity(experiment: str, label: str, seed: Optional[int]) -> str:
-    return json.dumps(
-        {"experiment": experiment, "label": label, "seed": seed},
-        sort_keys=True, separators=(",", ":"),
-    )
 
 
 class ResultDB:
@@ -60,7 +45,6 @@ class ResultDB:
     def __init__(self, root: Union[str, Path]):
         self.root = Path(root)
         self.ledger = self.root / _LEDGER_NAME
-        self.index_path = self.root / _INDEX_NAME
 
     # -- write -----------------------------------------------------------------
 
@@ -74,7 +58,7 @@ class ResultDB:
         params: Optional[Dict[str, Any]] = None,
         elapsed_s: Optional[float] = None,
     ) -> dict:
-        """Append one result record and update the offset index.
+        """Append one result record to the ledger.
 
         ``rows`` is whatever table the driver produced (lists of
         dataclass rows, dicts of lists, ...) as long as the sweep codec
@@ -84,10 +68,8 @@ class ResultDB:
         Safe under concurrent appenders from several processes: each
         record is published with a single ``write(2)`` on an ``O_APPEND``
         descriptor (the kernel seeks to end-of-file and writes atomically,
-        so two writers can never interleave bytes within a line), and the
-        record's true offset is derived from the descriptor's position
-        *after* the write — never from the pre-write file size, which
-        another writer may have grown in between.
+        so two writers can never interleave bytes within a line).  A short
+        write (``ENOSPC``) leaves a torn tail line that readers skip.
         """
         record = {
             "version": _DB_VERSION,
@@ -104,60 +86,10 @@ class ResultDB:
         fd = os.open(str(self.ledger),
                      os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
         try:
-            written = os.write(fd, data)
-            end = os.lseek(fd, 0, os.SEEK_CUR)
+            os.write(fd, data)
         finally:
             os.close(fd)
-        if written == len(data):
-            # a short write (ENOSPC) leaves a torn tail line readers
-            # already skip; only intact records earn an index entry
-            self._update_index(_identity(experiment, label, seed),
-                               end - written, end)
         return record
-
-    def _update_index(self, identity: str, offset: int, end: int) -> None:
-        lock_fd = os.open(str(self.root / ".index.lock"),
-                          os.O_WRONLY | os.O_CREAT, 0o644)
-        try:
-            if fcntl is not None:
-                fcntl.flock(lock_fd, fcntl.LOCK_EX)
-            self._update_index_locked(identity, offset, end)
-        finally:
-            os.close(lock_fd)  # releases the flock
-
-    def _update_index_locked(self, identity: str, offset: int, end: int) -> None:
-        index = self._read_index()
-        if index is None:
-            index = {"version": _DB_VERSION, "bytes": 0, "offsets": {}}
-        prev = index["offsets"].get(identity)
-        # ledger offsets grow monotonically, so the largest offset IS the
-        # latest record — a slow writer finishing late can't roll an
-        # identity back to an older record
-        if prev is None or offset > int(prev):
-            index["offsets"][identity] = offset
-        index["bytes"] = max(int(index.get("bytes", 0)), end)
-        # atomic publish: a crash mid-write must not tear the sidecar
-        fd, tmp = tempfile.mkstemp(dir=str(self.root), prefix=".tmp-idx-")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(index, fh)
-            os.replace(tmp, self.index_path)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-
-    def _read_index(self) -> Optional[dict]:
-        try:
-            index = json.loads(self.index_path.read_text())
-        except (OSError, ValueError):
-            return None
-        if (not isinstance(index, dict)
-                or index.get("version") != _DB_VERSION
-                or not isinstance(index.get("offsets"), dict)):
-            return None
-        return index
 
     # -- read ------------------------------------------------------------------
 
@@ -190,46 +122,19 @@ class ResultDB:
     def latest(self, experiment: str, *, label: str = "default",
                seed: Optional[int] = None,
                decode_rows: bool = True) -> Optional[dict]:
-        """The most recent record for one identity (index-assisted)."""
-        identity = _identity(experiment, label, seed)
-        record = self._latest_via_index(identity)
-        if record is None:
-            for candidate in self.records():
-                if _identity(candidate["experiment"], candidate["label"],
-                             candidate["seed"]) == identity:
-                    record = candidate
+        """The most recent record for one identity: its last ledger line."""
+        identity = (experiment, label, seed)
+        record = None
+        for candidate in self.records():
+            if (candidate["experiment"], candidate["label"],
+                    candidate["seed"]) == identity:
+                record = candidate
         if record is None:
             return None
         if decode_rows:
             record = dict(record)
             record["rows"] = codec.decode(record["rows"])
             record["params"] = codec.decode(record["params"])
-        return record
-
-    def _latest_via_index(self, identity: str) -> Optional[dict]:
-        index = self._read_index()
-        if index is None:
-            return None
-        try:
-            size = self.ledger.stat().st_size
-        except OSError:
-            return None
-        if size > int(index.get("bytes", 0)):
-            return None  # ledger grew past the index: treat as stale
-        offset = index["offsets"].get(identity)
-        if offset is None:
-            return None
-        try:
-            with self.ledger.open() as fh:
-                fh.seek(offset)
-                record = self._parse(fh.readline())
-        except (OSError, ValueError):
-            return None
-        if record is None:
-            return None
-        if _identity(record.get("experiment"), record.get("label"),
-                     record.get("seed")) != identity:
-            return None  # foreign ledger edit: fall back to the scan
         return record
 
     def latest_any(self, experiment: str, *, label: Optional[str] = None,

@@ -98,16 +98,6 @@ class SetAssociativeCache:
         self._lru = np.tile(np.arange(ways, dtype=np.int32), (self.num_sets, 1))
         self.stats = CacheStats()
 
-    # -- address helpers ----------------------------------------------------
-
-    def line_of(self, addr: int) -> int:
-        """The line number (address >> line bits) containing ``addr``."""
-        return addr >> self._line_shift
-
-    def set_of(self, addr: int) -> int:
-        """The set index the address maps to."""
-        return self.line_of(addr) & self._set_mask
-
     # -- single access ------------------------------------------------------
 
     def access(self, addr: int, is_write: bool = False) -> bool:

@@ -156,10 +156,6 @@ class LiveObjectTable:
             raise AddressError(f"no live object starts at {address:#x}")
         return slot
 
-    def live_intervals(self) -> List[LiveInterval]:
-        self._ensure_index()
-        return [self._meta[int(s)] for s in self._order]
-
     def live_bytes(self) -> int:
         self._ensure_index()
         return int((self._sorted_ends - self._sorted_starts).sum())

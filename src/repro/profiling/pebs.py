@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -98,32 +98,11 @@ class PEBSSampler:
             (usually a live-object instance or a site key) over the
             interval.  Keys with zero events never receive samples.
         """
-        return self.sample_interval_arrays(
-            counter, start, end,
-            list(true_counts.keys()),
-            np.array(list(true_counts.values()), dtype=float),
-        )
-
-    def sample_interval_arrays(
-        self,
-        counter: HardwareCounter,
-        start: float,
-        end: float,
-        keys: Sequence[object],
-        events: np.ndarray,
-    ) -> SampleBatch:
-        """Array form of :meth:`sample_interval` for vectorized callers.
-
-        ``events[i]`` is the true event count of ``keys[i]``.  The RNG
-        call pattern and float arithmetic are identical to the dict form
-        (the total is accumulated left-to-right like ``sum()`` over dict
-        values), so both entry points draw bit-identical batches.
-        """
-        weights = np.asarray(events, dtype=float)
+        weights = np.array(list(true_counts.values()), dtype=float)
         total, n_samples, draws = self.sample_counts(start, end, weights)
         if draws is None:
             return SampleBatch(counter, start, end, {}, total, 0)
-        counts = {k: int(c) for k, c in zip(keys, draws) if c > 0}
+        counts = {k: int(c) for k, c in zip(true_counts, draws) if c > 0}
         return SampleBatch(
             counter=counter,
             start=start,
@@ -136,7 +115,7 @@ class PEBSSampler:
     def sample_counts(
         self, start: float, end: float, weights: np.ndarray
     ) -> Tuple[float, int, "np.ndarray | None"]:
-        """RNG core shared by both entry points: draw per-key sample counts.
+        """RNG core shared by both tracers: draw per-key sample counts.
 
         Returns ``(total_true_events, n_samples, draws)``; ``draws`` is
         ``None`` when the counter doesn't fire (too few events or an empty

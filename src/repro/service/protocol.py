@@ -204,11 +204,6 @@ class OnlineReport:
     def ok(self) -> bool:
         return self.status == "ok"
 
-    @property
-    def improved(self) -> bool:
-        """Did the online loop strictly beat the static placement?"""
-        return self.ok and self.online_time < self.static_time
-
 
 @dataclass
 class AdvisoryReport:

@@ -128,6 +128,13 @@ class TestValidation:
         with pytest.raises(ConfigError):
             FreeListHeap("x", base=-1, capacity=10)
 
+    def test_rejects_range_past_64_bits(self):
+        # the free list holds int64 addresses
+        with pytest.raises(ConfigError):
+            FreeListHeap("x", base=1 << 62, capacity=1 << 62)
+        h = FreeListHeap("x", base=(1 << 63) - 4097, capacity=4096)
+        assert h.allocate(4096).address == (1 << 63) - 4097
+
 
 class TestPropertyBased:
     @given(st.lists(

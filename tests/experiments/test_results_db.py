@@ -1,9 +1,9 @@
 """The cross-run result database (repro.experiments.sweep.results).
 
-The ledger is the durable artifact — append-only JSONL that tolerates
-torn tails — and the offset index is a pure cache: stale or deleted, the
-full scan gives the same answer.  Rows round-trip through the exact
-codec, so recorded experiment tables decode bit-identically.
+The ledger is the durable artifact and its own index — append-only JSONL
+that tolerates torn tails, where ``latest`` is an identity's last line.
+Rows round-trip through the exact codec, so recorded experiment tables
+decode bit-identically.
 """
 
 import json
@@ -11,7 +11,6 @@ import math
 
 import pytest
 
-from repro.experiments.fig6_sweep import Fig6Cell
 from repro.experiments.sweep import ResultDB, resolve_result_db
 from repro.experiments.tab8_full_apps import Tab8Row
 
@@ -71,43 +70,6 @@ class TestAppendLatest:
         assert [r["seed"] for r in db.records()] == [0, 1, 2, 3]
 
 
-class TestIndexIsACache:
-    def test_deleted_index_falls_back_to_scan(self, db):
-        db.append("exp", [Fig6Cell(app="minife", pmem_dimms=6,
-                                   dram_limit_gb=12, metrics="loads",
-                                   speedup=2.07)], seed=11)
-        indexed = db.latest("exp", seed=11)
-        db.index_path.unlink()
-        scanned = db.latest("exp", seed=11)
-        assert scanned["rows"] == indexed["rows"]
-
-    def test_stale_index_falls_back_to_scan(self, db):
-        db.append("exp", ["first"], seed=1)
-        # grow the ledger behind the index's back
-        record = dict(json.loads(db.ledger.read_text().splitlines()[0]))
-        record["rows"] = ["second"]
-        record["ts"] += 1.0
-        with db.ledger.open("a") as fh:
-            fh.write(json.dumps(record) + "\n")
-        assert db.latest("exp", seed=1)["rows"] == ["second"]
-
-    def test_corrupt_index_ignored(self, db):
-        db.append("exp", [7], seed=1)
-        db.index_path.write_text("{ torn")
-        assert db.latest("exp", seed=1)["rows"] == [7]
-
-    def test_foreign_index_offset_rejected(self, db):
-        db.append("a", ["a-rows"], seed=1)
-        db.append("b", ["b-rows"], seed=2)
-        index = json.loads(db.index_path.read_text())
-        ids = list(index["offsets"])
-        index["offsets"][ids[0]], index["offsets"][ids[1]] = \
-            index["offsets"][ids[1]], index["offsets"][ids[0]]
-        db.index_path.write_text(json.dumps(index))
-        # identity check catches the swapped offset; scan recovers truth
-        assert db.latest("a", seed=1)["rows"] == ["a-rows"]
-
-
 class TestTornLedger:
     def test_torn_tail_skipped(self, db):
         db.append("exp", ["good"], seed=1)
@@ -145,10 +107,10 @@ class TestResolve:
 class TestConcurrentAppend:
     """Two processes appending at once must never tear the ledger.
 
-    Each record is a single ``write(2)`` on an ``O_APPEND`` descriptor
-    and the index update is ``flock``-serialized, so interleaved writers
-    from separate processes leave every line intact, every record
-    findable, and the index pointing at each identity's latest record.
+    Each record is a single ``write(2)`` on an ``O_APPEND`` descriptor,
+    so interleaved writers from separate processes leave every line
+    intact and every record findable, and ``latest`` returns each
+    identity's last ledger line.
     """
 
     WRITER = """
@@ -159,7 +121,7 @@ from repro.experiments.sweep import ResultDB
 db = ResultDB({root!r})
 writer = int(sys.argv[1])
 for i in range(40):
-    # shared identity: both writers contend on the same index slot;
+    # shared identity: both writers append to the same identity;
     # private identity: each writer's own latest must survive the race
     db.append("shared", [writer, i], seed=7,
               label="contended", params={{"writer": writer, "i": i}})
@@ -205,40 +167,18 @@ print("done", writer)
             assert sorted(r["params"]["i"] for r in mine) == list(range(40))
 
     def test_index_points_at_latest_after_race(self, db):
+        """``latest`` scans the ledger, its only index, after the race."""
         self._run_writers(db)
 
-        # the contended identity's indexed record is the ledger's last
-        # "shared" line — not whichever writer's index flush lost a race
+        # the contended identity resolves to the ledger's last "shared"
+        # line, whichever writer appended it
         last_shared = [r for r in db.records()
                        if r["experiment"] == "shared"][-1]
-        via_index = db.latest("shared", label="contended", seed=7)
-        assert via_index["params"] == last_shared["params"]
-        assert via_index["rows"] == last_shared["rows"]
+        latest = db.latest("shared", label="contended", seed=7)
+        assert latest["params"] == last_shared["params"]
+        assert latest["rows"] == last_shared["rows"]
 
         # each private identity resolves to that writer's final append
         for writer in range(2):
             latest = db.latest(f"private-{writer}", seed=writer)
             assert latest["rows"] == [39] * 50
-
-        # and the index is fresh: bytes covers the whole ledger, so
-        # lookups actually use it (no silent fall back to scanning)
-        index = db._read_index()
-        assert index is not None
-        assert index["bytes"] == db.ledger.stat().st_size
-
-    def test_offset_never_rolls_back(self, db):
-        db.append("exp", ["old"], seed=1)
-        new = db.append("exp", ["new"], seed=1)
-        index = db._read_index()
-        offset = index["offsets"][
-            json.dumps({"experiment": "exp", "label": "default", "seed": 1},
-                       sort_keys=True, separators=(",", ":"))]
-        # a stale writer re-publishing an older offset must be ignored
-        db._update_index(
-            json.dumps({"experiment": "exp", "label": "default", "seed": 1},
-                       sort_keys=True, separators=(",", ":")), 0, 1)
-        index = db._read_index()
-        assert index["offsets"][
-            json.dumps({"experiment": "exp", "label": "default", "seed": 1},
-                       sort_keys=True, separators=(",", ":"))] == offset
-        assert db.latest("exp", seed=1)["rows"] == ["new"]

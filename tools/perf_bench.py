@@ -45,12 +45,13 @@ Three sections, mirroring the three optimisation layers:
     the fixed point reads.
 ``replay``
     The batched allocation replay (``replay_allocations``: only the
-    heaps that can fill walked, through indexed first-fit, memoized
+    heaps that can fill walked, through vectorized first-fit, memoized
     matcher, the plan's edge schedule) against its scalar oracle
     (``replay_allocations_scalar``) on a
     fragmentation-heavy LULESH replay — capacity-squeezed DRAM and
-    heaps pre-fragmented with thousands of pinned 16 B holes, the free
-    list of a long-running node — asserting the full
+    heaps pre-fragmented with thousands of pinned 16 B holes, a
+    synthetic worst case far longer than any free list a replay builds
+    (at most about 20 blocks) — asserting the full
     :class:`ReplayResult` bit-identical via
     :func:`replay_results_identical`.  The batched timer runs on a warm
     workload plan, so it excludes the edge schedule build (``instances()``
@@ -584,10 +585,10 @@ def bench_baselines(quick: bool) -> dict:
 def _prefragment(heap, holes: int) -> None:
     """Checkerboard ``holes`` pinned 16 B holes at the base of the heap.
 
-    The state of a long-running node's allocator: a free list thousands
-    of entries long whose holes are too small for any replay allocation,
-    so every scalar first-fit scan walks past all of them while the
-    indexed path takes a log-depth descent.  The live odd blocks pin the
+    A synthetic worst case: a free list thousands of entries long whose
+    holes are too small for any replay allocation, so every scalar
+    first-fit scan walks past all of them in Python while the vectorized
+    path compares them in one NumPy pass.  The live odd blocks pin the
     holes open (no coalescing).
     """
     blocks = [heap.allocate(16) for _ in range(2 * holes)]
