@@ -31,6 +31,11 @@ class SiteRegistry:
 
     One registry serves all processes of a run: images are immutable and
     shared; per-process state (load bases) lives in :class:`ProcessImage`.
+    What does not depend on the load bases is computed once per registry
+    and shared by its processes: each function's call offset, and each
+    site's BOM and HUMAN keys.  A workload's default registry is
+    :attr:`Workload.site_registry <repro.apps.workload.Workload.site_registry>`,
+    built once per workload.
     """
 
     def __init__(self, workload: Workload, *, with_debug_info: bool = True,
@@ -41,7 +46,10 @@ class SiteRegistry:
         self.debug_line_interval = debug_line_interval
         self.debug_bytes_per_entry = debug_bytes_per_entry
         self._images: Dict[str, BinaryImage] = {}
-        self._func_offsets: Dict[Tuple[str, str], int] = {}
+        self._call_offsets: Dict[Tuple[str, str], int] = {}
+        #: (site name, format) -> BOM/HUMAN key, the same in every process;
+        #: threads racing on a miss store equal keys, so it needs no lock
+        self._stable_keys: Dict[Tuple[str, StackFormat], Tuple] = {}
         self._build_images(with_debug_info, functions_per_image, seed)
 
     def _build_images(self, with_debug_info: bool, extra_funcs: int, seed: int) -> None:
@@ -71,7 +79,8 @@ class SiteRegistry:
                     step = self.debug_line_interval
                     for k in range(0, size, step):
                         line_table.append((offset + k, src, 100 + k // step))
-                self._func_offsets[(image_name, fn)] = offset
+                self._call_offsets[(image_name, fn)] = (
+                    offset + int(size * _CALL_OFFSET_FRACTION))
                 offset += size + 16
             self._images[image_name] = BinaryImage(
                 image_name,
@@ -88,14 +97,11 @@ class SiteRegistry:
     def call_offset(self, image: str, function: str) -> int:
         """The in-image offset of the call frame inside ``function``."""
         try:
-            base = self._func_offsets[(image, function)]
+            return self._call_offsets[(image, function)]
         except KeyError:
             raise WorkloadError(
                 f"function {function!r} not in image {image!r}"
             ) from None
-        img = self._images[image]
-        sym = img.symbol_at(base)
-        return base + int(sym.size * _CALL_OFFSET_FRACTION)
 
     def make_process(self, rank: int, *, aslr_seed: Optional[int]) -> "ProcessImage":
         """Create one process's loaded view of the workload's images."""
@@ -119,7 +125,7 @@ class ProcessImage:
 
     def __post_init__(self) -> None:
         self._stacks: Dict[str, CallStack] = {}
-        self._keys: Dict[Tuple[str, StackFormat], Tuple] = {}
+        self._raw_keys: Dict[str, Tuple] = {}
 
     def callstack(self, site: AllocationSite) -> CallStack:
         """The raw call stack this process captures at ``site``."""
@@ -135,13 +141,22 @@ class ProcessImage:
         return stack
 
     def site_key(self, site: AllocationSite, fmt: StackFormat) -> Tuple:
-        """The stable (BOM/HUMAN) key of a site as seen by this process.
+        """The key of a site in ``fmt`` as seen by this process.
 
-        Translated once per site and format: every instance of a site
-        shares its key.
+        BOM and HUMAN keys do not depend on the load bases (that is their
+        point, Table I), so they are translated once per registry and
+        read from its cache by every process.  RAW keys are this
+        process's absolute addresses, translated once per process.
         """
-        key = self._keys.get((site.name, fmt))
+        if fmt is StackFormat.RAW:
+            key = self._raw_keys.get(site.name)
+            if key is None:
+                key = self._raw_keys[site.name] = self.callstack(site).key(
+                    self.space, fmt)
+            return key
+        stable = self.registry._stable_keys
+        key = stable.get((site.name, fmt))
         if key is None:
-            key = self.callstack(site).key(self.space, fmt)
-            self._keys[(site.name, fmt)] = key
+            key = stable[(site.name, fmt)] = self.callstack(site).key(
+                self.space, fmt)
         return key

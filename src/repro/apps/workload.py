@@ -21,9 +21,13 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import WorkloadError
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle at runtime
+    from repro.apps.sites import SiteRegistry
 
 
 @dataclass(frozen=True)
@@ -227,6 +231,13 @@ class PhaseSpan:
 class Workload:
     """A full application model.
 
+    Immutable: ``phases`` and ``objects`` are tuples, and assigning an
+    attribute after construction raises.  Build a variant as a new
+    workload.  Values derived from the definition are computed once per
+    workload and kept on it: the content fingerprint, the allocation
+    instances, the heap high-water mark and the default
+    :attr:`site_registry`.  They die with the workload.
+
     Parameters
     ----------
     name:
@@ -272,20 +283,31 @@ class Workload:
             raise WorkloadError(f"workload {name!r}: ranks/threads must be >= 1")
         if mlp < 1.0:
             raise WorkloadError(f"workload {name!r}: mlp must be >= 1")
-        self.name = name
-        self.phases = list(phases)
-        self.objects = list(objects)
-        self.ranks = ranks
-        self.threads = threads
         if not 0.0 < ws_factor <= 1.0:
             raise WorkloadError(f"workload {name!r}: ws_factor must be in (0, 1]")
-        self.mlp = mlp
-        self.locality = locality
-        self.conflict_pressure = conflict_pressure
-        self.ws_factor = ws_factor
-        self.non_heap_bytes = non_heap_bytes
-        self._spans = self._unroll()
+        self.__dict__.update(
+            name=name,
+            phases=tuple(phases),
+            objects=tuple(objects),
+            ranks=ranks,
+            threads=threads,
+            mlp=mlp,
+            locality=locality,
+            conflict_pressure=conflict_pressure,
+            ws_factor=ws_factor,
+            non_heap_bytes=non_heap_bytes,
+        )
+        self.__dict__["_spans"] = self._unroll()
         self._validate_access_names()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(
+            f"workload {self.name!r} is immutable (cannot set {name!r}); "
+            f"build a new Workload instead")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(
+            f"workload {self.name!r} is immutable (cannot delete {name!r})")
 
     # -- timeline -------------------------------------------------------------
 
@@ -322,13 +344,14 @@ class Workload:
     def nominal_duration(self) -> float:
         return self._spans[-1].end
 
-    def instances(self) -> List[InstanceSpan]:
-        """Every allocation instance of every object spec."""
-        out: List[InstanceSpan] = []
+    @cached_property
+    def _instances(self) -> Tuple[InstanceSpan, ...]:
         end = self.nominal_duration
-        for obj in self.objects:
-            out.extend(obj.instances(end))
-        return out
+        return tuple(inst for obj in self.objects for inst in obj.instances(end))
+
+    def instances(self) -> List[InstanceSpan]:
+        """Every allocation instance of every object spec (a fresh list)."""
+        return list(self._instances)
 
     # -- derived inventory ------------------------------------------------------
 
@@ -345,12 +368,14 @@ class Workload:
         raise KeyError(f"workload {self.name!r}: no site named {site_name!r}")
 
     def heap_high_water(self) -> int:
-        """Max concurrently-live heap bytes per rank (Table V's metric).
+        """Max concurrently-live heap bytes per rank (Table V's metric)."""
+        return self._heap_high_water
 
-        Computed by sweeping the instance start/end events.
-        """
+    @cached_property
+    def _heap_high_water(self) -> int:
+        """Computed by sweeping the instance start/end events."""
         events: List[Tuple[float, int]] = []
-        for inst in self.instances():
+        for inst in self._instances:
             events.append((inst.start, inst.spec.size))
             events.append((inst.end, -inst.spec.size))
         events.sort(key=lambda e: (e[0], -e[1]))
@@ -364,7 +389,7 @@ class Workload:
         """Per-rank bytes of objects actively accessed in ``[lo, hi)``."""
         names = {s.name for s in self._spans if s.start < hi and s.end > lo}
         total = 0
-        for inst in self.instances():
+        for inst in self._instances:
             if inst.overlap(lo, hi) <= 0.0:
                 continue
             spec = inst.spec
@@ -376,12 +401,31 @@ class Workload:
                 total += spec.size
         return total
 
+    @cached_property
+    def site_registry(self) -> "SiteRegistry":
+        """The workload's default :class:`~repro.apps.sites.SiteRegistry`.
+
+        Built on first use and kept on the workload, so every pipeline
+        stage shares one set of images, call offsets and stable site
+        keys, and the registry dies with the workload.  A custom registry
+        (other debug info or symbol counts) is built directly instead.
+        """
+        from repro.apps.sites import SiteRegistry
+
+        return SiteRegistry(self)
+
+    @cached_property
+    def _fingerprint(self) -> str:
+        return _content_hash(self)
+
     def _defining_state(self) -> Tuple:
-        return (
-            self.name, self.phases, self.objects, self.ranks, self.threads,
-            self.mlp, self.locality, self.conflict_pressure, self.ws_factor,
-            self.non_heap_bytes,
-        )
+        return tuple(getattr(self, name) for name in _DEFINING_FIELDS)
+
+    def replace(self, **changes) -> "Workload":
+        """A new workload: this definition with ``changes`` applied."""
+        state = dict(zip(_DEFINING_FIELDS, self._defining_state()))
+        state.update(changes)
+        return Workload(**state)
 
     def __eq__(self, other: object) -> bool:
         """Structural equality over the defining state.
@@ -404,6 +448,13 @@ class Workload:
         )
 
 
+#: the constructor arguments, in order: everything a workload is
+_DEFINING_FIELDS = (
+    "name", "phases", "objects", "ranks", "threads", "mlp", "locality",
+    "conflict_pressure", "ws_factor", "non_heap_bytes",
+)
+
+
 def workload_fingerprint(workload: Workload) -> str:
     """A stable content hash of a workload definition.
 
@@ -412,8 +463,14 @@ def workload_fingerprint(workload: Workload) -> str:
     plain class, so its scalar fields are hashed explicitly.  The hash
     distinguishes same-named workloads with different content (e.g. the
     scaled variants the input-sensitivity ablation builds).  It keys the
-    profile cache and the engine's workload plans.
+    profile cache and the engine's workload plans.  A workload is
+    immutable, so the hash is computed once per workload.
     """
+    return workload._fingerprint
+
+
+def _content_hash(workload: Workload) -> str:
+    """The hash :func:`workload_fingerprint` caches, computed afresh."""
     canon = (
         workload.name,
         tuple(repr(p) for p in workload.phases),

@@ -222,18 +222,7 @@ def scale_workload(workload: Workload, *, rate_scale: float = 1.0,
         objects.append(dc_replace(
             obj, size=max(int(obj.size * size_scale), 1), access=access,
         ))
-    return Workload(
-        name=workload.name,
-        phases=list(workload.phases),
-        objects=objects,
-        ranks=workload.ranks,
-        threads=workload.threads,
-        mlp=workload.mlp,
-        locality=workload.locality,
-        conflict_pressure=workload.conflict_pressure,
-        ws_factor=workload.ws_factor,
-        non_heap_bytes=workload.non_heap_bytes,
-    )
+    return workload.replace(objects=objects)
 
 
 def _input_sensitivity_point(spec) -> AblationPoint:

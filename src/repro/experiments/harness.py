@@ -193,7 +193,7 @@ def run_ecohmem(
         profile_store=profile_store,
         artifact_store=artifact_store,
     )
-    registry = registry or SiteRegistry(workload)
+    registry = registry or workload.site_registry
     outcome, label = _place_cell(
         workload, system, registry, profiles,
         EcoCell(dram_limit=dram_limit, use_stores=use_stores,
@@ -241,7 +241,7 @@ def run_ecohmem_batch(
     ``REPRO_ARTIFACT_DIR`` set the worker processes of a parallel sweep
     share them as profile artifacts, as :func:`run_ecohmem` does.
     """
-    registry = SiteRegistry(workload)
+    registry = workload.site_registry
 
     profiles_by_hz: Dict[float, dict] = {}
 
@@ -317,7 +317,7 @@ def run_profdp_best(
     if workload.name == "minimd":
         return None, None
 
-    registry = SiteRegistry(workload)
+    registry = workload.site_registry
     profiles, _, _ = profile_stage(
         workload,
         seed=seed,

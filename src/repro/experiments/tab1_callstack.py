@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from repro.apps import get_workload
-from repro.apps.sites import SiteRegistry
 from repro.binary.callstack import StackFormat
 
 
@@ -29,7 +28,7 @@ def compute_tab1(app: str = "lulesh", site_name: str = "lulesh::temp00",
                  subsystem: str = "pmem") -> List[Tab1Row]:
     """Render one site in all three formats, checking run-stability."""
     wl = get_workload(app)
-    registry = SiteRegistry(wl)
+    registry = wl.site_registry
     p1 = registry.make_process(rank=0, aslr_seed=1)
     p2 = registry.make_process(rank=0, aslr_seed=2)
     site = wl.object_by_site(site_name).site

@@ -27,7 +27,6 @@ from repro.alloc.matching import BOMMatcher
 from repro.alloc.memkind import build_heaps
 from repro.alloc.report import PlacementEntry, PlacementReport
 from repro.apps.workload import AccessStats, AllocationSite, ObjectSpec, Phase, Workload
-from repro.apps.sites import SiteRegistry
 from repro.binary.callstack import StackFormat
 from repro.faults.degrade import DegradationReport
 from repro.faults.plan import FaultPlan, inject
@@ -281,7 +280,7 @@ def engine_placement_from_profiles(
     ``seed`` must match the ``base_trace`` seed: the trace's site keys are
     ASLR-dependent, and the reverse map is rebuilt with the same layout.
     """
-    process = SiteRegistry(workload).make_process(rank=0, aslr_seed=1000 + seed)
+    process = workload.site_registry.make_process(rank=0, aslr_seed=1000 + seed)
     name_of_key = {
         process.site_key(obj.site, StackFormat.BOM): obj.site.name
         for obj in workload.objects
@@ -379,7 +378,7 @@ def replay_differential_check(
     # pins that same site to DRAM so address reuse happens under squeeze
     dram_sites.update(name for (name, _i) in overrides)
 
-    profiling = SiteRegistry(wl).make_process(rank=0, aslr_seed=1000 + seed)
+    profiling = wl.site_registry.make_process(rank=0, aslr_seed=1000 + seed)
     report = PlacementReport(StackFormat.BOM)
     for obj in wl.objects:
         # sites outside the report stay unmatched, keeping the fallback
@@ -390,7 +389,7 @@ def replay_differential_check(
                 subsystem="dram",
             ))
 
-    registry = SiteRegistry(wl)
+    registry = wl.site_registry
 
     def side(memoize: bool):
         production = registry.make_process(rank=0, aslr_seed=4000 + seed)

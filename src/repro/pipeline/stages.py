@@ -21,7 +21,7 @@ spaces behind the site keys, so it bypasses both profile caches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.advisor import AdvisorConfig, HMemAdvisor, Placement
@@ -104,19 +104,20 @@ def profile_workload(
             TracerConfig(stack_format=stack_format, seed=seed,
                          pebs=PEBSConfig(frequency_hz=pebs_hz, seed=seed * 7 + 1),
                          rank_jitter=rank_jitter),
-            registry or SiteRegistry(workload),
+            registry or workload.site_registry,
         )
         if profile_ranks > 1:
             # rank r of run_all_ranks(aslr_base_seed=b) is run(r, b + r)
             per_rank = [tracer.profile(rank=r, aslr_seed=1000 + seed + r)
                         for r in range(profile_ranks)]
-            profiles = Paramedir().merge(per_rank, mode="sum")
+            merged = Paramedir().merge(per_rank, mode="sum")
             # cross-rank sums describe profile_ranks processes; the advisor's
             # density ranking is scale-invariant, so no renormalization needed
-            for prof in profiles.values():
-                prof.load_misses /= profile_ranks
-                prof.store_misses /= profile_ranks
-            return profiles
+            return {
+                key: replace(prof,
+                             load_misses=prof.load_misses / profile_ranks,
+                             store_misses=prof.store_misses / profile_ranks)
+                for key, prof in merged.items()}
         return tracer.profile(rank=0, aslr_seed=1000 + seed)
 
     if registry is not None:

@@ -18,11 +18,14 @@ which stores the :func:`encode_profiles` payload: every
 :class:`~repro.profiling.paramedir.SiteProfile` field, by name, in
 declaration order.
 
-Stored profiles are returned as deep copies so callers may mutate their
-view freely; the cache entry stays pristine.  Cached results are
-bit-identical to a fresh computation: the tracer is fully deterministic
-given the key, and the JSON round trip of :func:`encode_profiles`
-preserves floats exactly (``repr``-based shortest-roundtrip encoding).
+A :class:`~repro.profiling.paramedir.SiteProfile` is immutable, so the
+store keeps the very profile objects it is given and hands the same
+objects to every caller: a hit copies nothing but the dict around them,
+and writing to a cached profile raises instead of reaching the entry.
+Cached results are bit-identical to a fresh computation: the tracer is
+fully deterministic given the key, and the JSON round trip of
+:func:`encode_profiles` preserves floats exactly (``repr``-based
+shortest-roundtrip encoding).
 
 Environment knob (read by :func:`resolve_store`):
 
@@ -34,7 +37,6 @@ from __future__ import annotations
 
 import os
 from collections import OrderedDict
-from copy import deepcopy
 from dataclasses import dataclass, fields
 from typing import Any, Callable, Dict, List, Optional
 
@@ -120,7 +122,7 @@ def _encode_profile(prof: SiteProfile) -> dict:
 def _decode_profile(data: dict) -> SiteProfile:
     values = {f.name: data[f.name] for f in fields(SiteProfile)}
     values["site_key"] = _decode_site_key(data["site_key"])
-    values["spans"] = [tuple(s) for s in data["spans"]]
+    values["spans"] = tuple(tuple(s) for s in data["spans"])
     return SiteProfile(**values)
 
 
@@ -171,17 +173,20 @@ class ProfileStore:
     # -- lookup ---------------------------------------------------------------
 
     def get(self, key: ProfileKey) -> Optional[Profiles]:
-        """Cached profiles for ``key`` (a private deep copy), or ``None``."""
+        """Cached profiles for ``key``, or ``None``.
+
+        A new dict over the stored (immutable) profile objects.
+        """
         entry = self._entries.get(key)
         if entry is not None:
             self._entries.move_to_end(key)
             self.hits += 1
-            return deepcopy(entry)
+            return dict(entry)
         return None
 
     def put(self, key: ProfileKey, profiles: Profiles) -> None:
-        """Insert ``profiles`` (copied)."""
-        self._entries[key] = deepcopy(profiles)
+        """Insert ``profiles``: the dict is copied, the profiles are kept."""
+        self._entries[key] = dict(profiles)
         self._entries.move_to_end(key)
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)

@@ -34,7 +34,7 @@ Two implementations share that definition:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -54,9 +54,14 @@ from repro.profiling.trace import COUNTER_CODE, Trace
 SiteKey = Tuple
 
 
-@dataclass
+@dataclass(frozen=True)
 class SiteProfile:
-    """Aggregated profile of one allocation site."""
+    """Aggregated profile of one allocation site.
+
+    Immutable: the analyzer builds each profile finished, and the profile
+    store hands the same objects to every caller.  Derive a variant with
+    :func:`dataclasses.replace`.
+    """
 
     site_key: SiteKey
     largest_alloc: int = 0
@@ -69,8 +74,8 @@ class SiteProfile:
     first_alloc: float = float("inf")
     last_free: float = 0.0
     total_live_time: float = 0.0
-    #: per-instance (alloc_time, free_time); free may be the run end
-    spans: List[Tuple[float, float]] = field(default_factory=list)
+    #: per-instance (alloc_time, free_time), sorted; free may be the run end
+    spans: Tuple[Tuple[float, float], ...] = ()
 
     @property
     def mean_lifetime(self) -> float:
@@ -82,20 +87,42 @@ class SiteProfile:
         return self.load_misses / self.largest_alloc if self.largest_alloc else 0.0
 
 
+_PROFILE_FIELDS = tuple(f.name for f in fields(SiteProfile))
+
+
+class _SiteAcc:
+    """One site's statistics while a replay or merge accumulates them."""
+
+    __slots__ = _PROFILE_FIELDS
+
+    def __init__(self, site_key: SiteKey):
+        for f in fields(SiteProfile):
+            setattr(self, f.name, f.default)
+        self.site_key = site_key
+        self.spans: List[Tuple[float, float]] = []
+
+    def freeze(self) -> SiteProfile:
+        """The finished profile (spans sorted)."""
+        values = {name: getattr(self, name) for name in _PROFILE_FIELDS}
+        values["spans"] = tuple(sorted(self.spans))
+        return SiteProfile(**values)
+
+
 def add_sample_sums(
     profiles: Dict[SiteKey, SiteProfile],
     site_idx: Dict[SiteKey, int],
     sites: np.ndarray,
     codes: np.ndarray,
     weights: np.ndarray,
-) -> None:
-    """Fold attributed samples into the profiles, in sample order.
+) -> Dict[SiteKey, SiteProfile]:
+    """``profiles`` with the attributed samples folded in, in sample order.
 
     ``sites[i]`` is the ``site_idx`` index sample ``i`` is attributed to.
     A weighted ``np.bincount`` adds ``weights[i]`` into its site's bin in
     element order, starting from 0.0 — the scalar ``+=`` over the same
-    sample sequence, so every float sum matches it.  Also finalizes each
-    profile (sorted spans).
+    sample sequence, so every float sum matches it.  ``profiles`` carry
+    the structural fields; the returned profiles are new objects with
+    the four sample fields set.
     """
     n_sites = len(site_idx)
     is_load = codes == COUNTER_CODE[HardwareCounter.LLC_LOAD_MISS]
@@ -107,13 +134,14 @@ def add_sample_sums(
 
     load_miss, load_n = sums(is_load, weights), sums(is_load)
     store_miss, store_n = sums(is_store, weights), sums(is_store)
+    out: Dict[SiteKey, SiteProfile] = {}
     for key, prof in profiles.items():
         i = site_idx[key]
-        prof.load_samples = int(load_n[i])
-        prof.load_misses = float(load_miss[i])
-        prof.store_samples = int(store_n[i])
-        prof.store_misses = float(store_miss[i])
-        prof.spans.sort()
+        out[key] = replace(
+            prof,
+            load_samples=int(load_n[i]), load_misses=float(load_miss[i]),
+            store_samples=int(store_n[i]), store_misses=float(store_miss[i]))
+    return out
 
 
 class Paramedir:
@@ -141,7 +169,7 @@ class Paramedir:
         scalar path skips.  Without one, the strict behaviour is
         unchanged (orphan frees and overlapping allocs raise).
         """
-        profiles: Dict[SiteKey, SiteProfile] = {}
+        profiles: Dict[SiteKey, _SiteAcc] = {}
         table = LiveObjectTable()
 
         cols = trace.sample_columns()
@@ -208,8 +236,7 @@ class Paramedir:
                     continue
                 prof = profiles.get(ev.site_key)
                 if prof is None:
-                    prof = profiles[ev.site_key] = SiteProfile(
-                        site_key=ev.site_key)
+                    prof = profiles[ev.site_key] = _SiteAcc(ev.site_key)
                 prof.largest_alloc = max(prof.largest_alloc, ev.size)
                 prof.alloc_count += 1
                 prof.first_alloc = min(prof.first_alloc, ev.time)
@@ -250,8 +277,9 @@ class Paramedir:
                else np.empty(0, dtype=np.intp))
         sites = (np.concatenate(hit_site) if hit_site
                  else np.empty(0, dtype=np.int64))
-        add_sample_sums(profiles, site_idx, sites, codes[pos], weights[pos])
-        return profiles
+        return add_sample_sums(
+            {key: acc.freeze() for key, acc in profiles.items()},
+            site_idx, sites, codes[pos], weights[pos])
 
     def analyze_scalar(
         self,
@@ -265,7 +293,7 @@ class Paramedir:
         skips exactly the same records under it — the property the
         differential-oracle harness in ``tests/faults/`` pins.
         """
-        profiles: Dict[SiteKey, SiteProfile] = {}
+        profiles: Dict[SiteKey, _SiteAcc] = {}
         table = LiveObjectTable()
         # merge alloc/free/sample streams in time order; allocs precede
         # frees and samples at equal timestamps so lookups succeed
@@ -294,7 +322,9 @@ class Paramedir:
                         raise
                     degradation.record(INVALID_ALLOC)
                     continue
-                prof = profiles.setdefault(ev.site_key, SiteProfile(site_key=ev.site_key))
+                prof = profiles.get(ev.site_key)
+                if prof is None:
+                    prof = profiles[ev.site_key] = _SiteAcc(ev.site_key)
                 prof.largest_alloc = max(prof.largest_alloc, ev.size)
                 prof.alloc_count += 1
                 prof.first_alloc = min(prof.first_alloc, ev.time)
@@ -339,9 +369,7 @@ class Paramedir:
             prof.spans.append((t_alloc, run_end))
             prof.last_free = max(prof.last_free, run_end)
 
-        for prof in profiles.values():
-            prof.spans.sort()
-        return profiles
+        return {key: acc.freeze() for key, acc in profiles.items()}
 
     def merge(
         self,
@@ -365,15 +393,14 @@ class Paramedir:
             raise ValueError(f"unknown aggregation mode {mode!r}")
         if not per_rank:
             raise ValueError("need at least one rank's profiles")
-        merged: Dict[SiteKey, SiteProfile] = {}
+        merged: Dict[SiteKey, _SiteAcc] = {}
         seen_by: Dict[SiteKey, int] = {}
         for profiles in per_rank:
             for key, prof in profiles.items():
                 seen_by[key] = seen_by.get(key, 0) + 1
                 out = merged.get(key)
                 if out is None:
-                    out = SiteProfile(site_key=key)
-                    merged[key] = out
+                    out = merged[key] = _SiteAcc(key)
                 out.largest_alloc = max(out.largest_alloc, prof.largest_alloc)
                 out.alloc_count += prof.alloc_count
                 out.free_count += prof.free_count
@@ -394,8 +421,7 @@ class Paramedir:
             if mode == "average":
                 out.load_misses /= n_ranks
                 out.store_misses /= n_ranks
-            out.spans.sort()
-        return merged
+        return {key: out.freeze() for key, out in merged.items()}
 
     def top_sites(
         self, profiles: Dict[SiteKey, SiteProfile], n: int = 10,

@@ -119,7 +119,7 @@ class ExtraeTracer:
                  registry: Optional[SiteRegistry] = None):
         self.workload = workload
         self.config = config
-        self.registry = registry or SiteRegistry(workload)
+        self.registry = registry or workload.site_registry
 
     def run_all_ranks(self, ranks: Optional[int] = None,
                       aslr_base_seed: int = 5000) -> List[Trace]:
@@ -725,11 +725,12 @@ class _ProfileSink:
     def consume(self, draws: _WindowSamples
                 ) -> Optional[Dict[SiteKey, SiteProfile]]:
         insts = self.instances
-        profiles: Dict[SiteKey, SiteProfile] = {}
         site_idx: Dict[SiteKey, int] = {}
-        #: object spec -> its site's index; site index -> profile
+        #: object spec -> its site's index; per site index: first alloc
+        #: and spans
         site_of_spec: Dict[int, int] = {}
-        by_idx: List[SiteProfile] = []
+        first_alloc: List[float] = []
+        spans: List[List[Tuple[float, float]]] = []
         site_of = np.empty(len(insts), dtype=np.int64)
         for col in draws.order.tolist():
             inst = insts[col]
@@ -738,16 +739,15 @@ class _ProfileSink:
                 key = self.process.site_key(inst.spec.site, self.fmt)
                 i = site_idx.get(key)
                 if i is None:
-                    i = site_idx[key] = len(by_idx)
-                    by_idx.append(SiteProfile(site_key=key,
-                                              first_alloc=inst.start))
-                    profiles[key] = by_idx[i]
+                    i = site_idx[key] = len(spans)
+                    first_alloc.append(inst.start)
+                    spans.append([])
                 site_of_spec[id(inst.spec)] = i
             site_of[col] = i
-            by_idx[i].spans.append((inst.start, inst.end))
+            spans[i].append((inst.start, inst.end))
         n_sites = len(site_idx)
         starts, ends = draws.starts, draws.ends
-        allocs = np.bincount(site_of, minlength=n_sites)
+        allocs = np.bincount(site_of, minlength=n_sites).tolist()
         largest = np.zeros(n_sites, dtype=np.int64)
         np.maximum.at(largest, site_of, [i.spec.size for i in insts])
         last_free = np.zeros(n_sites)
@@ -755,11 +755,14 @@ class _ProfileSink:
         by_free = np.argsort(ends, kind="stable")
         live_time = np.bincount(site_of[by_free], minlength=n_sites,
                                 weights=(ends - starts)[by_free])
-        for i, prof in enumerate(by_idx):
-            prof.largest_alloc = int(largest[i])
-            prof.alloc_count = prof.free_count = int(allocs[i])
-            prof.last_free = float(last_free[i])
-            prof.total_live_time = float(live_time[i])
+        profiles = {
+            key: SiteProfile(
+                site_key=key, largest_alloc=int(largest[i]),
+                alloc_count=allocs[i], free_count=allocs[i],
+                first_alloc=first_alloc[i], last_free=float(last_free[i]),
+                total_live_time=float(live_time[i]),
+                spans=tuple(sorted(spans[i])))
+            for key, i in site_idx.items()}
 
         total = sum(draws.sizes)
         sites = np.empty(total, dtype=np.int64)
@@ -775,5 +778,4 @@ class _ProfileSink:
             codes[at:end] = COUNTER_CODE[counter]
             weights[at:end] = np.repeat(b.weight, b.n)
             at = end
-        add_sample_sums(profiles, site_idx, sites, codes, weights)
-        return profiles
+        return add_sample_sums(profiles, site_idx, sites, codes, weights)

@@ -37,7 +37,6 @@ from repro.advisor import AdvisorConfig, HMemAdvisor, Placement, density_batch
 from repro.advisor.density import density_placement_scalar
 from repro.alloc import PlacementReport
 from repro.apps import get_workload
-from repro.apps.sites import SiteRegistry
 from repro.binary.callstack import StackFormat
 from repro.errors import ConfigError, ReproError
 from repro.pipeline.artifacts import (
@@ -583,7 +582,7 @@ class PlacementServer:
                 algorithm="bw-aware",
                 stack_format=fmt,
                 observe=bandwidth_observer(
-                    loaded.workload, system, SiteRegistry(loaded.workload),
+                    loaded.workload, system, loaded.workload.site_registry,
                     dram_limit=request.dram_limit, stack_format=fmt,
                     seed=request.seed,
                 ),
@@ -677,7 +676,7 @@ def sequential_advisory(
                 )
             base = density_placement_scalar(objects, system, config)
             observe = bandwidth_observer(
-                wl, system, SiteRegistry(wl),
+                wl, system, wl.site_registry,
                 dram_limit=request.dram_limit,
                 stack_format=StackFormat(request.stack_format),
                 seed=request.seed,

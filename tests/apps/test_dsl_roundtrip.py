@@ -47,8 +47,7 @@ def test_workload_equality_semantics():
     assert a != get_workload("hpcg")
     assert a != "minife"  # NotImplemented falls back to False
     assert hash(a) != hash(b)  # identity hashing is retained
-    b.mlp += 1.0
-    assert a != b
+    assert a != b.replace(mlp=b.mlp + 1.0)
 
 
 # -- schema error paths --------------------------------------------------------

@@ -1,5 +1,10 @@
 """Tests for site wiring and the seven application models."""
 
+import gc
+import sys
+import threading
+import weakref
+
 import pytest
 
 from repro.apps import get_workload, list_workloads
@@ -86,6 +91,87 @@ class TestSiteRegistry:
         reg = SiteRegistry(toy_workload)
         with pytest.raises(WorkloadError):
             reg.call_offset("toy.x", "no_such_function")
+
+
+class TestDefaultRegistry:
+    """One registry per workload, kept on the workload and freed with it."""
+
+    def test_built_once(self, toy_workload):
+        reg = toy_workload.site_registry
+        assert isinstance(reg, SiteRegistry)
+        assert toy_workload.site_registry is reg
+        assert reg.workload is toy_workload
+
+    def test_tracer_uses_it(self, toy_workload):
+        from repro.profiling.tracer import ExtraeTracer
+        assert ExtraeTracer(toy_workload).registry is toy_workload.site_registry
+
+    def test_freed_with_the_workload(self):
+        wl = make_toy_workload()
+        reg = wl.site_registry
+        reg.make_process(rank=0, aslr_seed=1).site_key(
+            wl.objects[0].site, StackFormat.BOM)
+        refs = (weakref.ref(wl), weakref.ref(reg))
+        del wl, reg
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+
+    def test_call_offsets_match_symbols(self, toy_workload):
+        reg = toy_workload.site_registry
+        for obj in toy_workload.objects:
+            img = reg.images[obj.site.image]
+            for fn in obj.site.stack:
+                off = reg.call_offset(obj.site.image, fn)
+                sym = img.symbol_at(off)
+                assert sym.name == fn
+                assert off == sym.offset + int(sym.size * 0.4)
+
+    def test_cached_stable_keys_equal_fresh_translation(self):
+        wl = get_workload("lulesh")
+        reg = wl.site_registry
+        p1 = reg.make_process(rank=0, aslr_seed=11)
+        p2 = reg.make_process(rank=1, aslr_seed=12)
+        image = wl.images()[0]
+        assert (p1.space.mapping_of(image).base
+                != p2.space.mapping_of(image).base)
+        for obj in wl.objects:
+            site = obj.site
+            for proc in (p1, p2):
+                for fmt in (StackFormat.BOM, StackFormat.HUMAN):
+                    assert proc.site_key(site, fmt) == proc.callstack(
+                        site).key(proc.space, fmt)
+            assert (p1.site_key(site, StackFormat.RAW)
+                    != p2.site_key(site, StackFormat.RAW))
+
+
+    def test_shared_key_cache_under_threads(self):
+        """Server threads share one registry: every thread's processes
+        read keys equal to their own fresh translation."""
+        wl = get_workload("openfoam")
+        reg = wl.site_registry
+        errors = []
+
+        def worker(seed):
+            proc = reg.make_process(rank=0, aslr_seed=seed)
+            for obj in wl.objects:
+                for fmt in (StackFormat.BOM, StackFormat.HUMAN):
+                    if proc.site_key(obj.site, fmt) != proc.callstack(
+                            obj.site).key(proc.space, fmt):
+                        errors.append((seed, obj.site.name, fmt))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(s,))
+                       for s in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
 
 
 class TestRegistry:

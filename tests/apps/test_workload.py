@@ -2,8 +2,12 @@
 
 import pytest
 
+from repro.apps import get_workload
 from repro.errors import WorkloadError
-from repro.apps.workload import AccessStats, AllocationSite, ObjectSpec, Phase, Workload
+from repro.apps.workload import (
+    AccessStats, AllocationSite, ObjectSpec, Phase, Workload, _content_hash,
+    workload_fingerprint,
+)
 from repro.units import MiB
 
 from tests.conftest import make_site, make_toy_workload
@@ -160,3 +164,46 @@ class TestValidation:
             Workload("w", [Phase("p", 1.0)], [spec], mlp=0.5)
         with pytest.raises(WorkloadError):
             Workload("w", [Phase("p", 1.0)], [spec], ws_factor=0.0)
+
+
+class TestImmutableWorkload:
+    """A workload is a value: sealed after construction, derived once."""
+
+    def test_assignment_raises(self, toy_workload):
+        with pytest.raises(AttributeError):
+            toy_workload.mlp = 2.0
+        with pytest.raises(AttributeError):
+            toy_workload.objects = ()
+        with pytest.raises(AttributeError):
+            del toy_workload.name
+        assert toy_workload.mlp == 4.0
+
+    def test_sequences_are_tuples(self, toy_workload):
+        assert isinstance(toy_workload.phases, tuple)
+        assert isinstance(toy_workload.objects, tuple)
+
+    def test_replace_builds_a_variant(self, toy_workload):
+        variant = toy_workload.replace(mlp=2.0)
+        assert variant.mlp == 2.0 and toy_workload.mlp == 4.0
+        assert variant.objects == toy_workload.objects
+        assert variant != toy_workload
+        assert toy_workload.replace() == toy_workload
+
+    def test_fingerprint_cached_and_fresh(self):
+        a, b = get_workload("lulesh"), get_workload("lulesh")
+        assert workload_fingerprint(a) is workload_fingerprint(a)
+        assert workload_fingerprint(a) == _content_hash(a)
+        assert workload_fingerprint(a) == workload_fingerprint(b)
+
+    def test_instances_fresh_list_over_one_build(self, toy_workload):
+        first = toy_workload.instances()
+        first.clear()
+        again = toy_workload.instances()
+        assert again and again is not toy_workload.instances()
+        assert all(x is y for x, y in zip(again, toy_workload.instances()))
+
+    def test_heap_high_water_cached(self, toy_workload):
+        hwm = toy_workload.heap_high_water()
+        assert toy_workload.heap_high_water() is hwm  # not recomputed
+        assert hwm == toy_workload.replace().heap_high_water()
+        assert hwm == 8 * MiB + 64 * MiB + 4 * MiB

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.apps.workload import AccessStats, AllocationSite, ObjectSpec, Phase, Workload
@@ -66,6 +68,13 @@ def make_toy_workload(
         locality=0.8,
         conflict_pressure=0.3,
     )
+
+
+def with_serial_fraction(workload: Workload, fraction: float) -> Workload:
+    """``workload`` with its first object's ``serial_fraction`` set."""
+    first, *rest = workload.objects
+    return workload.replace(
+        objects=(replace(first, serial_fraction=fraction), *rest))
 
 
 @pytest.fixture

@@ -1,5 +1,7 @@
 """Tests for derived profiling metrics (bandwidth, regions)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import ConfigError
@@ -30,8 +32,7 @@ class TestObjectBandwidth:
         assert object_bandwidth(p, ranks=8) == 8 * object_bandwidth(p)
 
     def test_zero_live_time(self):
-        p = profile(live=10)
-        p.total_live_time = 0.0
+        p = replace(profile(live=10), total_live_time=0.0)
         assert object_bandwidth(p) == 0.0
 
     def test_ranks_validated(self):

@@ -79,7 +79,7 @@ class TestMerge:
         merged = Paramedir().merge(per_rank)
         for key, prof in merged.items():
             pooled = sorted(sp for p in per_rank for sp in p[key].spans)
-            assert prof.spans == pooled
+            assert prof.spans == tuple(pooled)
 
     def test_bad_mode(self):
         _, per_rank = profiles_for(ranks=1)

@@ -9,6 +9,8 @@ cases of ``test_tracer_vectorized.py``.  The production profiling stage
 must take the direct path and never build a trace.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -180,10 +182,9 @@ def _old_profile_workload(wl, seed, ranks, jitter):
     per_rank = [pd.analyze(tracer.run(rank=r, aslr_seed=1000 + seed + r))
                 for r in range(ranks)]
     merged = pd.merge(per_rank, mode="sum")
-    for prof in merged.values():
-        prof.load_misses /= ranks
-        prof.store_misses /= ranks
-    return merged
+    return {key: replace(prof, load_misses=prof.load_misses / ranks,
+                         store_misses=prof.store_misses / ranks)
+            for key, prof in merged.items()}
 
 
 @pytest.mark.parametrize("ranks,jitter", [(1, 0.0), (3, 0.0), (3, 0.5)])

@@ -6,6 +6,8 @@ on-disk profile artifact behind it (float-exact round trip), and all the
 way up to the pipeline results built from them.
 """
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from repro.experiments.harness import profile_workload, run_ecohmem
@@ -58,13 +60,24 @@ class TestProfileStoreMemory:
         assert store.hits == 1
         assert cached == fresh
 
-    def test_returns_private_copies(self):
+    def test_hands_out_the_stored_profiles(self):
+        """No copies: ``get`` returns the very profile objects ``put``
+        received (in a new dict), and they are read-only."""
         store = ProfileStore()
         first = profile_workload(make_toy_workload(), profile_store=store)
-        key = next(iter(first))
-        first[key].load_misses = -1.0
         again = profile_workload(make_toy_workload(), profile_store=store)
-        assert again[key].load_misses != -1.0
+        assert store.hits == 1
+        assert again is not first
+        assert all(again[key] is prof for key, prof in first.items())
+        prof = next(iter(again.values()))
+        with pytest.raises(FrozenInstanceError):
+            prof.load_misses = -1.0
+        with pytest.raises(AttributeError):
+            prof.spans.append((0.0, 1.0))
+        # a caller's dict is its own: dropping a key leaves the entry whole
+        again.clear()
+        third = profile_workload(make_toy_workload(), profile_store=store)
+        assert third.keys() == first.keys()
 
     def test_lru_eviction(self):
         store = ProfileStore(capacity=1)

@@ -9,7 +9,7 @@ from repro.runtime.engine import ExecutionEngine
 from repro.runtime.traffic import PlacementTraffic
 from repro.units import MiB
 
-from tests.conftest import make_site, make_toy_workload
+from tests.conftest import make_site, make_toy_workload, with_serial_fraction
 
 
 def run_with(workload, placement, system=None, **kwargs):
@@ -50,17 +50,14 @@ class TestBasicTiming:
                 > run_with(light, ALL_PMEM).total_time)
 
     def test_higher_mlp_faster(self):
-        slow = make_toy_workload()
-        slow.mlp = 2.0
-        fast = make_toy_workload()
-        fast.mlp = 12.0
+        slow = make_toy_workload().replace(mlp=2.0)
+        fast = make_toy_workload().replace(mlp=12.0)
         assert (run_with(fast, ALL_PMEM).total_time
                 < run_with(slow, ALL_PMEM).total_time)
 
     def test_serial_fraction_hurts(self):
         base = make_toy_workload()
-        serial = make_toy_workload()
-        object.__setattr__(serial.objects[0], "serial_fraction", 0.8)
+        serial = with_serial_fraction(make_toy_workload(), 0.8)
         assert (run_with(serial, ALL_PMEM).total_time
                 > run_with(base, ALL_PMEM).total_time)
 
@@ -126,8 +123,7 @@ class TestResultStructure:
 
     def test_speedup_requires_same_workload(self, toy_workload):
         res = run_with(toy_workload, ALL_DRAM)
-        other = make_toy_workload()
-        other.name = "different"
+        other = make_toy_workload().replace(name="different")
         res2 = run_with(other, ALL_DRAM)
         with pytest.raises(SimulationError):
             res.speedup_vs(res2)

@@ -5,7 +5,7 @@ import pytest
 from repro.errors import SimulationError
 from repro.runtime.traffic import PlacementTraffic, SegmentTraffic, SubsystemTraffic
 
-from tests.conftest import make_toy_workload
+from tests.conftest import make_toy_workload, with_serial_fraction
 
 
 class TestSubsystemTraffic:
@@ -70,11 +70,11 @@ class TestPlacementTraffic:
         assert not seg.by_subsystem
 
     def test_serial_loads_propagated(self, toy_workload):
-        object.__setattr__(toy_workload.objects[0], "serial_fraction", 0.5)
-        model = PlacementTraffic(toy_workload, {
+        serial = with_serial_fraction(toy_workload, 0.5)
+        model = PlacementTraffic(serial, {
             "toy::hot": "pmem", "toy::cold": "pmem", "toy::temp": "pmem",
         })
-        live = [i for i in toy_workload.instances() if i.overlap(0.0, 1.0) > 0]
+        live = [i for i in serial.instances() if i.overlap(0.0, 1.0) > 0]
         seg = model.segment_traffic(0.0, 1.0, "compute", live)
         t = seg.by_subsystem["pmem"]
         assert t.serial_loads > 0

@@ -103,10 +103,11 @@ class TestWorkloadScaling:
     def test_l1d_rate_scaled_when_present(self, toy_workload):
         from dataclasses import replace
         from repro.apps.workload import AccessStats
-        obj = toy_workload.objects[0]
+        first, *rest = toy_workload.objects
         stats = AccessStats(load_rate=1.0, store_rate=1.0, l1d_store_rate=8.0)
-        toy_workload.objects[0] = replace(obj, access={"compute": stats})
-        scaled = scale_workload(toy_workload, rate_scale=2.0)
+        variant = toy_workload.replace(
+            objects=(replace(first, access={"compute": stats}), *rest))
+        scaled = scale_workload(variant, rate_scale=2.0)
         assert scaled.objects[0].access["compute"].l1d_store_rate == 16.0
 
     def test_production_workload_roundtrip(self, system6, toy_workload):

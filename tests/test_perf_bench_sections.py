@@ -44,7 +44,8 @@ def test_profiling_section_times_the_direct_profile(tmp_path):
     ``run`` + ``analyze`` at the production 100 Hz (it asserts
     identical profiles) and reports both times, which the full-mode
     floor reads; it also reports every registered app's cold
-    ``profile()`` time."""
+    ``profile()`` time and LULESH's cold ``run_ecohmem`` time per
+    algorithm."""
     out = tmp_path / "bench.json"
     assert perf_bench.main(
         ["--quick", "--section", "profiling", "-o", str(out)]) == 0
@@ -56,6 +57,9 @@ def test_profiling_section_times_the_direct_profile(tmp_path):
     cold = prof["cold_profile_s"]
     assert set(cold) == set(perf_bench.list_workloads()) | {"total"}
     assert all(t > 0 for t in cold.values())
+    onboard = prof["onboard_s"]
+    assert onboard["workload"] == "lulesh"
+    assert onboard["density"] > 0 and onboard["bw-aware"] > 0
 
 
 def test_plan_section_times_cold_and_warm_builds(tmp_path):
@@ -69,3 +73,29 @@ def test_plan_section_times_cold_and_warm_builds(tmp_path):
     plan = json.loads(out.read_text())["plan"]
     assert plan["workload"] == "lulesh"
     assert plan["plan_cold_s"] > 0 and plan["plan_warm_s"] > 0
+
+
+def test_section_run_records_its_own_mode(tmp_path):
+    """A ``--section`` run merged over a file from another mode stamps
+    ``"quick"`` on the sections it ran, and the top-level ``"quick"``
+    reads ``"mixed"`` instead of the subset run's mode."""
+    out = tmp_path / "bench.json"
+    out.write_text(json.dumps({
+        "quick": False,
+        "kernel": {"speedup": 18.0, "quick": False},
+        "plan": {"speedup": 3.0},
+    }))
+    assert perf_bench.main(
+        ["--quick", "--section", "plan", "-o", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["plan"]["quick"] is True
+    assert data["kernel"] == {"speedup": 18.0, "quick": False}
+    assert data["quick"] == "mixed"
+
+    # once every section in the file ran in one mode, that mode is the
+    # file's; a section without a record of its own counts as unknown
+    assert perf_bench._file_mode({"quick": "mixed", "kernel": {"quick": True},
+                                  "plan": {"quick": True}}) is True
+    assert perf_bench._file_mode({"kernel": {"quick": False}}) is False
+    assert perf_bench._file_mode({"kernel": {"quick": True},
+                                  "plan": {}}) == "mixed"
